@@ -193,19 +193,10 @@ def cmd_index(args) -> None:
         ks = np.linspace(args.k_min, args.k_max, args.nk)
     else:
         raise ValueError("provide --k, or --k-min/--k-max (optionally --nk)")
-    rows = []
-    for k in ks:
-        r = mi_index.index(s, p, float(k))
-        rows.append(
-            {
-                "k": r.k,
-                "f1": r.f1,
-                "f2": r.f2,
-                "delta": r.delta,
-                "ratio": r.ratio,
-                "class": r.classification,
-            }
-        )
+    r = mi_index.index(s, p, ks)
+    names = ("k", "f1", "f2", "delta", "ratio", "class")
+    values = (r.k, r.f1, r.f2, r.delta, r.ratio, r.classification)
+    rows = [dict(zip(names, row)) for row in zip(*(v.tolist() for v in values))]
     emit(rows, args.format, args.out)
 
 

@@ -50,6 +50,9 @@ __all__ = [
 # where the quadratic-symbol model loses its dispersive term
 T_DEGENERATE_TOL = 1e-5
 
+# diagram and interval labels of the index classifications
+_LABELS = {"stable": "S", "unstable": "U", "degenerate": "degenerate"}
+
 
 def params_from_alpha(alpha: float) -> ModelParams:
     """Normalize a ratio alpha = gamma/beta to beta = +-1, gamma = |alpha|.
@@ -139,19 +142,16 @@ def kc_closed_form(model: str, p: ModelParams, extra: dict | None = None) -> Cri
 # numeric root location
 
 
-def _n1(s: DispersionSymbol, p: ModelParams, k):
-    """f1 numerator: 3 gamma + 4 beta k^2 (m(k) - m(2k)); zeros = f1 zeros."""
-    karr = np.asarray(k, dtype=float)
-    out = 3.0 * p.gamma + 4.0 * p.beta * karr * karr * (s.m(karr) - s.m(2.0 * karr))
-    return float(out) if np.isscalar(k) or out.ndim == 0 else out
+def _numerators(s: DispersionSymbol, p: ModelParams) -> tuple:
+    """The numerators of f1 and f2 as functions of k; their zeros are the factors'.
 
-
-def _n2(s: DispersionSymbol, p: ModelParams, k):
-    """f2 numerator: 2 gamma + beta k^3 (k m''(k) + 2 m'(k))."""
-    karr = np.asarray(k, dtype=float)
-    k3 = karr ** 3
-    out = 2.0 * p.gamma + p.beta * k3 * (karr * s.m2(karr) + 2.0 * s.m1(karr))
-    return float(out) if np.isscalar(k) or out.ndim == 0 else out
+    f1's is the second-harmonic denominator 3 gamma + 4 beta k^2 (m(k) - m(2k)),
+    f2's is 2 gamma + beta k^3 (k m''(k) + 2 m'(k)).
+    """
+    return (
+        lambda k: harmonic_denominator(s, p, k, 2),
+        lambda k: group_velocity_derivative(s, p, k).numerator,
+    )
 
 
 def _scan_roots(f, grid) -> list:
@@ -192,10 +192,8 @@ def kc_numeric(
     grid = np.geomspace(lo, hi, n_probe)
 
     results = []
-    for mech, f in (
-        ("phase_velocity_coincidence", lambda k: _n1(s, p, k)),
-        ("group_velocity_extremum", lambda k: _n2(s, p, k)),
-    ):
+    mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
+    for mech, f in zip(mechanisms, _numerators(s, p)):
         for root in _scan_roots(f, grid):
             results.append(
                 CriticalResult(s.name, _result_params(p, s.params), mech, root, "bisection")
@@ -232,9 +230,7 @@ def classify_intervals(
     if not (0.0 < lo < hi):
         raise ValueError("k_range must satisfy 0 < lo < hi")
     grid = np.geomspace(lo, hi, n_probe)
-    roots = sorted(
-        _scan_roots(lambda k: _n1(s, p, k), grid) + _scan_roots(lambda k: _n2(s, p, k), grid)
-    )
+    roots = sorted(root for f in _numerators(s, p) for root in _scan_roots(f, grid))
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
     for r in roots:
@@ -245,11 +241,10 @@ def classify_intervals(
     else:
         bounds[-1] = hi
 
-    label_map = {"stable": "S", "unstable": "U", "degenerate": "degenerate"}
     intervals = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         mid = math.sqrt(a * b)
-        lab = label_map[mi_index.index(s, p, mid).classification]
+        lab = _LABELS[mi_index.index(s, p, mid).classification]
         if intervals and intervals[-1][1] == lab:
             intervals[-1] = ((intervals[-1][0][0], b), lab)
         else:
@@ -304,12 +299,12 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
         raise ValueError(f"unsupported variant {variant!r}")
 
     p = params_from_alpha(alpha)
-    owner = _n2 if alpha > 0 else _n1
+    owner = 1 if alpha > 0 else 0  # position in _numerators: f2 for alpha > 0, else f1
     k_window = (1e-2, 1e2)
 
     def pair_exists(T: float) -> bool:
         s = make_symbol("whitham_st", {"T": T})
-        return _pair_min(s, p, lambda k: owner(s, p, k), k_window, 600) < 0.0
+        return _pair_min(s, p, _numerators(s, p)[owner], k_window, 600) < 0.0
 
     t_lo, t_hi = 0.01, 0.9
     if not pair_exists(t_lo) or pair_exists(t_hi):
@@ -393,19 +388,19 @@ def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: 
     k2(T); the outer solve drives the other factor to zero along it.
     """
 
-    def inner_root(T: float, f):
-        s = make_symbol(family, {"T": float(T)})
+    def inner_root(T: float, which: int):
+        fs = _numerators(make_symbol(family, {"T": float(T)}), p)
         grid = np.geomspace(k_window[0], k_window[1], n_probe)
-        roots = _scan_roots(lambda k: f(s, p, k), grid)
-        return (s, roots[0]) if roots else (s, None)
+        roots = _scan_roots(fs[which], grid)
+        return fs, (roots[0] if roots else None)
 
-    for follow, other in ((_n2, _n1), (_n1, _n2)):
+    for follow, other in ((1, 0), (0, 1)):
 
         def outer(T: float) -> float:
-            s, kr = inner_root(T, follow)
+            fs, kr = inner_root(T, follow)
             if kr is None:
                 raise NoRootError("curve left the window")
-            return other(s, p, kr)
+            return fs[other](kr)
 
         vals = []
         for T in t_grid:
@@ -434,7 +429,8 @@ def diagram(
 ) -> StabilityDiagram:
     """Label every cell of a (k, T) lattice and trace both zero loci.
 
-    Cell labels come from ``index`` evaluated at cell centers, so the
+    Cell labels come from ``index`` evaluated at cell centers, one array
+    call per T row, which gives the same bits as a call per cell, so the
     lattice is consistent with the pointwise classifier by construction;
     the curves are per-row bisection refinements of the same factor
     numerators the classifier uses.
@@ -447,7 +443,6 @@ def diagram(
     ks = (np.arange(nk) + 0.5) * (k_max / nk)
     Ts = (np.arange(nt) + 0.5) * (t_max / nt)
 
-    label_map = {"stable": "S", "unstable": "U", "degenerate": "degenerate"}
     labels = np.empty((nt, nk), dtype=object)
     f1 = np.empty((nt, nk))
     f2 = np.empty((nt, nk))
@@ -456,16 +451,11 @@ def diagram(
 
     for j, T in enumerate(Ts):
         s = make_symbol(s_family, {"T": float(T)})
-        for i, k in enumerate(ks):
-            r = mi_index.index(s, p, float(k))
-            labels[j, i] = label_map[r.classification]
-            f1[j, i] = r.f1
-            f2[j, i] = r.f2
-            delta[j, i] = r.delta
-        for root in _scan_roots(lambda k: _n1(s, p, k), ks):
-            f1_curve.append((root, float(T)))
-        for root in _scan_roots(lambda k: _n2(s, p, k), ks):
-            f2_curve.append((root, float(T)))
+        r = mi_index.index(s, p, ks)
+        labels[j] = [_LABELS[c] for c in r.classification]
+        f1[j], f2[j], delta[j] = r.f1, r.f2, r.delta
+        for curve, f in zip((f1_curve, f2_curve), _numerators(s, p)):
+            curve.extend((root, float(T)) for root in _scan_roots(f, ks))
 
     t_s = None
     if s_family == "whitham_st" and alpha < 0:

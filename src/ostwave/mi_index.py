@@ -37,6 +37,7 @@ from .stokes import StokesWave, denominator_floor, harmonic_denominator
 from .symbols import (
     DispersionSymbol,
     ModelParams,
+    _check_k,
     group_velocity_derivative,
     phase_velocity,
 )
@@ -60,7 +61,10 @@ XI_BOUND = 0.05
 
 @dataclass(frozen=True)
 class IndexResult:
-    """Classification of wavenumber k: both factor values and both forms."""
+    """Classification of wavenumber k: both factor values and both forms.
+
+    Floats and a str for a scalar k; arrays of k's shape for an array k.
+    """
 
     k: float
     f1: float
@@ -69,33 +73,26 @@ class IndexResult:
     ratio: float
     classification: str  # stable | unstable | degenerate
 
-    @property
-    def floor(self) -> float:
-        return 1e-10 * (1.0 + abs(self.f1)) * (1.0 + abs(self.f2))
 
-
-def index(s: DispersionSymbol, p: ModelParams, k: float) -> IndexResult:
-    """Evaluate the stability index at wavenumber k > 0.
+def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
+    """Evaluate the stability index at wavenumber k > 0, a scalar or an array.
 
     delta below -floor classifies unstable, above +floor stable, and the
-    band between is reported as degenerate rather than forced to a side.
+    band between is reported as degenerate rather than forced to a side;
+    floor = 1e-10 (1 + |f1|) (1 + |f2|).  Non-finite k raises ValueError.
     """
-    k = float(k)
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+    k = _check_k(k)
     f1 = phase_velocity(s, p, k) - phase_velocity(s, p, 2.0 * k)
     f2, num2 = group_velocity_derivative(s, p, k)
     num1 = harmonic_denominator(s, p, k, 2)  # = 4 k^2 f1
     delta = f1 * f2
-    ratio = num2 / num1 if num1 != 0.0 else math.copysign(math.inf, num2) if num2 else math.nan
-    floor = 1e-10 * (1.0 + abs(f1)) * (1.0 + abs(f2))
-    if delta < -floor:
-        classification = "unstable"
-    elif delta > floor:
-        classification = "stable"
-    else:
-        classification = "degenerate"
-    return IndexResult(k=k, f1=f1, f2=f2, delta=delta, ratio=ratio, classification=classification)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(num2, num1)  # +-inf where num1 = 0, nan where both are
+    floor = 1e-10 * (1.0 + np.abs(f1)) * (1.0 + np.abs(f2))
+    label = np.where(delta < -floor, "unstable", np.where(delta > floor, "stable", "degenerate"))
+    if k.ndim == 0:
+        return IndexResult(float(k), f1, f2, delta, float(ratio), str(label))
+    return IndexResult(k, f1, f2, delta, ratio, label)
 
 
 def _check_small(a: float, xi: float, a_bound: float, xi_bound: float):

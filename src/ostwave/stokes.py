@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
-from .symbols import DispersionSymbol, ModelParams, phase_velocity
+from .symbols import DispersionSymbol, ModelParams, _check_k, phase_velocity
 
 __all__ = [
     "StokesWave",
@@ -44,18 +44,17 @@ __all__ = [
 A_MAX = 0.1
 
 
-def harmonic_denominator(s: DispersionSymbol, p: ModelParams, k: float, n: int) -> float:
-    """D_n = gamma (n^2 - 1) + beta n^2 k^2 (m(k) - m(n k)).
+def harmonic_denominator(s: DispersionSymbol, p: ModelParams, k, n: int):
+    """D_n = gamma (n^2 - 1) + beta n^2 k^2 (m(k) - m(n k)) for k > 0.
 
     Proportional to n^2 k^2 (c_p(k) - c_p(n k)); its zero is the n-th
-    harmonic resonance.
+    harmonic resonance.  k is a scalar or an array.
     """
     if n < 2:
         raise ValueError("harmonic index n must be >= 2")
-    k = float(k)
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
-    return p.gamma * (n * n - 1.0) + p.beta * n * n * k * k * (s.m(k) - s.m(n * k))
+    k = _check_k(k)
+    out = p.gamma * (n * n - 1.0) + p.beta * n * n * k * k * (s.m(k) - s.m(n * k))
+    return float(out) if k.ndim == 0 else out
 
 
 def denominator_floor(p: ModelParams) -> float:
@@ -93,7 +92,7 @@ def find_resonances(
     grid = np.geomspace(kmin, kmax, n_probe)
     found = []
     for n in range(2, nmax + 1):
-        vals = np.array([harmonic_denominator(s, p, k, n) for k in grid])
+        vals = harmonic_denominator(s, p, grid, n)
         idx = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
         for i in idx:
             root = brentq(

@@ -56,24 +56,27 @@ _SERIES_CUTOFF = 1e-3
 class ModelParams:
     """Model coefficients: dispersion strength and rotation strength.
 
-    beta may take either sign but not zero; gamma must be positive.
+    beta may take either sign but not zero; gamma must be positive.  Both
+    must be finite.
     """
 
     beta: float
     gamma: float
 
     def __post_init__(self):
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        beta, gamma = float(self.beta), float(self.gamma)
+        if beta == 0 or not math.isfinite(beta):
+            raise ValueError(f"beta must be finite and nonzero, got {beta}")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def _as_nonnegative(k):
     arr = np.asarray(k, dtype=float)
-    if np.any(arr < 0):
+    # a 0-d array is tested as a float: np.any costs more than evaluating m
+    if float(arr) < 0 if arr.ndim == 0 else (arr < 0).any():
         raise ValueError("symbol evaluation requires k >= 0; use m_even for signed k")
     return arr
 
@@ -153,6 +156,13 @@ def _fkdv(delta):
     return m, m1, m2
 
 
+# Powers of intermediate values go through np.float_power, which rounds as
+# libm pow for scalars and arrays alike.  With `**`, a scalar k (whose
+# intermediates are numpy scalars) takes libm pow while an array takes
+# numpy's vectorised power or square, up to an ulp away, so an array
+# evaluation would differ from the same k evaluated alone.
+
+
 def _split(k, small, series_val, direct_fn):
     # evaluate direct_fn only on the safe branch to dodge 0/0 warnings
     safe = np.where(small, 1.0, k)
@@ -172,7 +182,7 @@ def _ilw_m1(k):
     series = 2.0 * k / 3.0 - 4.0 * k * k2 / 45.0 + 4.0 * k * k2 * k2 / 315.0
 
     def direct(x):
-        csch2 = (2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x))) ** 2
+        csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
         return 1.0 / np.tanh(x) - x * csch2
 
     return _split(k, small, series, direct)
@@ -184,7 +194,7 @@ def _ilw_m2(k):
     series = 2.0 / 3.0 - 4.0 * k2 / 15.0 + 4.0 * k2 * k2 / 63.0
 
     def direct(x):
-        csch2 = (2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x))) ** 2
+        csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
         return 2.0 * csch2 * (x / np.tanh(x) - 1.0)
 
     return _split(k, small, series, direct)
@@ -195,12 +205,12 @@ def _whitham_g(x):
 
 
 def _whitham_g1(x):
-    sech2 = (2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))) ** 2
+    sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
     return sech2 / x - np.tanh(x) / (x * x)
 
 
 def _whitham_g2(x):
-    sech2 = (2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))) ** 2
+    sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
     t = np.tanh(x)
     return -2.0 * sech2 * t / x - 2.0 * sech2 / (x * x) + 2.0 * t / (x * x * x)
 
@@ -227,7 +237,7 @@ def _whitham_m2(k):
     def direct(x):
         g = _whitham_g(x)
         g1 = _whitham_g1(x)
-        return _whitham_g2(x) / (2.0 * np.sqrt(g)) - g1 * g1 / (4.0 * g ** 1.5)
+        return _whitham_g2(x) / (2.0 * np.sqrt(g)) - g1 * g1 / (4.0 * np.float_power(g, 1.5))
 
     return _split(k, small, series, direct)
 
@@ -250,7 +260,7 @@ def _whitham_st(T):
         return (
             _whitham_m2(k) * sk
             + 2.0 * _whitham_m1(k) * T * k / sk
-            + _whitham_m(k) * T / sk ** 3
+            + _whitham_m(k) * T / np.float_power(sk, 3)
         )
 
     return m, m1, m2
@@ -435,9 +445,10 @@ def check_hypotheses(s: DispersionSymbol, kmax: float = 100.0, n_samples: int = 
 
 
 def _check_k(k):
+    """k as a float array (0-d for a scalar), checked positive and finite."""
     arr = np.asarray(k, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("wavenumber k must be positive")
+    if not (0 < float(arr) < math.inf if arr.ndim == 0 else ((arr > 0) & (arr < math.inf)).all()):
+        raise ValueError("wavenumber k must be positive and finite")
     return arr
 
 
@@ -473,6 +484,6 @@ def group_velocity_derivative(s: DispersionSymbol, p: ModelParams, k) -> GroupVe
     k3 = arr ** 3
     numerator = 2.0 * p.gamma + p.beta * k3 * (arr * s.m2(arr) + 2.0 * s.m1(arr))
     value = numerator / k3
-    if np.isscalar(k) or np.asarray(k).ndim == 0:
+    if arr.ndim == 0:
         return GroupVelocitySlope(float(value), float(numerator))
     return GroupVelocitySlope(value, numerator)

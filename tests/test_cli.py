@@ -92,6 +92,24 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--symbol", "kdv", "--beta", "nan", "--gamma", "1", "--k", "1"],
+        ["index", "--symbol", "kdv", "--beta", "inf", "--gamma", "1", "--k", "1"],
+        ["index", "--symbol", "kdv", "--beta", "1", "--gamma", "inf", "--k", "1"],
+        ["index", *KDV, "--k", "nan"],
+        ["index", *KDV, "--k-min", "nan", "--k-max", "2", "--nk", "3"],
+        ["tc", "--symbol", "whitham_st", "--alpha", "nan"],
+    ],
+)
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_alpha_exclusive_with_beta(capsys):
     code, _, _ = run_cli(
         capsys,

@@ -233,6 +233,21 @@ def test_diagram_labels_match_index_at_cell_centers():
             assert d.labels[j, i] == want[verdict]
 
 
+@pytest.mark.parametrize("alpha,k_max,t_max", [(0.1, 2.0, 0.8), (-0.1, 5.0, 0.4)])
+def test_whitham_st_diagram_matches_index_at_cell_centers(alpha, k_max, t_max):
+    d = cr.diagram("whitham_st", alpha, k_max=k_max, t_max=t_max, nk=25, nt=25)
+    p = cr.params_from_alpha(alpha)
+    want = {"stable": "S", "unstable": "U", "degenerate": "degenerate"}
+    assert {"S", "U"} <= set(d.labels.flat)
+    for j, T in enumerate(d.Ts):
+        s = ow.make_symbol("whitham_st", {"T": float(T)})
+        for i, k in enumerate(d.ks):
+            r = ow.index(s, p, float(k))
+            assert d.labels[j, i] == want[r.classification]
+            np.testing.assert_allclose(d.f1[j, i], r.f1, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(d.f2[j, i], r.f2, rtol=1e-14, atol=0)
+
+
 def test_diagram_slice_matches_classify_intervals():
     d = cr.diagram("kdv_st", 1.0, k_max=2.0, t_max=0.8, nk=40, nt=40)
     j = 10

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,39 @@ def test_sign_equivalence_squared_sample():
 def test_index_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         ow.index(ow.make_symbol("kdv"), P11, 0.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, [1.0, math.nan], [0.5, math.inf]])
+def test_index_rejects_non_finite_k(k):
+    with pytest.raises(ValueError, match="finite"):
+        ow.index(ow.make_symbol("kdv"), P11, k)
+
+
+SIX_FAMILIES = [
+    ("kdv", {}),
+    ("fkdv", {"delta": 1.5}),
+    ("ilw", {}),
+    ("whitham", {}),
+    ("kdv_st", {"T": 0.2}),
+    ("whitham_st", {"T": 0.3}),
+]
+
+
+@pytest.mark.parametrize("name,params", SIX_FAMILIES)
+def test_array_index_matches_scalar_index(name, params):
+    s = ow.make_symbol(name, params)
+    # from inside the series branch of ilw/whitham (k < 1e-3) to large k
+    ks = np.geomspace(1e-4, 20.0, 120)
+    for p in (P11, ow.ModelParams(beta=-2.5, gamma=0.3)):
+        r = ow.index(s, p, ks)
+        assert r.classification.shape == r.f1.shape == r.f2.shape == r.ratio.shape == ks.shape
+        for i, k in enumerate(ks):
+            one = ow.index(s, p, float(k))
+            assert type(one.f1) is float and type(one.ratio) is float
+            assert type(one.classification) is str
+            assert r.classification[i] == one.classification
+            np.testing.assert_allclose(r.f1[i], one.f1, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(r.f2[i], one.f2, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------- matrix

@@ -80,6 +80,15 @@ def test_evenness(name, params):
 
 
 @pytest.mark.parametrize("name,params", ALL_BUILTINS)
+def test_array_evaluation_matches_scalar_evaluation(name, params):
+    # one k evaluated alone or inside an array gives the same bits
+    s = ow.make_symbol(name, params)
+    ks = np.geomspace(1e-5, 50.0, 1000)
+    for ev in (s.m, s.m1, s.m2):
+        assert np.array_equal(ev(ks), [ev(float(k)) for k in ks])
+
+
+@pytest.mark.parametrize("name,params", ALL_BUILTINS)
 def test_derivatives_match_finite_differences(name, params):
     s = ow.make_symbol(name, params)
     for k in _grid():
@@ -233,6 +242,15 @@ def test_model_params_validation():
         ow.ModelParams(beta=1.0, gamma=0.0)
     with pytest.raises(ValueError):
         ow.ModelParams(beta=1.0, gamma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "beta,gamma",
+    [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)],
+)
+def test_model_params_reject_non_finite(beta, gamma):
+    with pytest.raises(ValueError, match="finite"):
+        ow.ModelParams(beta=beta, gamma=gamma)
 
 
 def test_negative_k_rejected():
