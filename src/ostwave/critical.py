@@ -516,6 +516,10 @@ def spot_check(
     rng = np.random.default_rng(seed)
     order = rng.permutation(diag.nk * diag.nt)
 
+    # the sideband pair first, then every other mode of the truncation
+    modes = np.arange(-N, N + 1)
+    modes = np.concatenate(([-1, 1], modes[np.abs(modes) != 1]))
+
     out = []
     threshold = 1e-8
     for flat in order:
@@ -539,15 +543,8 @@ def spot_check(
         if label == "S" and predicted >= 0.1 * threshold:
             continue
         # the window must isolate the two sideband branches
-        sidebands = max(
-            abs(floquet_hill.unperturbed_eigenvalue(wave, n, xi)) for n in (-1, 1)
-        )
-        others = [
-            abs(floquet_hill.unperturbed_eigenvalue(wave, n, xi))
-            for n in range(-N, N + 1)
-            if n not in (-1, 1)
-        ]
-        if sidebands > 0.5 * window or min(others) <= 2.0 * window:
+        lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
+        if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
             continue
         hill = floquet_hill.max_growth(wave, a, xi, N=N, window=window)
         ok = hill > threshold if label == "U" else hill <= threshold

@@ -101,6 +101,7 @@ def test_usage_errors_exit_2(capsys):
         ["index", *KDV, "--k", "nan"],
         ["index", *KDV, "--k-min", "nan", "--k-max", "2", "--nk", "3"],
         ["tc", "--symbol", "whitham_st", "--alpha", "nan"],
+        ["spectrum", *KDV, "--k", "1", "--a", "nan"],
     ],
 )
 def test_non_finite_input_exits_2(capsys, argv):

@@ -95,6 +95,26 @@ def test_unperturbed_eigenvalue_formula():
         assert fh.unperturbed_eigenvalue(w, n, xi) == pytest.approx(want, rel=1e-13)
 
 
+def test_unperturbed_eigenvalue_array_matches_scalar():
+    # an array of n gives the scalar values bit for bit; a scalar n a complex
+    rng = np.random.default_rng(11)
+    n = np.arange(-32, 33)
+    done = 0
+    while done < 30:
+        s, p, k = draw_model(rng)
+        wave = try_expand(s, p, k)
+        if wave is None:
+            continue
+        xi = float(rng.uniform(0.01, 0.5))
+        got = fh.unperturbed_eigenvalue(wave, n, xi)
+        want = [fh.unperturbed_eigenvalue(wave, int(m), xi) for m in n]
+        assert all(type(z) is complex for z in want)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64)), s.name
+        done += 1
+    with pytest.raises(ValueError):
+        fh.unperturbed_eigenvalue(_kdv_wave(), np.arange(-2, 3), 0.0)
+
+
 # -------------------------------------------------------------- spectrum
 
 
@@ -175,12 +195,100 @@ def test_problem_validation():
         fh.FloquetProblem(w, 0.01, 0.1, 4)
     with pytest.raises(ValueError):
         fh.FloquetProblem(w, 0.2, 0.1, 32)
+    for bad_a in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fh.FloquetProblem(w, bad_a, 0.1, 32)
+    for bad_N in (32.5, 32.0, "32"):
+        with pytest.raises(ValueError, match="integer"):
+            fh.FloquetProblem(w, 0.01, 0.1, bad_N)
+    assert fh.FloquetProblem(w, 0.01, 0.1, np.int64(32)).N == 32
 
 
 def test_default_window():
     assert fh.default_window(P11) == 0.25
     assert fh.default_window(ow.ModelParams(2.0, 0.4)) == 0.1
     assert fh.default_window(ow.ModelParams(2.0, 3.0)) == 0.25
+
+
+def _dense_reference(prob, window):
+    """Window eigenvalues of -D^{-1} L from a dense solve of assemble's pencil."""
+    L, D = fh.assemble(prob)
+    A = -L / np.diag(D)[:, None]
+    eig = np.linalg.eigvals(A)
+    return eig[np.abs(eig) <= window], A
+
+
+def test_banded_solve_matches_dense_reference():
+    # the dense QR solve is accurate only to about eps * |A| absolute,
+    # which put growth rates near 2e-6 off by up to 8e-7 relative in 600
+    # seeded draws; the growth comparison allows 100 eps |A|_1 for it on
+    # top of 1e-8 relative (the extended-precision test below holds the
+    # banded solve itself to 1e-9 relative)
+    rng = np.random.default_rng(4242)
+    n_unstable = 0
+    for _ in range(20):
+        for N in (32, 64):
+            s, p, k, wave, window = draw_hill_ready(rng)
+            prob = fh.FloquetProblem(wave, DESK_A, DESK_XI, N)
+            ref, A = _dense_reference(prob, window)
+            spec = fh.spectrum(prob, window)
+            assert len(spec.eigenvalues) == len(ref), (s.name, p, k, N)
+            for z in ref:
+                assert np.min(np.abs(spec.eigenvalues - z)) <= 1e-9 * window
+            g = float(np.max(np.abs(ref.real))) if ref.size else 0.0
+            noise = 100 * np.finfo(float).eps * np.linalg.norm(A, 1)
+            assert abs(spec.max_real_in_window - g) <= 1e-8 * g + noise, (s.name, p, k, N)
+            n_unstable += g > 1e-8
+    assert n_unstable >= 5
+
+
+def test_banded_solve_matches_extended_precision():
+    # growth of a desk-scale unstable kdv model against a 20-digit
+    # eigen-solve of the same pencil
+    mp = pytest.importorskip("mpmath")
+    w = ow.expand(ow.make_symbol("kdv"), ow.ModelParams(0.7546696410796927, 5.214297905300546), 1.2408122215074926)
+    window = fh.default_window(w.params)
+    prob = fh.FloquetProblem(w, DESK_A, DESK_XI, 10)
+    L, D = fh.assemble(prob)
+    with mp.workdps(20):
+        eig = mp.eig(mp.matrix((-L / np.diag(D)[:, None]).tolist()), left=False, right=False)
+    eig = np.array([complex(z) for z in eig])
+    want = np.max(np.abs(eig[np.abs(eig) <= window].real))
+    assert want > 1e-6
+    assert fh.spectrum(prob, window).max_real_in_window == pytest.approx(want, rel=1e-9)
+
+
+def test_large_truncation_agrees_with_n64():
+    w = _kdv_wave(1.0)
+    g64 = fh.max_growth(w, DESK_A, DESK_XI, N=64)
+    assert g64 > 1e-6
+    for N in (256, 4096):
+        assert fh.max_growth(w, DESK_A, DESK_XI, N=N) == pytest.approx(g64, rel=1e-8)
+
+
+def test_window_certification_and_whole_window_fallback():
+    # windows holding 5, 12, 30 and then all 65 eigenvalues make the
+    # solver double its count past 4, up to the dense solve of the whole window
+    prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, 0.1, 32)
+    every, _ = _dense_reference(prob, np.inf)
+    radii = np.sort(np.abs(every))
+    for count in (5, 12, 30, 65):
+        window = radii[count - 1] * 1.0001 if count == 65 else 0.5 * (radii[count - 1] + radii[count])
+        spec = fh.spectrum(prob, window)
+        assert len(spec.eigenvalues) == count
+        scale = max(window, 1.0)
+        for z in every[np.abs(every) <= window]:
+            assert np.min(np.abs(spec.eigenvalues - z)) <= 1e-9 * scale
+
+
+def test_singular_band_matrix_raises():
+    # kdv, beta = -4, gamma = 1, k = 1, a = 0: the mode nu = 1/2 has
+    # B = k^2 nu (-c + beta m(k nu)) + gamma / nu = 0 exactly
+    w = ow.expand(ow.make_symbol("kdv"), ow.ModelParams(-4.0, 1.0), 1.0)
+    prob = fh.FloquetProblem(w, 0.0, 0.5, 16)
+    assert fh.unperturbed_eigenvalue(w, 0, 0.5) == 0
+    with pytest.raises(RuntimeError, match="eigenvalue solve failed"):
+        fh.spectrum(prob, 0.25)
 
 
 # ------------------------------------------------------ randomized studies
