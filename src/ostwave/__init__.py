@@ -24,6 +24,7 @@ from .errors import (
     InconclusiveError,
     NoRootError,
     ResonanceError,
+    SolveError,
 )
 from .floquet_hill import (
     FloquetProblem,
@@ -45,7 +46,6 @@ from .mi_index import (
 )
 from .stokes import (
     StokesWave,
-    WaveSample,
     check_resonance,
     expand,
     find_resonances,
@@ -81,9 +81,9 @@ __all__ = [
     "ModelParams",
     "NoRootError",
     "ResonanceError",
+    "SolveError",
     "StabilityDiagram",
     "StokesWave",
-    "WaveSample",
     "assemble",
     "assemble_b_matrix",
     "bmatrix_det_roots",

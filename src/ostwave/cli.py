@@ -13,8 +13,9 @@ Subcommands mirror the library modules:
 All tables emit as CSV (header row, 17 significant digits) or JSON (an
 array of flat objects); per-run scalar summaries go to stderr as a
 single JSON line.  Exit codes: 0 success, 1 domain failure (resonance,
-inconclusive tension, no root), 2 usage error.  If the environment
-variable OSTWAVE_OUT_DIR is set, relative --out/--svg paths land there.
+inconclusive tension, no root, failed eigen-solve), 2 usage error.  If
+the environment variable OSTWAVE_OUT_DIR is set, relative --out/--svg
+paths land there.
 """
 
 from __future__ import annotations
@@ -124,6 +125,14 @@ def _params(args) -> ModelParams:
     return ModelParams(beta=args.beta, gamma=args.gamma)
 
 
+def _alpha(args) -> float:
+    if args.alpha is not None:
+        return args.alpha
+    if args.beta is not None and args.gamma is not None:
+        return args.gamma / args.beta
+    raise ValueError("provide --alpha, or --beta and --gamma")
+
+
 def _symbol(args):
     s = parse_symbol_spec(args.symbol)
     overrides = {}
@@ -220,12 +229,7 @@ def cmd_kc(args) -> None:
 
 def cmd_tc(args) -> None:
     s = parse_symbol_spec(args.symbol)
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif args.beta is not None and args.gamma is not None:
-        alpha = args.gamma / args.beta
-    else:
-        raise ValueError("provide --alpha, or --beta and --gamma")
+    alpha = _alpha(args)
     tc = critical.tc_of_alpha(s.name, alpha, tol=args.tol)
     emit(
         [{"variant": s.name, "alpha": alpha, "tc": tc, "tol": args.tol}],
@@ -258,12 +262,7 @@ def cmd_spectrum(args) -> None:
 
 def cmd_diagram(args) -> None:
     s = parse_symbol_spec(args.symbol)
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif args.beta is not None and args.gamma is not None:
-        alpha = args.gamma / args.beta
-    else:
-        raise ValueError("provide --alpha, or --beta and --gamma")
+    alpha = _alpha(args)
     diag = critical.diagram(
         s.name, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
     )

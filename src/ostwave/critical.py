@@ -25,11 +25,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import brentq, minimize_scalar
 
-from . import floquet_hill, mi_index
+from . import floquet_hill, mi_index, roots
 from .errors import BracketError, InconclusiveError, NoRootError, ResonanceError
+from .roots import brentq, minimize_scalar
 from .stokes import expand, harmonic_denominator
 from .symbols import DispersionSymbol, ModelParams, group_velocity_derivative, make_symbol
 
@@ -154,14 +153,16 @@ def _numerators(s: DispersionSymbol, p: ModelParams) -> tuple:
     )
 
 
-def _scan_roots(f, grid) -> list:
+# Roots and minima are found through this module's ``brentq`` and
+# ``minimize_scalar`` names, which benchmark/tracer.py wraps to count them.
+
+
+def _scan_roots(f, grid):
+    """The roots of f on the grid, ascending and refined as they are consumed."""
     vals = np.asarray(f(grid), dtype=float)
     if not np.all(np.isfinite(vals[[0, -1]])):
         raise ValueError("bracket endpoints evaluate non-finite")
-    roots = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
-        roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-12)))
-    return sorted(roots)
+    return roots.scan(f, grid, vals, solve=brentq)
 
 
 def kc_numeric(
@@ -230,10 +231,10 @@ def classify_intervals(
     if not (0.0 < lo < hi):
         raise ValueError("k_range must satisfy 0 < lo < hi")
     grid = np.geomspace(lo, hi, n_probe)
-    roots = sorted(root for f in _numerators(s, p) for root in _scan_roots(f, grid))
+    zeros = sorted(root for f in _numerators(s, p) for root in _scan_roots(f, grid))
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
-    for r in roots:
+    for r in zeros:
         if r - bounds[-1] > 1e-10 * (1.0 + r):
             bounds.append(r)
     if hi - bounds[-1] > 1e-10 * (1.0 + hi):
@@ -254,20 +255,6 @@ def classify_intervals(
 
 # ---------------------------------------------------------------------------
 # surface-tension thresholds
-
-
-def _pair_min(s: DispersionSymbol, p: ModelParams, f, k_window, n_probe: int) -> float:
-    """Global minimum of a factor numerator over a log window (refined)."""
-    grid = np.geomspace(k_window[0], k_window[1], n_probe)
-    vals = np.asarray(f(grid), dtype=float)
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if lo < hi:
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-        best = min(best, float(res.fun))
-    return best
 
 
 def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
@@ -300,11 +287,12 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
 
     p = params_from_alpha(alpha)
     owner = 1 if alpha > 0 else 0  # position in _numerators: f2 for alpha > 0, else f1
-    k_window = (1e-2, 1e2)
+    k_grid = np.geomspace(1e-2, 1e2, 600)
 
     def pair_exists(T: float) -> bool:
+        # the pair exists while the owner's numerator dips below zero on the window
         s = make_symbol("whitham_st", {"T": T})
-        return _pair_min(s, p, _numerators(s, p)[owner], k_window, 600) < 0.0
+        return minimize_scalar(_numerators(s, p)[owner], k_grid) < 0.0
 
     t_lo, t_hi = 0.01, 0.9
     if not pair_exists(t_lo) or pair_exists(t_hi):
@@ -373,12 +361,34 @@ class StabilityDiagram:
         return rows
 
 
+def _count_regions(mask: np.ndarray) -> int:
+    """4-connected regions of a 2-D boolean mask: union-find over the runs of each row."""
+    rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    # each row's edges alternate run start, run stop; runs come sorted by (row, start)
+    runs = list(zip(rows[::2].tolist(), cols[::2].tolist(), cols[1::2].tolist()))
+    parent = list(range(len(runs)))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    count, j = len(runs), 0  # j: the previous row's first run not left of the current one
+    for i, (row, start, stop) in enumerate(runs):
+        while runs[j][0] < row - 1 or (runs[j][0] == row - 1 and runs[j][2] <= start):
+            j += 1
+        k = j
+        while runs[k][0] == row - 1 and runs[k][1] < stop:  # the runs share a column
+            a, b = find(k), find(i)
+            if a != b:
+                parent[a] = b
+                count -= 1
+            k += 1
+    return count
+
+
 def _region_counts(labels: np.ndarray) -> dict:
-    counts = {}
-    for lab in ("S", "U"):
-        _, n = ndimage.label(labels == lab)
-        counts[lab] = int(n)
-    return counts
+    return {lab: _count_regions(labels == lab) for lab in ("S", "U")}
 
 
 def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: int):
@@ -388,11 +398,11 @@ def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: 
     k2(T); the outer solve drives the other factor to zero along it.
     """
 
+    grid = np.geomspace(k_window[0], k_window[1], n_probe)
+
     def inner_root(T: float, which: int):
         fs = _numerators(make_symbol(family, {"T": float(T)}), p)
-        grid = np.geomspace(k_window[0], k_window[1], n_probe)
-        roots = _scan_roots(fs[which], grid)
-        return fs, (roots[0] if roots else None)
+        return fs, next(_scan_roots(fs[which], grid), None)
 
     for follow, other in ((1, 0), (0, 1)):
 
@@ -408,12 +418,8 @@ def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: 
                 vals.append(outer(float(T)))
             except NoRootError:
                 vals.append(math.nan)
-        vals = np.array(vals)
-        ok = np.isfinite(vals)
-        idx = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0))[0]
-        if idx.size:
-            i = int(idx[0])
-            ts = brentq(outer, float(t_grid[i]), float(t_grid[i + 1]), xtol=1e-8)
+        ts = next(roots.scan(outer, t_grid, vals, xtol=1e-8, solve=brentq), None)
+        if ts is not None:
             _, ks_ = inner_root(ts, follow)
             return (float(ks_), float(ts))
     return None

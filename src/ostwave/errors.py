@@ -28,3 +28,7 @@ class NoRootError(DomainError):
 
 class BracketError(DomainError):
     """A bisection bracket does not straddle the sought transition."""
+
+
+class SolveError(DomainError, RuntimeError):
+    """The Hill eigen-solve failed: its matrix is singular or Arnoldi did not converge."""

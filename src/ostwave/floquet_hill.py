@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SolveError
 from .stokes import A_MAX, StokesWave, speed
 
 __all__ = [
@@ -147,7 +148,7 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
 
     Raises
     ------
-    RuntimeError
+    SolveError
         B is singular, or the Arnoldi iteration does not converge.
     """
     if not window_radius > 0:
@@ -160,7 +161,7 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
     # dgbtrf wants 3 more rows on top for the fill-in of row pivoting
     lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros((3, size)), ab]), 3, 3)
     if info > 0:  # exactly singular
-        raise RuntimeError(_SOLVE_FAILED)
+        raise SolveError(_SOLVE_FAILED)
     B = LinearOperator(
         (size, size), matvec=lambda x: blas.dgbmv(size, size, 3, 3, 1.0, ab, x), dtype=float
     )
@@ -173,7 +174,7 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
         try:
             mu = eigs(B, k=count, sigma=0.0, OPinv=B_inv, v0=start, return_eigenvectors=False)
         except ArpackError as exc:
-            raise RuntimeError(_SOLVE_FAILED) from exc
+            raise SolveError(_SOLVE_FAILED) from exc
         eig = -1j * mu
         if np.max(np.abs(eig)) > window_radius:
             break
@@ -182,7 +183,7 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
         try:
             eig = -1j * np.linalg.eigvals(_dense(ab))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise RuntimeError(_SOLVE_FAILED) from exc
+            raise SolveError(_SOLVE_FAILED) from exc
     # deterministic ordering regardless of the solver's internal return order
     eig = eig[np.lexsort((eig.real, eig.imag))]
     inside = eig[np.abs(eig) <= window_radius]

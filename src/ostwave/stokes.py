@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
+from .roots import scan
 from .symbols import DispersionSymbol, ModelParams, _check_k, phase_velocity
 
 __all__ = [
     "StokesWave",
-    "WaveSample",
     "A_MAX",
     "expand",
     "harmonic_denominator",
@@ -87,20 +87,10 @@ def find_resonances(
     Returns a sorted list of (k, n) pairs, one per sign change of D_n on a
     log-spaced probe grid, refined by bisection.
     """
-    from scipy.optimize import brentq
-
     grid = np.geomspace(kmin, kmax, n_probe)
     found = []
     for n in range(2, nmax + 1):
-        vals = harmonic_denominator(s, p, grid, n)
-        idx = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-        for i in idx:
-            root = brentq(
-                lambda k: harmonic_denominator(s, p, k, n), grid[i], grid[i + 1], xtol=1e-12
-            )
-            found.append((float(root), int(n)))
-        for i in np.nonzero(vals == 0.0)[0]:
-            found.append((float(grid[i]), int(n)))
+        found.extend((k, n) for k in scan(lambda k: harmonic_denominator(s, p, k, n), grid))
     return sorted(found)
 
 
@@ -166,8 +156,8 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
 
 def _check_amplitude(a: float, bound: float = A_MAX) -> float:
     a = float(a)
-    if abs(a) > bound:
-        raise ValueError(f"amplitude |a| <= {bound} required, got {a}")
+    if not abs(a) <= bound:
+        raise ValueError(f"amplitude a must be finite with |a| <= {bound}, got {a}")
     return a
 
 
@@ -227,12 +217,3 @@ def residual_norm(wave: StokesWave, a: float, n_modes: int = 16) -> float:
         r = lin - quad
         total += np.pi * r * r
     return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """One tabulated profile value; order records the truncation power."""
-
-    z: float
-    w: float
-    order: int = 3

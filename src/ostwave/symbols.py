@@ -34,6 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .roots import scan
+
 __all__ = [
     "ModelParams",
     "DispersionSymbol",
@@ -411,19 +413,12 @@ def check_hypotheses(s: DispersionSymbol, kmax: float = 100.0, n_samples: int = 
         slope, c1, c2 = math.nan, math.nan, math.nan
     h2_ok = bool(abs(slope - alpha) <= 0.05)
 
-    from scipy.optimize import brentq
-
     kscan = np.geomspace(max(1e-3, kmax * 1e-5), kmax, 4 * n_samples)
     violations = {}
     for n in (2, 3):
-        g = s.m(kscan) - s.m(n * kscan)
-        sign_change = np.nonzero(g[:-1] * g[1:] < 0)[0]
-        if sign_change.size:
-            i = sign_change[0]
-            kc = brentq(lambda k: s.m(k) - s.m(n * k), kscan[i], kscan[i + 1], xtol=1e-12)
-            violations[n] = float(kc)
-        elif np.any(g == 0.0):
-            violations[n] = float(kscan[np.nonzero(g == 0.0)[0][0]])
+        kc = next(scan(lambda k: s.m(k) - s.m(n * k), kscan), None)
+        if kc is not None:
+            violations[n] = kc
 
     return HypothesisReport(
         name=s.name,

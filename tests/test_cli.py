@@ -75,6 +75,20 @@ def test_no_root_exits_1(capsys):
     assert "no critical wavenumber" in err
 
 
+def test_singular_hill_solve_exits_1_without_traceback():
+    # beta = -4, k = 1, xi = 1/2 puts an exact zero on the diagonal of the Hill matrix
+    proc = subprocess.run(
+        [sys.executable, "-m", "ostwave.cli", "spectrum", "--symbol", "kdv", "--beta", "-4",
+         "--gamma", "1", "--k", "1", "--a", "0", "--xi", "0.5", "--N", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: eigenvalue solve failed" in proc.stderr
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(
         capsys, ["spectrum", *KDV, "--k", "1", "--a", "0.01", "--xi", "0"]
@@ -102,6 +116,7 @@ def test_usage_errors_exit_2(capsys):
         ["index", *KDV, "--k-min", "nan", "--k-max", "2", "--nk", "3"],
         ["tc", "--symbol", "whitham_st", "--alpha", "nan"],
         ["spectrum", *KDV, "--k", "1", "--a", "nan"],
+        ["stokes", *KDV, "--k", "1", "--a", "nan"],
     ],
 )
 def test_non_finite_input_exits_2(capsys, argv):

@@ -289,6 +289,8 @@ def test_singular_band_matrix_raises():
     assert fh.unperturbed_eigenvalue(w, 0, 0.5) == 0
     with pytest.raises(RuntimeError, match="eigenvalue solve failed"):
         fh.spectrum(prob, 0.25)
+    with pytest.raises(ow.DomainError):
+        fh.spectrum(prob, 0.25)
 
 
 # ------------------------------------------------------ randomized studies

@@ -1,0 +1,132 @@
+"""Numpy-only root finding, minimisation and region counting against scipy."""
+
+from __future__ import annotations
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy import ndimage, optimize
+
+import ostwave as ow
+from ostwave import critical, roots
+from ostwave.stokes import harmonic_denominator
+from ostwave.symbols import group_velocity_derivative
+
+from conftest import draw_symbol
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, ostwave; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
+
+
+def _factor_functions(s, p):
+    return {
+        "f1": lambda k: harmonic_denominator(s, p, k, 2),
+        "f2": lambda k: group_velocity_derivative(s, p, k).numerator,
+        "D3": lambda k: harmonic_denominator(s, p, k, 3),
+    }
+
+
+def _seeded_brackets(seed: int):
+    """Sign-change cells of the factor numerators and D_3, with random narrowings."""
+    rng = np.random.default_rng(seed)
+    grid = np.geomspace(1e-2, 1e2, 200)
+    out = []
+    for _ in range(40):
+        s = draw_symbol(rng)
+        p = ow.ModelParams(
+            beta=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1)),
+            gamma=float(10.0 ** rng.uniform(-1, 1)),
+        )
+        for f in _factor_functions(s, p).values():
+            vals = np.asarray(f(grid), dtype=float)
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+                lo, hi = float(grid[i]), float(grid[i + 1])
+                out.append((s.name, f, lo, hi))
+                root = optimize.brentq(f, lo, hi, xtol=1e-14)
+                a, b = rng.uniform(lo, root), rng.uniform(root, hi)
+                if f(a) * f(b) < 0:
+                    out.append((s.name, f, a, b))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("xtol", [1e-12, 1e-8])
+def test_brentq_matches_scipy_bit_for_bit(seed, xtol):
+    brackets = _seeded_brackets(seed)
+    assert len(brackets) >= 60
+    for name, f, a, b in brackets:
+        want = optimize.brentq(f, a, b, xtol=xtol)
+        got = roots.brentq(f, a, b, xtol=xtol)
+        assert got == want, (name, a, b)
+        assert isinstance(got, float)
+
+
+def test_brentq_families_covered():
+    names = {b[0] for seed in (0, 1, 2) for b in _seeded_brackets(seed)}
+    assert names == {"kdv", "fkdv", "ilw", "whitham", "kdv_st", "whitham_st"}
+
+
+def test_brentq_endpoint_root_and_errors():
+    assert roots.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert roots.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+    with pytest.raises(ValueError, match="different signs"):
+        roots.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        roots.brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+    # a step function admits only bisection: 100 halvings of 2e300 do not converge
+    step = lambda x: 1.0 if x > 0.1 else -1.0  # noqa: E731
+    for solve in (roots.brentq, optimize.brentq):
+        with pytest.raises(RuntimeError, match="converge"):
+            solve(step, -1e300, 1e300, xtol=1e-300)
+
+
+def test_scan_yields_zeros_and_cells_in_order():
+    grid = np.linspace(-2.0, 3.0, 11)  # hits 0 and 1 exactly
+    f = lambda x: (x - 0.0) * (x - 1.0) * (x - 2.25)  # noqa: E731
+    found = list(roots.scan(f, grid))
+    assert found[:2] == [0.0, 1.0]
+    assert found[2] == pytest.approx(2.25, abs=1e-12)
+    # a NaN value starts no cell, and consumption is lazy
+    vals = np.where(grid > 1.5, np.nan, f(grid))
+    assert list(roots.scan(f, grid, vals)) == [0.0, 1.0]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return math.sin(x)
+
+    grid = np.linspace(0.5, 10.0, 50)
+    assert next(roots.scan(counted, grid, np.sin(grid))) == pytest.approx(math.pi, abs=1e-12)
+    assert all(abs(x - math.pi) < 0.5 for x in calls)
+
+
+def test_minimize_scalar_finds_interior_minimum():
+    f = lambda x: (x - 0.3) ** 2 - 1e-9  # noqa: E731
+    assert roots.minimize_scalar(f, np.geomspace(1e-2, 1e2, 600)) < 0.0
+    assert roots.minimize_scalar(lambda x: x, np.linspace(1.0, 2.0, 5)) == 1.0
+
+
+def _random_masks(rng):
+    for shape in ((1, 40), (40, 1), (1, 1), (17, 23), (50, 50), (100, 100)):
+        for density in (0.0, 0.3, 0.5, 0.6, 1.0):
+            yield rng.random(shape) < density
+        yield np.indices(shape).sum(axis=0) % 2 == 0  # a checkerboard: corners do not connect
+    for _ in range(20):
+        shape = tuple(rng.integers(1, 30, size=2))
+        yield rng.random(shape) < rng.uniform(0.2, 0.8)
+
+
+def test_region_counts_match_ndimage_label():
+    rng = np.random.default_rng(11)
+    for mask in _random_masks(rng):
+        labels = np.where(mask, "S", "U").astype(object)
+        want = {lab: ndimage.label(labels == lab)[1] for lab in ("S", "U")}
+        assert critical._region_counts(labels) == want, mask.shape

@@ -69,6 +69,14 @@ def test_amplitude_bound_enforced():
         ow.residual_norm(w, 0.2)
 
 
+@pytest.mark.parametrize("a", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_amplitude_rejected(a):
+    w = _kdv_wave()
+    for evaluate in (ow.speed, ow.residual_norm, lambda w, a: ow.profile(w, a, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(w, a)
+
+
 # ------------------------------------------------------------ resonance
 
 
