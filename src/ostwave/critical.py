@@ -8,14 +8,16 @@ point is owned by exactly one mechanism:
 - ``phase_velocity_coincidence``:    f1 = c_p(k) - c_p(2k) = 0.
 
 For the polynomial-symbol models the zeros have closed forms; for the
-nonlocal models they are bracketed on a log grid and polished by
-bisection.  The surface-tension families additionally exhibit a
-threshold T_c at which a pair of critical wavenumbers merges and
-disappears, dropping the count from three to one; ``tc_of_alpha``
-locates it by bisecting on the existence of that pair.  ``diagram``
-sweeps a (k, T) lattice into stable/unstable cells plus the two zero-locus
-curves, and ``spot_check`` re-validates random cells against the
-independent spectral oracle.
+nonlocal models they are bracketed on a log grid and refined with
+Brent's method (``roots.brentq``).  The surface-tension families
+additionally exhibit a threshold T_c at which a pair of critical
+wavenumbers merges and disappears, dropping the count from three to
+one; ``tc_of_alpha`` locates it by bisecting on the existence of that
+pair.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
+plus the two zero-locus curves: it evaluates the whole lattice at once
+and refines the zero-locus points of each factor in one lockstep solve
+(``roots.brentq_lanes``).  ``spot_check`` re-validates random cells
+against the independent spectral oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from . import floquet_hill, mi_index, roots
 from .errors import BracketError, InconclusiveError, NoRootError, ResonanceError
 from .roots import brentq, minimize_scalar
 from .stokes import expand, harmonic_denominator
-from .symbols import DispersionSymbol, ModelParams, group_velocity_derivative, make_symbol
+from .symbols import (
+    DispersionSymbol,
+    ModelParams,
+    _tension_symbol,
+    group_velocity_derivative,
+    make_symbol,
+)
 
 __all__ = [
     "CriticalResult",
@@ -157,12 +165,17 @@ def _numerators(s: DispersionSymbol, p: ModelParams) -> tuple:
 # ``minimize_scalar`` names, which benchmark/tracer.py wraps to count them.
 
 
+def _finite_ends(vals) -> np.ndarray:
+    """Grid values, checked finite at both ends of the last axis."""
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals[..., [0, -1]])):
+        raise ValueError("bracket endpoints evaluate non-finite")
+    return vals
+
+
 def _scan_roots(f, grid):
     """The roots of f on the grid, ascending and refined as they are consumed."""
-    vals = np.asarray(f(grid), dtype=float)
-    if not np.all(np.isfinite(vals[[0, -1]])):
-        raise ValueError("bracket endpoints evaluate non-finite")
-    return roots.scan(f, grid, vals, solve=brentq)
+    return roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq)
 
 
 def kc_numeric(
@@ -174,7 +187,8 @@ def kc_numeric(
     """All critical wavenumbers of either mechanism inside the bracket.
 
     Sign changes of each factor's numerator are located on a log-spaced
-    probe grid and polished by bisection to |dk| <= 1e-10.  Models whose
+    probe grid and refined with Brent's method to a tolerance of
+    1e-12 + 4 eps |k| in k (``roots.brentq``, xtol 1e-12).  Models whose
     critical wavenumber is claimed unique get a diagnostic warning (not an
     error) if the scan disagrees.
 
@@ -223,7 +237,8 @@ def classify_intervals(
 
     Returns an ordered list of ((lo, hi), label) with label "S", "U" or
     "degenerate", labels taken from ``index`` at interval midpoints and
-    endpoints refined by bisection on whichever factor changes sign.
+    endpoints refined with Brent's method (xtol 1e-12) on whichever
+    factor's numerator changes sign.
     """
     if n_probe < 100:
         raise ValueError("n_probe must be >= 100")
@@ -391,13 +406,38 @@ def _region_counts(labels: np.ndarray) -> dict:
     return {lab: _count_regions(labels == lab) for lab in ("S", "U")}
 
 
+def _lattice_numerators(family: str, p: ModelParams, T) -> tuple:
+    """The factor numerators of the family's symbol at tension T, an array broadcasting against k."""
+    return _numerators(_tension_symbol(family, T), p)
+
+
+def _row_roots(family: str, p: ModelParams, which: int, Ts, grid, rows, cols, zero) -> np.ndarray:
+    """The root that starts at each point (rows, cols) of a (T, k) lattice.
+
+    A point that ``zero`` marks is its own root.  Every other point starts
+    a cell whose Brent root is refined in one lane solve; each step of it
+    evaluates numerator ``which`` once, at every open lane's own tension.
+    """
+    out = grid[cols]
+    cell = ~zero[rows, cols]
+    lane_t, lo = Ts[rows[cell]], cols[cell]
+
+    def f(k, lanes):
+        return _lattice_numerators(family, p, lane_t[lanes])[which](k)
+
+    out[cell] = roots.brentq_lanes(f, grid[lo], grid[lo + 1], xtol=1e-12)
+    return out
+
+
 def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: int):
     """(k, T) point where both factor loci cross, or None.
 
-    Nested bisection: the inner solve follows one factor's zero curve
-    k2(T); the outer solve drives the other factor to zero along it.
+    A solve nested in a solve: the inner one follows one factor's zero
+    curve k(T) (its first root on a probe grid in k), the outer one drives
+    the other factor to zero along it.  The outer probe values at every T
+    of ``t_grid`` come from one lattice evaluation and one lane solve of
+    the inner roots; the outer root is then refined with ``brentq``.
     """
-
     grid = np.geomspace(k_window[0], k_window[1], n_probe)
 
     def inner_root(T: float, which: int):
@@ -412,12 +452,12 @@ def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: 
                 raise NoRootError("curve left the window")
             return fs[other](kr)
 
-        vals = []
-        for T in t_grid:
-            try:
-                vals.append(outer(float(T)))
-            except NoRootError:
-                vals.append(math.nan)
+        lattice = _finite_ends(_lattice_numerators(family, p, t_grid[:, None])[follow](grid))
+        zero, start = roots.cells(lattice)
+        rows = np.flatnonzero(start.any(axis=1))  # rows whose curve is inside the window
+        kr = _row_roots(family, p, follow, t_grid, grid, rows, start[rows].argmax(axis=1), zero)
+        vals = np.full(len(t_grid), math.nan)
+        vals[rows] = _lattice_numerators(family, p, t_grid[rows])[other](kr)
         ts = next(roots.scan(outer, t_grid, vals, xtol=1e-8, solve=brentq), None)
         if ts is not None:
             _, ks_ = inner_root(ts, follow)
@@ -435,11 +475,14 @@ def diagram(
 ) -> StabilityDiagram:
     """Label every cell of a (k, T) lattice and trace both zero loci.
 
-    Cell labels come from ``index`` evaluated at cell centers, one array
-    call per T row, which gives the same bits as a call per cell, so the
-    lattice is consistent with the pointwise classifier by construction;
-    the curves are per-row bisection refinements of the same factor
-    numerators the classifier uses.
+    The whole lattice is evaluated at once, through a symbol whose T is
+    the column of cell-center tensions.  Cell labels come from one
+    ``index`` call at the cell centers; every value is the float a call
+    per cell gives, so the lattice is consistent with the pointwise
+    classifier by construction.  The curves are the roots of the same
+    factor numerators the classifier uses along each T row: exact zeros
+    at cell centers, and Brent refinements of every sign-change cell of
+    the lattice, all of one numerator solved together in lanes.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -449,19 +492,17 @@ def diagram(
     ks = (np.arange(nk) + 0.5) * (k_max / nk)
     Ts = (np.arange(nt) + 0.5) * (t_max / nt)
 
+    r = mi_index.index(_tension_symbol(s_family, Ts[:, None]), p, ks)
     labels = np.empty((nt, nk), dtype=object)
-    f1 = np.empty((nt, nk))
-    f2 = np.empty((nt, nk))
-    delta = np.empty((nt, nk))
-    f1_curve, f2_curve = [], []
+    for code, label in _LABELS.items():
+        labels[r.classification == code] = label
 
-    for j, T in enumerate(Ts):
-        s = make_symbol(s_family, {"T": float(T)})
-        r = mi_index.index(s, p, ks)
-        labels[j] = [_LABELS[c] for c in r.classification]
-        f1[j], f2[j], delta[j] = r.f1, r.f2, r.delta
-        for curve, f in zip((f1_curve, f2_curve), _numerators(s, p)):
-            curve.extend((root, float(T)) for root in _scan_roots(f, ks))
+    curves = []
+    for which, num in enumerate(_lattice_numerators(s_family, p, Ts[:, None])):
+        zero, start = roots.cells(_finite_ends(num(ks)))
+        rows, cols = np.nonzero(start)  # row by row, ascending k within a row
+        k = _row_roots(s_family, p, which, Ts, ks, rows, cols, zero)
+        curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
 
     t_s = None
     if s_family == "whitham_st" and alpha < 0:
@@ -482,11 +523,11 @@ def diagram(
         ks=ks,
         Ts=Ts,
         labels=labels,
-        f1=f1,
-        f2=f2,
-        delta=delta,
-        f1_curve=f1_curve,
-        f2_curve=f2_curve,
+        f1=r.f1,
+        f2=r.f2,
+        delta=r.delta,
+        f1_curve=curves[0],
+        f2_curve=curves[1],
         t_s=t_s,
         region_counts=_region_counts(labels),
     )

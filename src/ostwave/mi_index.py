@@ -79,13 +79,19 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
 
     delta below -floor classifies unstable, above +floor stable, and the
     band between is reported as degenerate rather than forced to a side;
-    floor = 1e-10 (1 + |f1|) (1 + |f2|).  Non-finite k raises ValueError.
+    floor = 1e-10 (1 + |f1|) (1 + |f2|).  Non-finite k raises ValueError,
+    and so does a finite k where delta is NaN (the symbol gave NaN there,
+    or an infinite factor met a zero one): NaN has no sign to classify.
     """
     k = _check_k(k)
     f1 = phase_velocity(s, p, k) - phase_velocity(s, p, 2.0 * k)
     f2, num2 = group_velocity_derivative(s, p, k)
     num1 = harmonic_denominator(s, p, k, 2)  # = 4 k^2 f1
     delta = f1 * f2
+    # a 0-d delta is a float, tested as one: np.isnan(...).any() costs more
+    if math.isnan(delta) if k.ndim == 0 else np.isnan(delta).any():
+        bad = k if k.ndim == 0 else np.broadcast_to(k, delta.shape)[np.isnan(delta)][0]
+        raise ValueError(f"{s.name}: the index is NaN at the finite wavenumber k={float(bad)!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(num2, num1)  # +-inf where num1 = 0, nan where both are
     floor = 1e-10 * (1.0 + np.abs(f1)) * (1.0 + np.abs(f2))

@@ -85,7 +85,7 @@ def find_resonances(
     """Scan (kmin, kmax) for resonant wavenumbers D_n(k) = 0.
 
     Returns a sorted list of (k, n) pairs, one per sign change of D_n on a
-    log-spaced probe grid, refined by bisection.
+    log-spaced probe grid, refined with Brent's method.
     """
     grid = np.geomspace(kmin, kmax, n_probe)
     found = []

@@ -135,11 +135,11 @@ class DispersionSymbol:
 
 
 def _kdv_family(coef):
-    # m = 1 - coef * k^2
+    # m = 1 - coef * k^2; coef may be an array that broadcasts against k
     return (
         lambda k: 1.0 - coef * k * k,
         lambda k: -2.0 * coef * k,
-        lambda k: np.full_like(np.asarray(k, dtype=float), -2.0 * coef),
+        lambda k: np.full(np.broadcast(k, coef).shape, -2.0 * coef),
     )
 
 
@@ -247,6 +247,7 @@ def _whitham_m2(k):
 def _whitham_st(T):
     # sqrt(tanh(k)/k * (1 + T k^2)) factors as m_whitham(k) * s(k),
     # s = sqrt(1 + T k^2); only the whitham factor needs a series branch.
+    # T may be an array that broadcasts against k.
     def s(k):
         return np.sqrt(1.0 + T * k * k)
 
@@ -266,6 +267,20 @@ def _whitham_st(T):
         )
 
     return m, m1, m2
+
+
+def _tension_symbol(name: str, T) -> DispersionSymbol:
+    """The ``kdv_st`` or ``whitham_st`` symbol at tension T >= 0.
+
+    T is a float, or an array that broadcasts against k: the evaluators
+    then return the symbol at every (T, k) pair at once, each the same
+    float a symbol built at that T alone gives, and so does the growth
+    exponent.
+    """
+    # plain arithmetic on the comparisons: floats for a float T, no numpy call
+    if name == "kdv_st":
+        return DispersionSymbol(name, {"T": T}, 2.0 * (T != 1.0 / 3.0), *_kdv_family(1.0 - 3.0 * T))
+    return DispersionSymbol(name, {"T": T}, (T > 0) - 0.5, *_whitham_st(T))
 
 
 def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
@@ -306,20 +321,11 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         return DispersionSymbol("ilw", params, 1.0, _ilw_m, _ilw_m1, _ilw_m2)
     if name == "whitham":
         return DispersionSymbol("whitham", params, -0.5, _whitham_m, _whitham_m1, _whitham_m2)
-    if name == "kdv_st":
+    if name in ("kdv_st", "whitham_st"):
         T = float(params.get("T", 0.0))
         if T < 0:
-            raise ValueError(f"kdv_st requires T >= 0, got {T}")
-        m, m1, m2 = _kdv_family(1.0 - 3.0 * T)
-        alpha = 0.0 if T == 1.0 / 3.0 else 2.0
-        return DispersionSymbol("kdv_st", {"T": T}, alpha, m, m1, m2)
-    if name == "whitham_st":
-        T = float(params.get("T", 0.0))
-        if T < 0:
-            raise ValueError(f"whitham_st requires T >= 0, got {T}")
-        m, m1, m2 = _whitham_st(T)
-        alpha = 0.5 if T > 0 else -0.5
-        return DispersionSymbol("whitham_st", {"T": T}, alpha, m, m1, m2)
+            raise ValueError(f"{name} requires T >= 0, got {T}")
+        return _tension_symbol(name, T)
     if name == "custom":
         try:
             m, m1, m2 = params["m"], params["m1"], params["m2"]
@@ -391,7 +397,7 @@ def check_hypotheses(s: DispersionSymbol, kmax: float = 100.0, n_samples: int = 
     linear grid on (0, kmax] and accepts when the slope is within 0.05 of
     the declared growth exponent.  The harmonic check scans m(k) - m(nk)
     for sign changes on a log grid for n in {2, 3} and refines any
-    crossing by bisection.
+    crossing with Brent's method.
     """
     if n_samples < 16:
         raise ValueError("n_samples too small for a meaningful scan")

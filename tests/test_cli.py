@@ -126,6 +126,15 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_nan_index_at_finite_k_exits_2(capsys):
+    # k^2 overflows, so c_p(k) - c_p(2k) is inf - inf
+    code, out, err = run_cli(capsys, ["index", *KDV, "--k", "1e200"])
+    assert code == 2
+    assert out == ""
+    assert "NaN" in err
+
+
 def test_alpha_exclusive_with_beta(capsys):
     code, _, _ = run_cli(
         capsys,

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ostwave as ow
 from ostwave import critical as cr
+from ostwave import roots
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
 PN1 = ow.ModelParams(beta=-1.0, gamma=1.0)
@@ -116,6 +121,27 @@ def test_kdv_numeric_matches_closed_form():
         results = cr.kc_numeric(s, p)
         assert len(results) == 1
         assert abs(results[0].kc - closed) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(["kdv", "fkdv", "kdv_st"]),
+    sign=st.sampled_from([-1.0, 1.0]),
+    log_beta=st.floats(-1.0, 1.0),
+    log_gamma=st.floats(-1.0, 1.0),
+    delta=st.floats(0.75, 2.5),
+    T=st.floats(0.0, 0.8),
+)
+def test_kc_closed_form_matches_numeric(model, sign, log_beta, log_gamma, delta, T):
+    extra = {"fkdv": {"delta": delta}, "kdv_st": {"T": T}}.get(model)
+    if model == "kdv_st":
+        assume(abs(T - 1.0 / 3.0) > 0.02)
+    p = ow.ModelParams(beta=sign * 10.0**log_beta, gamma=10.0**log_gamma)
+    closed = cr.kc_closed_form(model, p, extra)
+    assume(0.05 < closed.kc < 20.0)  # well inside kc_numeric's bracket (0.01, 100)
+    (numeric,) = cr.kc_numeric(ow.make_symbol(model, extra), p)
+    assert numeric.mechanism == closed.mechanism
+    assert numeric.kc == pytest.approx(closed.kc, rel=1e-9, abs=0)
 
 
 def test_numeric_no_root_raises():
@@ -282,6 +308,75 @@ def test_diagram_curve_intersection_reported_for_negative_alpha():
     assert d.t_s == pytest.approx(0.0970, abs=2e-3)
     d = cr.diagram("whitham_st", 0.1, k_max=5.0, t_max=0.4, nk=40, nt=40)
     assert d.t_s is None
+
+
+def _numerators(s, p):
+    return (
+        lambda k: ow.harmonic_denominator(s, p, k, 2),
+        lambda k: ow.group_velocity_derivative(s, p, k).numerator,
+    )
+
+
+def _reference_crossing(family, p, t_grid, k_window, n_probe=200):
+    """T where the loci cross: a scalar solve along one locus, nested in a scalar solve."""
+    grid = np.geomspace(k_window[0], k_window[1], n_probe)
+
+    def inner(T, which):
+        fs = _numerators(ow.make_symbol(family, {"T": float(T)}), p)
+        return fs, next(roots.scan(fs[which], grid), None)
+
+    for follow, other in ((1, 0), (0, 1)):
+
+        def outer(T):
+            fs, kr = inner(T, follow)
+            return math.nan if kr is None else fs[other](kr)
+
+        try:
+            ts = next(roots.scan(outer, t_grid, [outer(T) for T in t_grid], xtol=1e-8), None)
+        except ValueError:  # the followed curve left the window inside the cell
+            return None
+        if ts is not None:
+            return ts
+    return None
+
+
+def _reference_diagram(family, alpha, k_max, t_max, n):
+    """The diagram built row by row: a symbol per T row, index and roots.scan along it."""
+    p = cr.params_from_alpha(alpha)
+    ks = (np.arange(n) + 0.5) * (k_max / n)
+    Ts = (np.arange(n) + 0.5) * (t_max / n)
+    short = {"stable": "S", "unstable": "U", "degenerate": "degenerate"}
+    labels, f1, f2, delta, curves = [], [], [], [], ([], [])
+    for T in Ts:
+        s = ow.make_symbol(family, {"T": float(T)})
+        r = ow.index(s, p, ks)
+        labels.append([short[c] for c in r.classification])
+        f1.append(r.f1)
+        f2.append(r.f2)
+        delta.append(r.delta)
+        for curve, f in zip(curves, _numerators(s, p)):
+            curve.extend((root, float(T)) for root in roots.scan(f, ks))
+    t_s = None
+    if family == "whitham_st" and alpha < 0:
+        t_s = _reference_crossing(family, p, Ts, (ks[0], ks[-1]))
+    return np.array(labels, dtype=object), np.array(f1), np.array(f2), np.array(delta), curves, t_s
+
+
+@pytest.mark.parametrize(
+    "family,alpha,k_max,t_max",
+    [("kdv_st", 1.0, 2.0, 0.8), ("whitham_st", 0.1, 2.0, 0.8), ("whitham_st", -0.1, 5.0, 0.4)],
+)
+def test_lattice_diagram_matches_row_by_row_reference(family, alpha, k_max, t_max):
+    d = cr.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=50, nt=50)
+    labels, f1, f2, delta, (f1_curve, f2_curve), t_s = _reference_diagram(family, alpha, k_max, t_max, 50)
+    assert np.array_equal(d.labels, labels)
+    for got, want in ((d.f1, f1), (d.f2, f2), (d.delta, delta)):
+        assert got.tobytes() == want.tobytes()  # bit for bit
+    assert len(d.f1_curve) > 0 and len(d.f2_curve) > 0
+    assert d.f1_curve == f1_curve
+    assert d.f2_curve == f2_curve
+    assert d.t_s == t_s
+    assert (t_s is not None) == (alpha < 0)
 
 
 def test_spot_check_passes_on_reference_diagram():

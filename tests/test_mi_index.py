@@ -90,6 +90,20 @@ def test_index_rejects_non_finite_k(k):
         ow.index(ow.make_symbol("kdv"), P11, k)
 
 
+def test_index_rejects_nan_at_finite_k():
+    # m = sqrt(1 - k) is NaN past k = 1, so delta has no sign there
+    s = ow.make_symbol(
+        "custom",
+        {"m": lambda k: np.sqrt(1.0 - k), "m1": lambda k: -0.5 / np.sqrt(1.0 - k),
+         "m2": lambda k: -0.25 / (1.0 - k) ** 1.5},
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert ow.index(s, P11, 0.1).classification in ("stable", "unstable")
+        for k in (2.0, [0.1, 2.0], np.array([[0.1], [2.0]])):
+            with pytest.raises(ValueError, match="NaN at the finite wavenumber k=2.0"):
+                ow.index(s, P11, k)
+
+
 SIX_FAMILIES = [
     ("kdv", {}),
     ("fkdv", {"delta": 1.5}),

@@ -88,6 +88,20 @@ def test_array_evaluation_matches_scalar_evaluation(name, params):
         assert np.array_equal(ev(ks), [ev(float(k)) for k in ks])
 
 
+@pytest.mark.parametrize("name", ["kdv_st", "whitham_st"])
+def test_tension_lattice_matches_symbol_per_tension(name):
+    # T as a column broadcasts against k: every row is the symbol at that T, bit for bit
+    Ts = np.array([0.0, 0.05, 1.0 / 3.0, 0.4, 0.8])
+    ks = np.geomspace(1e-5, 50.0, 300)
+    lattice = symbols._tension_symbol(name, Ts[:, None])
+    for ev in ("m", "m1", "m2"):
+        got = getattr(lattice, ev)(ks)
+        assert got.shape == (len(Ts), len(ks))
+        for row, T in zip(got, Ts):
+            assert row.tobytes() == getattr(ow.make_symbol(name, {"T": float(T)}), ev)(ks).tobytes()
+    assert lattice.growth_exponent.ravel().tolist() == [ow.make_symbol(name, {"T": float(T)}).growth_exponent for T in Ts]
+
+
 @pytest.mark.parametrize("name,params", ALL_BUILTINS)
 def test_derivatives_match_finite_differences(name, params):
     s = ow.make_symbol(name, params)
