@@ -17,7 +17,11 @@ pair.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
 plus the two zero-locus curves: it evaluates the whole lattice at once
 and refines the zero-locus points of each factor in one lockstep solve
 (``roots.brentq_lanes``).  ``spot_check`` re-validates random cells
-against the independent spectral oracle.
+against the independent spectral oracle: it screens cells in batches,
+each eligibility test one array evaluation over a batch (the expansion
+``stokes._stokes``, the pencil growth, the detuning ratio and the
+unperturbed eigenvalues), and runs the Hill solve only on the cells it
+picks.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import floquet_hill, mi_index, roots
-from .errors import BracketError, InconclusiveError, NoRootError, ResonanceError
+from .errors import BracketError, InconclusiveError, NoRootError
 from .roots import brentq, minimize_scalar
-from .stokes import expand, harmonic_denominator
+from .stokes import StokesWave, _stokes, harmonic_denominator
 from .symbols import (
     DispersionSymbol,
     ModelParams,
@@ -546,13 +550,21 @@ def spot_check(
 
     Cells are eligible when the projected-system prediction is decisive
     at the desk scale (a, xi): for U cells the predicted growth clears
-    the detection threshold with margin and the cell lies inside the
-    projected model's trust region (see ``mi_index.detuning_ratio``);
-    for S cells the prediction is numerically zero; and no fast
-    oscillatory branch intrudes into the reporting window.  Cells
-    sitting essentially on a zero locus (including the resonance locus,
-    where the expansion itself is singular) are skipped as ill-posed
-    rather than forced.
+    the detection threshold with margin, for S cells it is numerically
+    zero; the cell lies inside the projected model's trust region (see
+    ``mi_index.detuning_ratio``), where an S cell's Hill growth at
+    amplitude a is still the a -> 0 verdict; and no fast oscillatory
+    branch intrudes into the reporting window.  Cells sitting
+    essentially on a zero locus (including the resonance locus, where
+    the expansion itself is singular) are skipped as ill-posed rather
+    than forced.
+
+    The S and U cells are screened in a seeded random order, in batches
+    that start at 4 n_cells and double: each test is one array
+    evaluation over the batch (the expansion, the pencil, the detuning
+    ratio, the unperturbed eigenvalues), and the Hill oracle runs only on
+    the first n_cells cells that pass.  The picks are those of a loop
+    over the same order applying the tests to one cell at a time.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
     hill, ok}.
@@ -562,6 +574,8 @@ def spot_check(
         window = floquet_hill.default_window(p)
     rng = np.random.default_rng(seed)
     order = rng.permutation(diag.nk * diag.nt)
+    labels = diag.labels.ravel()[order]
+    order = order[(labels == "S") | (labels == "U")]
 
     # the sideband pair first, then every other mode of the truncation
     modes = np.arange(-N, N + 1)
@@ -569,42 +583,44 @@ def spot_check(
 
     out = []
     threshold = 1e-8
-    for flat in order:
-        if len(out) >= n_cells:
-            break
-        j, i = divmod(int(flat), diag.nk)
-        label = str(diag.labels[j, i])
-        if label not in ("S", "U"):
-            continue
-        T, k = float(diag.Ts[j]), float(diag.ks[i])
-        s = make_symbol(diag.family, {"T": T})
-        try:
-            wave = expand(s, p, k)
-        except ResonanceError:
-            continue
-        predicted = mi_index.growth_rate_leading(wave, a, xi)
-        if label == "U" and predicted <= 10.0 * threshold:
-            continue  # too near a boundary for the desk-scale test
-        if label == "U" and mi_index.detuning_ratio(wave, a, xi) > 0.05:
-            continue  # outside the projected model's trust region
-        if label == "S" and predicted >= 0.1 * threshold:
-            continue
-        # the window must isolate the two sideband branches
+    start, size = 0, 4 * n_cells
+    while len(out) < n_cells and start < order.size:
+        j, i = np.divmod(order[start : start + size], diag.nk)
+        start, size = start + size, 2 * size
+        T, k = diag.Ts[j][:, None], diag.ks[i][:, None]
+        unstable = diag.labels[j, i] == "U"
+        s = _tension_symbol(diag.family, T)
+        # resonant cells carry non-finite coefficients; the mask drops them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, _, c0, A2, A3, resonant = _stokes(s, p, k)
+            wave = StokesWave(s, p, k, c0, A2, A2, A3)
+            predicted = mi_index.growth_rate_leading(wave, a, xi).ravel()
+            ratio = mi_index.detuning_ratio(wave, a, xi).ravel()
         lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
-        if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
-            continue
-        hill = floquet_hill.max_growth(wave, a, xi, N=N, window=window)
-        ok = hill > threshold if label == "U" else hill <= threshold
-        out.append(
-            {
-                "i": int(i),
-                "j": int(j),
-                "k": k,
-                "T": T,
-                "label": label,
-                "predicted": float(predicted),
-                "hill": float(hill),
-                "ok": bool(ok),
-            }
+        # too near a boundary for the desk-scale test
+        decisive = np.where(
+            unstable, ~(predicted <= 10.0 * threshold), ~(predicted >= 0.1 * threshold)
         )
+        # the window must isolate the two sideband branches
+        crowded = (lam[:, :2].max(axis=1) > 0.5 * window) | (lam[:, 2:].min(axis=1) <= 2.0 * window)
+        picks = np.flatnonzero(~resonant.ravel() & decisive & ~(ratio > 0.05) & ~crowded)
+        for r in picks[: n_cells - len(out)]:
+            T_r, k_r = float(T[r, 0]), float(k[r, 0])
+            s_r, A2_r = make_symbol(diag.family, {"T": T_r}), float(A2[r, 0])
+            cell = StokesWave(s_r, p, k_r, float(c0[r, 0]), A2_r, A2_r, float(A3[r, 0]))
+            hill = floquet_hill.max_growth(cell, a, xi, N=N, window=window)
+            label = "U" if unstable[r] else "S"
+            ok = hill > threshold if label == "U" else hill <= threshold
+            out.append(
+                {
+                    "i": int(i[r]),
+                    "j": int(j[r]),
+                    "k": k_r,
+                    "T": T_r,
+                    "label": label,
+                    "predicted": float(predicted[r]),
+                    "hill": float(hill),
+                    "ok": bool(ok),
+                }
+            )
     return out

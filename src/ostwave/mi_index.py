@@ -26,7 +26,6 @@ leading-order growth rate, which the independent spectral oracle must
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -113,12 +112,14 @@ def _pencil(wave: StokesWave, a: float, xi: float):
 
     Returns (u, v1, v2, s, w12, w21) with entries
         B11 = u*lam + v1,   B12 =  s*lam + w12,
-        B21 = -s*lam + w21, B22 = u*lam + v2.
+        B21 = -s*lam + w21, B22 = u*lam + v2,
+    each of the wave's shape: a batch of waves gives arrays.
     """
     sym, p = wave.symbol, wave.params
-    k, A2 = wave.k, wave.A2
+    k, A2 = np.asarray(wave.k, dtype=float), np.asarray(wave.A2, dtype=float)
     beta, gamma = p.beta, p.gamma
-    k2, k3, k4 = k * k, k ** 3, k ** 4
+    # np.float_power rounds as the scalar `**` did, for every element of an array
+    k2, k3, k4 = k * k, np.float_power(k, 3), np.float_power(k, 4)
     m1k, m2k = sym.m1(k), sym.m2(k)
     m1k2, m2k2 = sym.m1(2.0 * k), sym.m2(2.0 * k)
     aA = a * a * A2 * A2
@@ -139,6 +140,21 @@ def _pencil(wave: StokesWave, a: float, xi: float):
     w12 = 0.5j * xi * (q0 + a * a * q2)
     w21 = -0.5j * xi * (q0 + a * a * (q2 + 4.0 * k2 * A2))
     return u, v1, v2, s, w12, w21
+
+
+def _quot(num, den):
+    """num / den by Python's complex division, elementwise, with |Re den| >= |Im den|.
+
+    numpy's complex division multiplies by 1 / denom, which rounds
+    differently; this keeps a batch's roots the floats the scalar
+    quotient gives.
+    """
+    ratio = den.imag / den.real
+    denom = den.real + den.imag * ratio
+    out = np.empty(np.broadcast(num, den).shape, dtype=complex)
+    out.real = (num.real + num.imag * ratio) / denom
+    out.imag = (num.imag - num.real * ratio) / denom
+    return complex(out) if out.ndim == 0 else out
 
 
 def assemble_b_matrix(
@@ -178,23 +194,26 @@ def bmatrix_det_roots(
 
     The determinant is exactly quadratic in lambda, so the roots come
     from the complex quadratic formula with no further approximation.
+    A batch of waves gives two arrays of roots.
     """
     _check_small(a, xi, a_bound, xi_bound)
     u, v1, v2, s, w12, w21 = _pencil(wave, a, xi)
     qa = u * u + s * s
     qb = u * (v1 + v2) - s * (w21 - w12)
     qc = v1 * v2 - w12 * w21
-    sq = cmath.sqrt(qb * qb - 4.0 * qa * qc)
-    return ((-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa))
+    sq = np.sqrt(qb * qb - 4.0 * qa * qc)  # bit for bit cmath.sqrt
+    return (_quot(-qb + sq, 2.0 * qa), _quot(-qb - sq, 2.0 * qa))
 
 
-def growth_rate_leading(wave: StokesWave, a: float, xi: float) -> float:
+def growth_rate_leading(wave: StokesWave, a: float, xi: float):
     """Predicted sideband growth rate: max |Re lambda| over the two roots."""
     r1, r2 = bmatrix_det_roots(wave, a, xi)
-    return max(abs(r1.real), abs(r2.real))
+    g1, g2 = np.abs(np.real(r1)), np.abs(np.real(r2))
+    out = np.where(g2 > g1, g2, g1)  # max(g1, g2), NaN and all
+    return float(out) if out.ndim == 0 else out
 
 
-def detuning_ratio(wave: StokesWave, a: float, xi: float) -> float:
+def detuning_ratio(wave: StokesWave, a: float, xi: float):
     """Amplitude-induced sideband detuning relative to the frequency scale.
 
     The two-harmonic projection follows the pair of slow sideband
@@ -205,16 +224,17 @@ def detuning_ratio(wave: StokesWave, a: float, xi: float) -> float:
     Quantitative growth-rate predictions are trusted only when this
     ratio is small (<= 0.05 in practice, established against the
     spectral oracle); near or above 1 the neglected couplings can move
-    the instability band's inner edge past xi entirely.
+    the instability band's inner edge past xi entirely.  A batch of
+    waves gives an array of ratios.
     """
-    k = wave.k
     p = wave.params
-    q0 = -2.0 * p.gamma + p.beta * k ** 3 * wave.symbol.m1(k)
-    scale = abs(xi) * abs(q0)
-    detuning = a * a * k * k * abs(wave.A2)
-    if scale == 0.0:
-        return math.inf if detuning > 0.0 else 0.0
-    return detuning / scale
+    k = np.asarray(wave.k, dtype=float)
+    q0 = -2.0 * p.gamma + p.beta * np.float_power(k, 3) * wave.symbol.m1(k)
+    scale = abs(xi) * np.abs(q0)
+    detuning = a * a * k * k * np.abs(wave.A2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(scale == 0.0, np.where(detuning > 0.0, math.inf, 0.0), detuning / scale)
+    return float(out) if out.ndim == 0 else out
 
 
 def discriminant(wave: StokesWave, a: float, xi: float) -> float:

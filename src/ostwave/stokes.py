@@ -100,7 +100,10 @@ class StokesWave:
 
     Carries the expansion coefficients; the amplitude a is supplied at
     evaluation time (``profile``, ``speed``, ``residual_norm``), so one
-    StokesWave describes the whole local branch.
+    StokesWave describes the whole local branch.  The fields are floats;
+    a batch of waves holds arrays of k and of the coefficients instead,
+    with a symbol whose parameters broadcast against k, and the pencil
+    functions of ``mi_index`` evaluate it at once.
     """
 
     symbol: DispersionSymbol
@@ -123,6 +126,27 @@ class StokesWave:
         return np.array([0.0, a, a * a * self.A2, a ** 3 * self.A3])
 
 
+def _stokes(s: DispersionSymbol, p: ModelParams, k):
+    """The expansion at k, a scalar or an array broadcasting against s's parameters.
+
+    Returns (D2, D3, c0, A2, A3, resonant): the harmonic denominators, the
+    linear speed, the mode-2 and mode-3 coefficients (c2 = A2) and the mask
+    of wavenumbers where a denominator falls below ``denominator_floor``
+    (A2 and A3 mean nothing there).  Every value is the float a call at
+    that (k, T) alone gives, so ``expand`` is the 0-d case.
+    """
+    D2 = harmonic_denominator(s, p, k, 2)
+    D3 = harmonic_denominator(s, p, k, 3)
+    floor = denominator_floor(p)
+    resonant = (np.abs(D2) < floor) | (np.abs(D3) < floor)
+    c0 = phase_velocity(s, p, k)
+    k = np.asarray(k, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A2 = 2.0 * k * k / D2
+        A3 = 9.0 * k * k * A2 / D3
+    return D2, D3, c0, A2, A3, resonant
+
+
 def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     """Compute the small-amplitude expansion coefficients at wavenumber k.
 
@@ -136,22 +160,16 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     k = float(k)
     if k <= 0:
         raise ValueError("wavenumber k must be positive")
-
-    resonant = check_resonance(s, p, k, nmax=3)
+    _, _, c0, A2, A3, resonant = _stokes(s, p, k)
     if resonant:
+        harmonics = check_resonance(s, p, k)
         raise ResonanceError(
-            f"harmonic resonance at k={k:.12g} for n in {resonant}; "
+            f"harmonic resonance at k={k:.12g} for n in {harmonics}; "
             "the small-amplitude expansion is singular here",
-            harmonics=resonant,
+            harmonics=harmonics,
         )
-    D2 = harmonic_denominator(s, p, k, 2)
-    D3 = harmonic_denominator(s, p, k, 3)
-
-    c0 = phase_velocity(s, p, k)
-    A2 = 2.0 * k * k / D2
-    c2 = A2
-    A3 = 9.0 * k * k * A2 / D3
-    return StokesWave(symbol=s, params=p, k=k, c0=c0, c2=c2, A2=A2, A3=A3)
+    A2, A3 = float(A2), float(A3)
+    return StokesWave(symbol=s, params=p, k=k, c0=c0, c2=A2, A2=A2, A3=A3)
 
 
 def _check_amplitude(a: float, bound: float = A_MAX) -> float:

@@ -301,6 +301,19 @@ def test_diagram_outputs(tmp_path, capsys):
     assert len(curves_g.findall("s:polyline", ns)) >= 2
 
 
+@pytest.mark.parametrize(
+    "flag,message", [("--a", "amplitude |a| <= 0.05"), ("--xi", "sideband offset |xi| <= 0.05")]
+)
+def test_diagram_spot_check_out_of_range_exits_2(capsys, flag, message):
+    code, _, err = run_cli(
+        capsys,
+        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "20", "--nt", "20",
+         "--spot-check", "2", flag, "0.08"],
+    )
+    assert code == 2
+    assert message in err
+
+
 def test_installed_entry_point_smoke():
     exe = shutil.which("ostwave")
     if exe is None:

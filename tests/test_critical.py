@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ostwave as ow
 from ostwave import critical as cr
-from ostwave import roots
+from ostwave import floquet_hill, mi_index, roots
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
 PN1 = ow.ModelParams(beta=-1.0, gamma=1.0)
@@ -392,3 +392,81 @@ def test_spot_check_deterministic_per_seed():
     r1 = cr.spot_check(d, n_cells=5, seed=7)
     r2 = cr.spot_check(d, n_cells=5, seed=7)
     assert r1 == r2
+
+
+def _reference_spot_check(diag, n_cells, a=0.01, xi=1e-3, N=32, seed=0):
+    """spot_check as a loop over the cells, testing one cell at a time with the scalar calls."""
+    p = cr.params_from_alpha(diag.alpha)
+    window = floquet_hill.default_window(p)
+    order = np.random.default_rng(seed).permutation(diag.nk * diag.nt)
+    modes = np.arange(-N, N + 1)
+    modes = np.concatenate(([-1, 1], modes[np.abs(modes) != 1]))
+    out = []
+    threshold = 1e-8
+    for flat in order:
+        if len(out) >= n_cells:
+            break
+        j, i = divmod(int(flat), diag.nk)
+        label = str(diag.labels[j, i])
+        if label not in ("S", "U"):
+            continue
+        T, k = float(diag.Ts[j]), float(diag.ks[i])
+        s = ow.make_symbol(diag.family, {"T": T})
+        try:
+            wave = ow.expand(s, p, k)
+        except ow.ResonanceError:
+            continue
+        predicted = mi_index.growth_rate_leading(wave, a, xi)
+        if label == "U" and predicted <= 10.0 * threshold:
+            continue
+        if mi_index.detuning_ratio(wave, a, xi) > 0.05:
+            continue
+        if label == "S" and predicted >= 0.1 * threshold:
+            continue
+        lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
+        if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
+            continue
+        hill = floquet_hill.max_growth(wave, a, xi, N=N, window=window)
+        ok = hill > threshold if label == "U" else hill <= threshold
+        out.append(
+            {"i": i, "j": j, "k": k, "T": T, "label": label,
+             "predicted": predicted, "hill": float(hill), "ok": bool(ok)}
+        )
+    return out
+
+
+BENCH_DIAGRAMS = [
+    ("kdv_st", 1.0, 2.0, 0.8),
+    ("whitham_st", 0.1, 2.0, 0.8),
+    ("whitham_st", -0.1, 5.0, 0.4),
+]
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("family,alpha,k_max,t_max", BENCH_DIAGRAMS)
+def test_spot_check_matches_reference_loop(family, alpha, k_max, t_max, n):
+    d = cr.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=n, nt=n)
+    for seed in range(3):
+        got = cr.spot_check(d, n_cells=20, seed=seed)
+        want = _reference_spot_check(d, 20, seed=seed)
+        assert len(got) == 20
+        assert repr(got) == repr(want)  # bit for bit, types too
+
+
+@pytest.mark.parametrize("family,alpha,k_max,t_max", BENCH_DIAGRAMS)
+def test_spot_check_picks_only_checkable_cells(family, alpha, k_max, t_max):
+    # S cells outside the trust region see finite-amplitude growth at a = 0.01;
+    # whitham_st alpha = 0.1 at 100x100 used to return cell (k=1.01, T=0.292) with ok=False
+    d = cr.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=100, nt=100)
+    rows = cr.spot_check(d, n_cells=10, seed=0)
+    assert len(rows) == 10
+    assert all(r["ok"] for r in rows)
+
+
+def test_spot_check_refusals():
+    d = cr.diagram("kdv_st", 1.0, k_max=2.0, t_max=0.8, nk=20, nt=20)
+    with pytest.raises(ValueError, match="amplitude"):
+        cr.spot_check(d, n_cells=2, a=1.5 * mi_index.A_BOUND)
+    with pytest.raises(ValueError, match="sideband offset"):
+        cr.spot_check(d, n_cells=2, xi=-1.5 * mi_index.XI_BOUND)
+    assert cr.spot_check(d, n_cells=0) == []

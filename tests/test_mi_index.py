@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ostwave as ow
-from ostwave import floquet_hill
+from ostwave import floquet_hill, stokes
+from ostwave.symbols import _tension_symbol
 from conftest import draw_model
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
@@ -131,6 +134,44 @@ def test_array_index_matches_scalar_index(name, params):
             np.testing.assert_allclose(r.f2[i], one.f2, rtol=1e-14, atol=0)
 
 
+MODELS = dict(
+    name=st.sampled_from([name for name, _ in SIX_FAMILIES]),
+    delta=st.floats(0.75, 2.5),
+    T=st.floats(0.0, 0.8),
+    sign=st.sampled_from([-1.0, 1.0]),
+    log_beta=st.floats(-1.0, 1.0),
+    log_gamma=st.floats(-1.0, 1.0),
+    k=st.floats(0.05, 5.0),
+)
+
+
+def _model(name, delta, T, sign, log_beta, log_gamma):
+    params = {"fkdv": {"delta": delta}, "kdv_st": {"T": T}, "whitham_st": {"T": T}}.get(name)
+    return ow.make_symbol(name, params), ow.ModelParams(sign * 10.0**log_beta, 10.0**log_gamma)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**MODELS, log_lam=st.floats(-2.0, 2.0))
+def test_label_invariant_under_joint_scaling(name, delta, T, sign, log_beta, log_gamma, k, log_lam):
+    # (beta, gamma) -> lam (beta, gamma) scales f1 and f2 by lam, so delta keeps its sign
+    s, p = _model(name, delta, T, sign, log_beta, log_gamma)
+    lam = 10.0**log_lam
+    r = ow.index(s, p, k)
+    rs = ow.index(s, ow.ModelParams(lam * p.beta, lam * p.gamma), k)
+    for x in (r, rs):  # clear the degeneracy floor with margin at both scales
+        assume(abs(x.delta) > 1e3 * 1e-10 * (1.0 + abs(x.f1)) * (1.0 + abs(x.f2)))
+    assert rs.classification == r.classification
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**MODELS)
+def test_delta_and_ratio_signs_agree(name, delta, T, sign, log_beta, log_gamma, k):
+    s, p = _model(name, delta, T, sign, log_beta, log_gamma)
+    r = ow.index(s, p, k)
+    assume(r.classification != "degenerate")
+    assert np.sign(r.delta) == np.sign(r.ratio)
+
+
 # ---------------------------------------------------------------- matrix
 
 
@@ -222,6 +263,71 @@ def test_detuning_ratio_value():
     w = _kdv_wave()
     got = ow.detuning_ratio(w, 0.01, 0.001)
     assert got == pytest.approx(1e-4 * (2.0 / 15.0) / (1e-3 * 4.0), rel=1e-12)
+
+
+# ------------------------------------------------------------------ batch
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _seeded_batch(name, params, seed, n=120):
+    """A seeded model of the family and a 1-D batch of k, with the scalar symbol of each k.
+
+    The tension families get one T per k, through the broadcast-T symbol;
+    the batch also holds the family's resonant wavenumbers.
+    """
+    rng = np.random.default_rng(seed)
+    p = ow.ModelParams(
+        beta=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0)),
+        gamma=float(10.0 ** rng.uniform(-1.0, 1.0)),
+    )
+    ks = np.exp(rng.uniform(math.log(0.05), math.log(5.0), n))
+    resonances = [k for k, _ in stokes.find_resonances(ow.make_symbol(name, params), p)]
+    ks = np.concatenate([ks, resonances])
+    if "T" not in params:
+        s = ow.make_symbol(name, params)
+        return s, p, ks, [s] * ks.size
+    Ts = np.concatenate([rng.uniform(0.0, 0.8, n), np.full(len(resonances), params["T"])])
+    return _tension_symbol(name, Ts), p, ks, [ow.make_symbol(name, {"T": float(T)}) for T in Ts]
+
+
+def test_batch_resonance_mask_flags_exact_resonances():
+    # kdv, beta = -1, gamma = 1: D2 = 0 at k^4 = 1/4 and D3 = 0 at k^4 = 1/9
+    ks = np.array([0.25**0.25, 1.0, (1.0 / 9.0) ** 0.25])
+    resonant = stokes._stokes(ow.make_symbol("kdv"), ow.ModelParams(-1.0, 1.0), ks)[5]
+    assert resonant.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("name,params", SIX_FAMILIES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_expansion_and_pencil_match_scalar_calls(name, params, seed):
+    s, p, ks, scalar = _seeded_batch(name, params, seed)
+    _, _, c0, A2, A3, resonant = stokes._stokes(s, p, ks)
+    wave = ow.StokesWave(s, p, ks, c0, A2, A2, A3)
+    waves = []
+    for i, k in enumerate(ks):
+        try:
+            one = ow.expand(scalar[i], p, float(k))
+        except ow.ResonanceError:
+            assert resonant[i]
+            waves.append(None)
+            continue
+        assert not resonant[i]
+        assert _bits([c0[i], A2[i], A3[i]]) == _bits([one.c0, one.A2, one.A3])
+        waves.append(one)
+    for a, xi in ((0.01, 1e-3), (0.05, 0.05), (0.0, 1e-3), (0.03, -0.02)):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r1, r2 = ow.bmatrix_det_roots(wave, a, xi)
+            growth = ow.growth_rate_leading(wave, a, xi)
+            ratio = ow.detuning_ratio(wave, a, xi)
+        for i, one in enumerate(waves):
+            if one is None:
+                continue
+            assert _bits([r1[i], r2[i]]) == _bits(ow.bmatrix_det_roots(one, a, xi))
+            assert _bits(growth[i]) == _bits(ow.growth_rate_leading(one, a, xi))
+            assert _bits(ratio[i]) == _bits(ow.detuning_ratio(one, a, xi))
 
 
 # ----------------------------------------------------------- discriminant
