@@ -21,7 +21,6 @@ paths land there.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os

@@ -567,8 +567,11 @@ def spot_check(
     over the same order applying the tests to one cell at a time.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
-    hill, ok}.
+    hill, ok}.  a, xi and N are checked as the screen and the oracle
+    check them (ValueError), before any cell is screened.
     """
+    mi_index._check_small(a, xi, mi_index.A_BOUND, mi_index.XI_BOUND)
+    floquet_hill.FloquetProblem(None, a, xi, N)
     p = params_from_alpha(diag.alpha)
     if window is None:
         window = floquet_hill.default_window(p)

@@ -120,8 +120,8 @@ def _pencil(wave: StokesWave, a: float, xi: float):
     beta, gamma = p.beta, p.gamma
     # np.float_power rounds as the scalar `**` did, for every element of an array
     k2, k3, k4 = k * k, np.float_power(k, 3), np.float_power(k, 4)
-    m1k, m2k = sym.m1(k), sym.m2(k)
-    m1k2, m2k2 = sym.m1(2.0 * k), sym.m2(2.0 * k)
+    _, m1k, m2k = sym.jet(k, 2)
+    _, m1k2, m2k2 = sym.jet(2.0 * k, 2)
     aA = a * a * A2 * A2
 
     y1 = (

@@ -9,8 +9,6 @@ ticks.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 20, 50
 
@@ -95,7 +93,9 @@ def render_diagram(diag) -> str:
         parts.append(
             f'<text x="{x0 - 8:.2f}" y="{py(tv) + 4:.2f}" text-anchor="end">{tv:g}</text>'
         )
-    title = escape(f"{diag.family}, alpha={diag.alpha:g}")
+    # XML text escape, "&" first; xml.sax.saxutils would import urllib and http
+    title = f"{diag.family}, alpha={diag.alpha:g}"
+    title = title.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     parts.append(
         f'<text x="{x0 + plot_w / 2:.2f}" y="{y0 + 38:.2f}" text-anchor="middle">k</text>'
     )

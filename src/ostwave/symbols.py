@@ -22,8 +22,13 @@ name            m(k)                                           parameters
 ``custom``      user supplied callables
 ==============  =============================================  ==========
 
-All evaluators accept scalars or numpy arrays of k >= 0 and are extended
-evenly through ``m_even`` for callers that need signed frequencies.
+Each family has one evaluator, its jet: ``DispersionSymbol.jet(k, order)``
+returns ``(m, m', m'')[:order + 1]`` from one pass that computes the
+transcendentals the orders share (tanh, exp, the series branch) once and
+nothing past ``order``.  ``m``, ``m1`` and ``m2`` are views of it, each
+value the same float whichever orders are asked for with it.  All accept
+scalars or numpy arrays of k >= 0 and are extended evenly through
+``m_even`` for callers that need signed frequencies.
 """
 
 from __future__ import annotations
@@ -87,75 +92,86 @@ def _as_nonnegative(k):
 class DispersionSymbol:
     """A dispersion symbol m with its first two derivatives.
 
-    The raw callables are vectorized over k >= 0; ``m``, ``m1`` and ``m2``
-    validate the sign of k, while ``m_even``, ``m1_odd`` and ``m2_even``
-    evaluate the even extension at frequencies of any sign (m even, m'
-    odd, m'' even).
+    ``jet_fn(k, order)`` is the symbol's one evaluator: vectorized over
+    k >= 0, it returns ``(m, m', m'')[:order + 1]``, computing every
+    intermediate they share once and nothing past ``order``.  ``jet``
+    validates the sign of k and serves callers that need several orders
+    at one k; ``m``, ``m1`` and ``m2`` are its single-order views, and
+    ``m_even``, ``m1_odd`` and ``m2_even`` evaluate the even extension at
+    frequencies of any sign (m even, m' odd, m'' even).
     """
 
     name: str
     params: dict = field(default_factory=dict)
     growth_exponent: float = 0.0
-    m_fn: Callable = None
-    m1_fn: Callable = None
-    m2_fn: Callable = None
+    jet_fn: Callable = None
 
-    def _eval(self, fn, k):
-        arr = _as_nonnegative(k)
-        out = np.asarray(fn(arr), dtype=float)
-        return float(out) if np.isscalar(k) or out.ndim == 0 else out
+    def _value(self, arr, order):
+        out = np.asarray(self.jet_fn(arr, order)[order], dtype=float)
+        return float(out) if out.ndim == 0 else out
+
+    def jet(self, k, order: int) -> tuple:
+        """(m(k), m'(k), m''(k))[:order + 1] for k >= 0, from one evaluation."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"jet order must be 0, 1 or 2, got {order!r}")
+        vals = [np.asarray(v, dtype=float) for v in self.jet_fn(_as_nonnegative(k), order)]
+        return tuple([float(v) if v.ndim == 0 else v for v in vals])
 
     def m(self, k):
-        return self._eval(self.m_fn, k)
+        return self._value(_as_nonnegative(k), 0)
 
     def m1(self, k):
-        return self._eval(self.m1_fn, k)
+        return self._value(_as_nonnegative(k), 1)
 
     def m2(self, k):
-        return self._eval(self.m2_fn, k)
+        return self._value(_as_nonnegative(k), 2)
 
     def m_even(self, k):
-        arr = np.abs(np.asarray(k, dtype=float))
-        out = np.asarray(self.m_fn(arr), dtype=float)
-        return float(out) if np.isscalar(k) or out.ndim == 0 else out
+        return self._value(np.abs(np.asarray(k, dtype=float)), 0)
 
     def m1_odd(self, k):
         arr = np.asarray(k, dtype=float)
-        out = np.sign(arr) * self.m1_fn(np.abs(arr))
-        return float(out) if np.isscalar(k) or out.ndim == 0 else out
+        out = np.sign(arr) * self.jet_fn(np.abs(arr), 1)[1]
+        return float(out) if out.ndim == 0 else out
 
     def m2_even(self, k):
-        arr = np.abs(np.asarray(k, dtype=float))
-        out = np.asarray(self.m2_fn(arr), dtype=float)
-        return float(out) if np.isscalar(k) or out.ndim == 0 else out
+        return self._value(np.abs(np.asarray(k, dtype=float)), 2)
 
 
 # ---------------------------------------------------------------------------
 # built-in evaluators
+#
+# Each family's jet evaluates m, m' and m'' by the same expressions, in the
+# same operation order, as a separate evaluator per derivative would, so a
+# value is the same float whichever orders are asked for with it.
 
 
 def _kdv_family(coef):
     # m = 1 - coef * k^2; coef may be an array that broadcasts against k
-    return (
-        lambda k: 1.0 - coef * k * k,
-        lambda k: -2.0 * coef * k,
-        lambda k: np.full(np.broadcast(k, coef).shape, -2.0 * coef),
-    )
+    def jet(k, order):
+        m = 1.0 - coef * k * k
+        if order == 0:
+            return (m,)
+        m1 = -2.0 * coef * k
+        if order == 1:
+            return m, m1
+        return m, m1, np.full(np.broadcast(k, coef).shape, -2.0 * coef)
+
+    return jet
 
 
 def _fkdv(delta):
-    def m(k):
-        return 1.0 - np.power(k, delta)
-
-    def m1(k):
+    def jet(k, order):
+        m = 1.0 - np.power(k, delta)
+        if order == 0:
+            return (m,)
         with np.errstate(divide="ignore"):
-            return -delta * np.power(k, delta - 1.0)
+            m1 = -delta * np.power(k, delta - 1.0)
+            if order == 1:
+                return m, m1
+            return m, m1, -delta * (delta - 1.0) * np.power(k, delta - 2.0)
 
-    def m2(k):
-        with np.errstate(divide="ignore"):
-            return -delta * (delta - 1.0) * np.power(k, delta - 2.0)
-
-    return m, m1, m2
+    return jet
 
 
 # Powers of intermediate values go through np.float_power, which rounds as
@@ -163,110 +179,74 @@ def _fkdv(delta):
 # intermediates are numpy scalars) takes libm pow while an array takes
 # numpy's vectorised power or square, up to an ulp away, so an array
 # evaluation would differ from the same k evaluated alone.
+#
+# ilw and whitham are 0/0 at k = 0 and lose digits shortly above it, so
+# below _SERIES_CUTOFF each order takes its Taylor series.  The closed form
+# is evaluated at x, which is k off the series branch and 1 on it, to
+# dodge 0/0 warnings.
 
 
-def _split(k, small, series_val, direct_fn):
-    # evaluate direct_fn only on the safe branch to dodge 0/0 warnings
-    safe = np.where(small, 1.0, k)
-    return np.where(small, series_val, direct_fn(safe))
-
-
-def _ilw_m(k):
+def _ilw_jet(k, order):
     small = k < _SERIES_CUTOFF
     k2 = k * k
-    series = 1.0 + k2 / 3.0 - k2 * k2 / 45.0 + 2.0 * k2 * k2 * k2 / 945.0
-    return _split(k, small, series, lambda x: x / np.tanh(x))
-
-
-def _ilw_m1(k):
-    small = k < _SERIES_CUTOFF
-    k2 = k * k
-    series = 2.0 * k / 3.0 - 4.0 * k * k2 / 45.0 + 4.0 * k * k2 * k2 / 315.0
-
-    def direct(x):
-        csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
-        return 1.0 / np.tanh(x) - x * csch2
-
-    return _split(k, small, series, direct)
-
-
-def _ilw_m2(k):
-    small = k < _SERIES_CUTOFF
-    k2 = k * k
-    series = 2.0 / 3.0 - 4.0 * k2 / 15.0 + 4.0 * k2 * k2 / 63.0
-
-    def direct(x):
-        csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
-        return 2.0 * csch2 * (x / np.tanh(x) - 1.0)
-
-    return _split(k, small, series, direct)
-
-
-def _whitham_g(x):
-    return np.tanh(x) / x
-
-
-def _whitham_g1(x):
-    sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
-    return sech2 / x - np.tanh(x) / (x * x)
-
-
-def _whitham_g2(x):
-    sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
+    x = np.where(small, 1.0, k)
     t = np.tanh(x)
-    return -2.0 * sech2 * t / x - 2.0 * sech2 / (x * x) + 2.0 * t / (x * x * x)
+    x_t = x / t
+    m = np.where(small, 1.0 + k2 / 3.0 - k2 * k2 / 45.0 + 2.0 * k2 * k2 * k2 / 945.0, x_t)
+    if order == 0:
+        return (m,)
+    csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
+    m1 = np.where(
+        small,
+        2.0 * k / 3.0 - 4.0 * k * k2 / 45.0 + 4.0 * k * k2 * k2 / 315.0,
+        1.0 / t - x * csch2,
+    )
+    if order == 1:
+        return m, m1
+    series2 = 2.0 / 3.0 - 4.0 * k2 / 15.0 + 4.0 * k2 * k2 / 63.0
+    return m, m1, np.where(small, series2, 2.0 * csch2 * (x_t - 1.0))
 
 
-def _whitham_m(k):
+def _whitham_jet(k, order):
+    # m = sqrt(g) with g = tanh(x) / x
     small = k < _SERIES_CUTOFF
     k2 = k * k
-    series = 1.0 - k2 / 6.0 + 19.0 * k2 * k2 / 360.0 - 55.0 * k2 * k2 * k2 / 3024.0
-    return _split(k, small, series, lambda x: np.sqrt(_whitham_g(x)))
-
-
-def _whitham_m1(k):
-    small = k < _SERIES_CUTOFF
-    k2 = k * k
-    series = -k / 3.0 + 19.0 * k * k2 / 90.0 - 55.0 * k * k2 * k2 / 504.0
-    return _split(k, small, series, lambda x: _whitham_g1(x) / (2.0 * np.sqrt(_whitham_g(x))))
-
-
-def _whitham_m2(k):
-    small = k < _SERIES_CUTOFF
-    k2 = k * k
-    series = -1.0 / 3.0 + 19.0 * k2 / 30.0 - 275.0 * k2 * k2 / 504.0
-
-    def direct(x):
-        g = _whitham_g(x)
-        g1 = _whitham_g1(x)
-        return _whitham_g2(x) / (2.0 * np.sqrt(g)) - g1 * g1 / (4.0 * np.float_power(g, 1.5))
-
-    return _split(k, small, series, direct)
+    x = np.where(small, 1.0, k)
+    t = np.tanh(x)
+    g = t / x
+    root = np.sqrt(g)
+    series0 = 1.0 - k2 / 6.0 + 19.0 * k2 * k2 / 360.0 - 55.0 * k2 * k2 * k2 / 3024.0
+    m = np.where(small, series0, root)
+    if order == 0:
+        return (m,)
+    sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
+    xx = x * x
+    g1 = sech2 / x - t / xx
+    series1 = -k / 3.0 + 19.0 * k * k2 / 90.0 - 55.0 * k * k2 * k2 / 504.0
+    m1 = np.where(small, series1, g1 / (2.0 * root))
+    if order == 1:
+        return m, m1
+    g2 = -2.0 * sech2 * t / x - 2.0 * sech2 / xx + 2.0 * t / (xx * x)
+    series2 = -1.0 / 3.0 + 19.0 * k2 / 30.0 - 275.0 * k2 * k2 / 504.0
+    return m, m1, np.where(small, series2, g2 / (2.0 * root) - g1 * g1 / (4.0 * np.float_power(g, 1.5)))
 
 
 def _whitham_st(T):
     # sqrt(tanh(k)/k * (1 + T k^2)) factors as m_whitham(k) * s(k),
     # s = sqrt(1 + T k^2); only the whitham factor needs a series branch.
     # T may be an array that broadcasts against k.
-    def s(k):
-        return np.sqrt(1.0 + T * k * k)
+    def jet(k, order):
+        w = _whitham_jet(k, order)
+        s = np.sqrt(1.0 + T * k * k)
+        m = w[0] * s
+        if order == 0:
+            return (m,)
+        m1 = w[1] * s + w[0] * T * k / s
+        if order == 1:
+            return m, m1
+        return m, m1, w[2] * s + 2.0 * w[1] * T * k / s + w[0] * T / np.float_power(s, 3)
 
-    def m(k):
-        return _whitham_m(k) * s(k)
-
-    def m1(k):
-        sk = s(k)
-        return _whitham_m1(k) * sk + _whitham_m(k) * T * k / sk
-
-    def m2(k):
-        sk = s(k)
-        return (
-            _whitham_m2(k) * sk
-            + 2.0 * _whitham_m1(k) * T * k / sk
-            + _whitham_m(k) * T / np.float_power(sk, 3)
-        )
-
-    return m, m1, m2
+    return jet
 
 
 def _tension_symbol(name: str, T) -> DispersionSymbol:
@@ -279,8 +259,8 @@ def _tension_symbol(name: str, T) -> DispersionSymbol:
     """
     # plain arithmetic on the comparisons: floats for a float T, no numpy call
     if name == "kdv_st":
-        return DispersionSymbol(name, {"T": T}, 2.0 * (T != 1.0 / 3.0), *_kdv_family(1.0 - 3.0 * T))
-    return DispersionSymbol(name, {"T": T}, (T > 0) - 0.5, *_whitham_st(T))
+        return DispersionSymbol(name, {"T": T}, 2.0 * (T != 1.0 / 3.0), _kdv_family(1.0 - 3.0 * T))
+    return DispersionSymbol(name, {"T": T}, (T > 0) - 0.5, _whitham_st(T))
 
 
 def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
@@ -307,20 +287,18 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
     """
     params = dict(params or {})
     if name == "kdv":
-        m, m1, m2 = _kdv_family(1.0)
-        return DispersionSymbol("kdv", params, 2.0, m, m1, m2)
+        return DispersionSymbol("kdv", params, 2.0, _kdv_family(1.0))
     if name == "fkdv":
         if "delta" not in params:
             raise ValueError("fkdv requires parameter 'delta'")
         delta = float(params["delta"])
         if not delta > 0.5:
             raise ValueError(f"fkdv requires delta > 1/2, got {delta}")
-        m, m1, m2 = _fkdv(delta)
-        return DispersionSymbol("fkdv", {"delta": delta}, delta, m, m1, m2)
+        return DispersionSymbol("fkdv", {"delta": delta}, delta, _fkdv(delta))
     if name == "ilw":
-        return DispersionSymbol("ilw", params, 1.0, _ilw_m, _ilw_m1, _ilw_m2)
+        return DispersionSymbol("ilw", params, 1.0, _ilw_jet)
     if name == "whitham":
-        return DispersionSymbol("whitham", params, -0.5, _whitham_m, _whitham_m1, _whitham_m2)
+        return DispersionSymbol("whitham", params, -0.5, _whitham_jet)
     if name in ("kdv_st", "whitham_st"):
         T = float(params.get("T", 0.0))
         if T < 0:
@@ -328,11 +306,11 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         return _tension_symbol(name, T)
     if name == "custom":
         try:
-            m, m1, m2 = params["m"], params["m1"], params["m2"]
+            fns = (params["m"], params["m1"], params["m2"])
         except KeyError as exc:
             raise ValueError("custom symbol requires callables m, m1, m2") from exc
         alpha = float(params.get("growth_exponent", 0.0))
-        return DispersionSymbol("custom", params, alpha, m, m1, m2)
+        return DispersionSymbol("custom", params, alpha, lambda k, order: [f(k) for f in fns[: order + 1]])
     raise ValueError(f"unknown symbol name: {name!r}")
 
 
@@ -463,7 +441,8 @@ def phase_velocity(s: DispersionSymbol, p: ModelParams, k):
 def group_velocity(s: DispersionSymbol, p: ModelParams, k):
     """c_g(k) = beta (m(k) + k m'(k)) - gamma / k^2 for k > 0."""
     arr = _check_k(k)
-    out = p.beta * (s.m(arr) + arr * s.m1(arr)) - p.gamma / (arr * arr)
+    m, m1 = s.jet(arr, 1)
+    out = p.beta * (m + arr * m1) - p.gamma / (arr * arr)
     return float(out) if np.isscalar(k) or out.ndim == 0 else out
 
 
@@ -482,8 +461,9 @@ class GroupVelocitySlope(NamedTuple):
 def group_velocity_derivative(s: DispersionSymbol, p: ModelParams, k) -> GroupVelocitySlope:
     """Slope of the group velocity, dc_g/dk, for k > 0."""
     arr = _check_k(k)
+    _, m1, m2 = s.jet(arr, 2)
     k3 = arr ** 3
-    numerator = 2.0 * p.gamma + p.beta * k3 * (arr * s.m2(arr) + 2.0 * s.m1(arr))
+    numerator = 2.0 * p.gamma + p.beta * k3 * (arr * m2 + 2.0 * m1)
     value = numerator / k3
     if arr.ndim == 0:
         return GroupVelocitySlope(float(value), float(numerator))

@@ -314,6 +314,17 @@ def test_diagram_spot_check_out_of_range_exits_2(capsys, flag, message):
     assert message in err
 
 
+@pytest.mark.parametrize("xi", ["0", "-0.001"])
+def test_diagram_spot_check_nonpositive_xi_exits_2(capsys, xi):
+    code, _, err = run_cli(
+        capsys,
+        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "20", "--nt", "20",
+         "--spot-check", "2", "--xi", xi],
+    )
+    assert code == 2
+    assert "xi must lie in (0, 1/2]" in err
+
+
 def test_installed_entry_point_smoke():
     exe = shutil.which("ostwave")
     if exe is None:

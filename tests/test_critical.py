@@ -470,3 +470,23 @@ def test_spot_check_refusals():
     with pytest.raises(ValueError, match="sideband offset"):
         cr.spot_check(d, n_cells=2, xi=-1.5 * mi_index.XI_BOUND)
     assert cr.spot_check(d, n_cells=0) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"xi": 0.0}, "xi"),
+        ({"xi": -1e-3}, "xi"),
+        ({"a": math.nan}, "amplitude"),
+        ({"N": 4}, "truncation N"),
+    ],
+)
+def test_spot_check_refuses_before_screening(monkeypatch, kwargs, message):
+    d = cr.diagram("kdv_st", 1.0, k_max=2.0, t_max=0.8, nk=20, nt=20)
+
+    def screened(*args):
+        raise AssertionError("a batch was screened")
+
+    monkeypatch.setattr(cr, "_stokes", screened)
+    with pytest.raises(ValueError, match=message):
+        cr.spot_check(d, n_cells=2, **kwargs)

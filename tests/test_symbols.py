@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ostwave as ow
 from ostwave import symbols
@@ -126,6 +128,79 @@ def test_group_velocity_derivative_matches_finite_difference(name, params):
         )
         val = ow.group_velocity_derivative(s, p, k).value
         assert abs(val - fd) / (1 + abs(val)) <= 1e-6
+
+
+# ------------------------------------------------------- one evaluator
+
+_CUT = symbols._SERIES_CUTOFF
+# nonnegative k, dense on both sides of the ilw/whitham series seam
+_K = st.one_of(
+    st.sampled_from([0.0, _CUT, float(np.nextafter(_CUT, 0.0)), float(np.nextafter(_CUT, 1.0))]),
+    st.floats(0.0, 2.0 * _CUT),
+    st.floats(0.0, 60.0),
+)
+_JET_SYMBOLS = {
+    **{name: ow.make_symbol(name, params) for name, params in ALL_BUILTINS},
+    "fkdv_0.75": ow.make_symbol("fkdv", {"delta": 0.75}),
+    "kdv_st_lattice": symbols._tension_symbol("kdv_st", np.array([[0.0], [0.2], [1.0 / 3.0], [0.7]])),
+    "whitham_st_lattice": symbols._tension_symbol("whitham_st", np.array([[0.0], [0.05], [0.4]])),
+    "custom": ow.make_symbol(
+        "custom",
+        {
+            "m": lambda k: np.sqrt(1.0 + k * k),
+            "m1": lambda k: k / np.sqrt(1.0 + k * k),
+            "m2": lambda k: 1.0 / np.float_power(1.0 + k * k, 1.5),
+            "growth_exponent": 1.0,
+        },
+    ),
+}
+
+
+def _bits(x):
+    return type(x), np.asarray(x).shape, np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("name", _JET_SYMBOLS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ks=st.lists(_K, min_size=1, max_size=24))
+def test_jet_equals_single_order_evaluators(name, ks):
+    # every order of a jet is the float the single-order view gives, for
+    # scalar, 1-D and 2-D k (against a column of T on the lattices),
+    # whichever orders are asked for with it
+    s = _JET_SYMBOLS[name]
+    views = (s.m, s.m1, s.m2)
+    arr = np.array(ks)
+    for k in (ks[0], np.float64(ks[-1]), arr, arr[None, :]):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = [_bits(view(k)) for view in views]
+            for order in (0, 1, 2):
+                got = s.jet(k, order)
+                assert len(got) == order + 1
+                assert [_bits(v) for v in got] == want[: order + 1]
+
+
+def test_jet_refuses_negative_k_and_bad_order():
+    s = ow.make_symbol("whitham")
+    for order in (0, 1, 2):
+        with pytest.raises(ValueError, match="k >= 0"):
+            s.jet(-1.0, order)
+        with pytest.raises(ValueError, match="k >= 0"):
+            s.jet(np.array([0.5, -1e-300]), order)
+    for order in (-1, 3):
+        with pytest.raises(ValueError, match="order"):
+            s.jet(0.5, order)
+
+
+@pytest.mark.parametrize("name,params", ALL_BUILTINS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ks=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=24))
+def test_even_extension_parity_property(name, params, ks):
+    s = ow.make_symbol(name, params)
+    k = np.array(ks)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(s.m_even(-k), s.m_even(k), equal_nan=True)
+        assert np.array_equal(s.m1_odd(-k), -s.m1_odd(k), equal_nan=True)
+        assert np.array_equal(s.m2_even(-k), s.m2_even(k), equal_nan=True)
 
 
 def test_series_matches_direct_evaluation_at_seam():
