@@ -16,12 +16,13 @@ one; ``tc_of_alpha`` locates it by bisecting on the existence of that
 pair.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
 plus the two zero-locus curves: it evaluates the whole lattice at once
 and refines the zero-locus points of each factor in one lockstep solve
-(``roots.brentq_lanes``).  ``spot_check`` re-validates random cells
-against the independent spectral oracle: it screens cells in batches,
-each eligibility test one array evaluation over a batch (the expansion
+(``roots.brentq_lanes``); where the curves cross (T_s), one 2x2 Newton
+solve of both numerators in (k, T), seeded from the curves, finds the
+point.  ``spot_check`` re-validates random cells against the
+independent spectral oracle: it screens cells in batches, each
+eligibility test one array evaluation over a batch (the expansion
 ``stokes._stokes``, the pencil growth, the detuning ratio and the
-unperturbed eigenvalues), and runs the Hill solve only on the cells it
-picks.
+unperturbed eigenvalues), and runs the Hill solve only on its picks.
 """
 
 from __future__ import annotations
@@ -354,30 +355,19 @@ class StabilityDiagram:
     region_counts: dict
 
     def to_records(self) -> list:
-        rows = []
-        for j, T in enumerate(self.Ts):
-            for i, k in enumerate(self.ks):
-                rows.append(
-                    {
-                        "k": float(k),
-                        "T": float(T),
-                        "k_sqrtT": float(k * math.sqrt(T)),
-                        "label": str(self.labels[j, i]),
-                        "f1": float(self.f1[j, i]),
-                        "f2": float(self.f2[j, i]),
-                        "delta": float(self.delta[j, i]),
-                    }
-                )
-        return rows
+        return [
+            {"k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T)), "label": str(self.labels[j, i]),
+             "f1": float(self.f1[j, i]), "f2": float(self.f2[j, i]), "delta": float(self.delta[j, i])}
+            for j, T in enumerate(self.Ts)
+            for i, k in enumerate(self.ks)
+        ]
 
     def curve_records(self) -> list:
-        rows = []
-        for name, pts in (("f1", self.f1_curve), ("f2", self.f2_curve)):
-            for k, T in pts:
-                rows.append(
-                    {"curve": name, "k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T))}
-                )
-        return rows
+        return [
+            {"curve": name, "k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T))}
+            for name, pts in (("f1", self.f1_curve), ("f2", self.f2_curve))
+            for k, T in pts
+        ]
 
 
 def _count_regions(mask: np.ndarray) -> int:
@@ -415,57 +405,58 @@ def _lattice_numerators(family: str, p: ModelParams, T) -> tuple:
     return _numerators(_tension_symbol(family, T), p)
 
 
-def _row_roots(family: str, p: ModelParams, which: int, Ts, grid, rows, cols, zero) -> np.ndarray:
-    """The root that starts at each point (rows, cols) of a (T, k) lattice.
+def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
+    """Newton's method from (k, T) on both factor numerators: their common root, or None.
 
-    A point that ``zero`` marks is its own root.  Every other point starts
-    a cell whose Brent root is refined in one lane solve; each step of it
-    evaluates numerator ``which`` once, at every open lane's own tension.
+    Each step evaluates each numerator at (k, T), (k + hk, T) and (k, T + hT)
+    in one call, for a forward-difference Jacobian, and stops at a step of
+    16 ulps of k and T; None if an iterate leaves k, T > 0 or 20 steps do not.
     """
-    out = grid[cols]
-    cell = ~zero[rows, cols]
-    lane_t, lo = Ts[rows[cell]], cols[cell]
+    h, rtol = math.sqrt(np.finfo(float).eps), 16.0 * np.finfo(float).eps
+    for _ in range(20):
+        if not (0 < k < math.inf and 0 < T < math.inf):
+            return None
+        hk, hT = (k + h * k) - k, (T + h * T) - T
+        nums = _lattice_numerators(family, p, np.array([T, T, T + hT]))
+        (f, fk, fT), (g, gk, gT) = (num(np.array([k, k + hk, k])).tolist() for num in nums)
+        a, b, c, d = (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
+        det = a * d - b * c
+        if det == 0:
+            return None
+        dk, dT = (f * d - b * g) / det, (a * g - c * f) / det
+        k, T = k - dk, T - dT
+        if abs(dk) <= rtol * k and abs(dT) <= rtol * T:
+            return k, T
+    return None
 
-    def f(k, lanes):
-        return _lattice_numerators(family, p, lane_t[lanes])[which](k)
 
-    out[cell] = roots.brentq_lanes(f, grid[lo], grid[lo + 1], xtol=1e-12)
-    return out
-
-
-def _curve_intersection(family: str, p: ModelParams, t_grid, k_window, n_probe: int):
+def _curve_intersection(family: str, p: ModelParams, Ts, curves):
     """(k, T) point where both factor loci cross, or None.
 
-    A solve nested in a solve: the inner one follows one factor's zero
-    curve k(T) (its first root on a probe grid in k), the outer one drives
-    the other factor to zero along it.  The outer probe values at every T
-    of ``t_grid`` come from one lattice evaluation and one lane solve of
-    the inner roots; the outer root is then refined with ``brentq``.
+    ``curves`` holds each locus as (rows, k), as ``diagram`` found it.
+    The followed curve, f2's and then f1's, gives its first root in each
+    row, and the other numerator is evaluated at those roots in one call.
+    Each sign change of it between adjacent rows, in ascending T, seeds
+    ``_crossing_newton`` at the linear interpolate; the root counts only if
+    its T lies between the two rows.  So T_s is resolved at the diagram's
+    grid: it is found only where the followed curve has points in two
+    adjacent rows.
     """
-    grid = np.geomspace(k_window[0], k_window[1], n_probe)
-
-    def inner_root(T: float, which: int):
-        fs = _numerators(make_symbol(family, {"T": float(T)}), p)
-        return fs, next(_scan_roots(fs[which], grid), None)
-
     for follow, other in ((1, 0), (0, 1)):
-
-        def outer(T: float) -> float:
-            fs, kr = inner_root(T, follow)
-            if kr is None:
-                raise NoRootError("curve left the window")
-            return fs[other](kr)
-
-        lattice = _finite_ends(_lattice_numerators(family, p, t_grid[:, None])[follow](grid))
-        zero, start = roots.cells(lattice)
-        rows = np.flatnonzero(start.any(axis=1))  # rows whose curve is inside the window
-        kr = _row_roots(family, p, follow, t_grid, grid, rows, start[rows].argmax(axis=1), zero)
-        vals = np.full(len(t_grid), math.nan)
-        vals[rows] = _lattice_numerators(family, p, t_grid[rows])[other](kr)
-        ts = next(roots.scan(outer, t_grid, vals, xtol=1e-8, solve=brentq), None)
-        if ts is not None:
-            _, ks_ = inner_root(ts, follow)
-            return (float(ks_), float(ts))
+        rows, k = curves[follow]
+        first = np.diff(rows, prepend=-1) != 0  # each row's first root
+        rows, k = rows[first], k[first]
+        row_k, vals = np.full((2, len(Ts)), math.nan)
+        row_k[rows] = k
+        vals[rows] = _lattice_numerators(family, p, Ts[rows])[other](k)
+        zero, start = roots.cells(vals)
+        for j in np.flatnonzero(start).tolist():
+            if zero[j]:
+                return float(row_k[j]), float(Ts[j])
+            w = vals[j] / (vals[j] - vals[j + 1])
+            hit = _crossing_newton(family, p, *(float(x[j] + w * (x[j + 1] - x[j])) for x in (row_k, Ts)))
+            if hit is not None and Ts[j] <= hit[1] <= Ts[j + 1]:
+                return hit
     return None
 
 
@@ -486,7 +477,9 @@ def diagram(
     classifier by construction.  The curves are the roots of the same
     factor numerators the classifier uses along each T row: exact zeros
     at cell centers, and Brent refinements of every sign-change cell of
-    the lattice, all of one numerator solved together in lanes.
+    the lattice, all of one numerator solved together in lanes.  ``t_s``
+    is where they cross, by a Newton solve seeded from them; it is None
+    unless the followed curve has points in two adjacent rows.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -501,21 +494,23 @@ def diagram(
     for code, label in _LABELS.items():
         labels[r.classification == code] = label
 
-    curves = []
+    points = []  # (rows, k) of each zero locus
     for which, num in enumerate(_lattice_numerators(s_family, p, Ts[:, None])):
         zero, start = roots.cells(_finite_ends(num(ks)))
         rows, cols = np.nonzero(start)  # row by row, ascending k within a row
-        k = _row_roots(s_family, p, which, Ts, ks, rows, cols, zero)
-        curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
+        # a zero point is its own root; every other start is a cell the lane solve refines
+        k, cell = ks[cols], ~zero[rows, cols]
+        lane_t, lo = Ts[rows[cell]], cols[cell]
 
-    t_s = None
-    if s_family == "whitham_st" and alpha < 0:
-        try:
-            hit = _curve_intersection(s_family, p, Ts, (ks[0], ks[-1]), 200)
-        except (ValueError, NoRootError):  # pragma: no cover - defensive
-            hit = None
-        if hit is not None:
-            t_s = hit[1]
+        def f(x, lanes, which=which, lane_t=lane_t):
+            return _lattice_numerators(s_family, p, lane_t[lanes])[which](x)
+
+        k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12)
+        points.append((rows, k))
+    curves = [list(zip(k.tolist(), Ts[rows].tolist())) for rows, k in points]
+
+    crossing = s_family == "whitham_st" and alpha < 0
+    hit = _curve_intersection(s_family, p, Ts, points) if crossing else None
 
     return StabilityDiagram(
         family=s_family,
@@ -532,7 +527,7 @@ def diagram(
         delta=r.delta,
         f1_curve=curves[0],
         f2_curve=curves[1],
-        t_s=t_s,
+        t_s=None if hit is None else hit[1],
         region_counts=_region_counts(labels),
     )
 

@@ -101,9 +101,9 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
 
 
 def _check_small(a: float, xi: float, a_bound: float, xi_bound: float):
-    if abs(a) > a_bound:
+    if not abs(a) <= a_bound:
         raise ValueError(f"amplitude |a| <= {a_bound} required, got {a}")
-    if abs(xi) > xi_bound:
+    if not abs(xi) <= xi_bound:
         raise ValueError(f"sideband offset |xi| <= {xi_bound} required, got {xi}")
 
 

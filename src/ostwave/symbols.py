@@ -56,7 +56,7 @@ __all__ = [
 
 # Below this wavenumber the ilw/whitham symbols switch to Taylor series:
 # their closed forms are 0/0 at k = 0 and lose digits shortly above it.
-_SERIES_CUTOFF = 1e-3
+_SERIES_CUTOFF = 1e-2
 
 
 @dataclass(frozen=True)

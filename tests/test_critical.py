@@ -310,6 +310,60 @@ def test_diagram_curve_intersection_reported_for_negative_alpha():
     assert d.t_s is None
 
 
+@pytest.fixture(scope="module")
+def whitham_st_crossing():
+    """(k*, T*) where both numerators of whitham_st at beta = -1, gamma = 0.1 vanish, to 40 digits.
+
+    m = sqrt(g), g = u v with u = tanh(k)/k and v = 1 + T k^2; the
+    numerators are 3 gamma + 4 beta k^2 (m(k) - m(2k)) and
+    2 gamma + beta k^3 (k m'' + 2 m').
+    """
+    mp = pytest.importorskip("mpmath")
+    beta, gamma = -1, mp.mpf("0.1")
+
+    def jet(k, T):
+        t, sech2 = mp.tanh(k), mp.sech(k) ** 2
+        u, u1 = t / k, sech2 / k - t / k**2
+        u2 = -2 * sech2 * t / k - 2 * sech2 / k**2 + 2 * t / k**3
+        v, v1, v2 = 1 + T * k**2, 2 * T * k, 2 * T
+        g, g1, g2 = u * v, u1 * v + u * v1, u2 * v + 2 * u1 * v1 + u * v2
+        m = mp.sqrt(g)
+        return m, g1 / (2 * m), g2 / (2 * m) - g1**2 / (4 * m**3)
+
+    def numerators(k, T):
+        m, m1, m2 = jet(k, T)
+        return (
+            3 * gamma + 4 * beta * k**2 * (m - jet(2 * k, T)[0]),
+            2 * gamma + beta * k**3 * (k * m2 + 2 * m1),
+        )
+
+    with mp.workdps(40):
+        k, T = mp.findroot(numerators, (mp.mpf(2), mp.mpf("0.1")))
+        return float(k), float(T)
+
+
+@pytest.mark.parametrize("n", [20, 40, 50, 100])
+def test_diagram_t_s_matches_mpmath_crossing(whitham_st_crossing, n):
+    d = cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.4, nk=n, nt=n)
+    assert abs(d.t_s - whitham_st_crossing[1]) <= 1e-12
+
+
+def test_diagram_t_s_needs_no_brent_solve(monkeypatch, whitham_st_crossing):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brentq called")
+
+    monkeypatch.setattr(cr, "brentq", refuse)
+    monkeypatch.setattr(roots, "brentq", refuse)
+    d = cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.4, nk=50, nt=50)
+    assert abs(d.t_s - whitham_st_crossing[1]) <= 1e-12
+
+
+def test_diagram_t_s_none_without_crossing():
+    # the loci do not cross for alpha > 0, and not below T = 0.05 for alpha = -0.1
+    assert cr.diagram("whitham_st", 0.1, k_max=5.0, t_max=0.4, nk=50, nt=50).t_s is None
+    assert cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.05, nk=50, nt=50).t_s is None
+
+
 def _numerators(s, p):
     return (
         lambda k: ow.harmonic_denominator(s, p, k, 2),
@@ -332,7 +386,7 @@ def _reference_crossing(family, p, t_grid, k_window, n_probe=200):
             return math.nan if kr is None else fs[other](kr)
 
         try:
-            ts = next(roots.scan(outer, t_grid, [outer(T) for T in t_grid], xtol=1e-8), None)
+            ts = next(roots.scan(outer, t_grid, [outer(T) for T in t_grid], xtol=1e-13), None)
         except ValueError:  # the followed curve left the window inside the cell
             return None
         if ts is not None:
@@ -375,7 +429,7 @@ def test_lattice_diagram_matches_row_by_row_reference(family, alpha, k_max, t_ma
     assert len(d.f1_curve) > 0 and len(d.f2_curve) > 0
     assert d.f1_curve == f1_curve
     assert d.f2_curve == f2_curve
-    assert d.t_s == t_s
+    assert d.t_s == t_s or abs(d.t_s - t_s) <= 1e-12
     assert (t_s is not None) == (alpha < 0)
 
 

@@ -212,6 +212,24 @@ def test_b_matrix_bounds():
     assert B.shape == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, a, xi: ow.assemble_b_matrix(w, 0.0, a, xi),
+        lambda w, a, xi: ow.bmatrix_det_roots(w, a, xi),
+        lambda w, a, xi: ow.growth_rate_leading(w, a, xi),
+    ],
+    ids=["assemble_b_matrix", "bmatrix_det_roots", "growth_rate_leading"],
+)
+def test_pencil_refuses_nan_amplitude_and_offset(call):
+    # NaN fails every bound test, so it is refused rather than carried into the roots
+    for w in (_kdv_wave(), ow.expand(ow.make_symbol("whitham_st", {"T": 0.2}), ow.ModelParams(1.0, 0.1), 0.7)):
+        with pytest.raises(ValueError, match="amplitude"):
+            call(w, math.nan, 1e-3)
+        with pytest.raises(ValueError, match="sideband offset"):
+            call(w, 0.01, math.nan)
+
+
 # ----------------------------------------------------------------- roots
 
 

@@ -204,13 +204,38 @@ def test_even_extension_parity_property(name, params, ks):
 
 
 def test_series_matches_direct_evaluation_at_seam():
-    # the internal small-k series (used below k ~ 1e-3) must agree with
+    # the internal small-k series (used below _SERIES_CUTOFF) must agree with
     # the direct formula where both are well-conditioned
     ilw = ow.make_symbol("ilw")
     wh = ow.make_symbol("whitham")
     for k in (0.9e-3, 0.999e-3, 1.001e-3, 1.5e-3):
         assert ilw.m(k) == pytest.approx(k / math.tanh(k), abs=1e-12)
         assert wh.m(k) == pytest.approx(math.sqrt(math.tanh(k) / k), abs=1e-12)
+
+
+# the ilw/whitham symbols in 40-digit arithmetic (T = 0.2 for whitham_st)
+_MP_SYMBOLS = {
+    "ilw": lambda mp, k: k / mp.tanh(k),
+    "whitham": lambda mp, k: mp.sqrt(mp.tanh(k) / k),
+    "whitham_st": lambda mp, k: mp.sqrt(mp.tanh(k) / k * (1 + mp.mpf(0.2) * k * k)),
+}
+
+
+@pytest.mark.parametrize("name", _MP_SYMBOLS)
+def test_series_seam_against_mpmath(name):
+    # m, m' and m'' on both sides of the series seam, at it and on a log
+    # grid over the range where the series or a cancelling closed form serves
+    mp = pytest.importorskip("mpmath")
+    s = ow.make_symbol(name, {"T": 0.2} if name == "whitham_st" else None)
+    cut = symbols._SERIES_CUTOFF
+    ks = np.concatenate([[np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)], np.geomspace(1e-4, 0.2, 300)])
+    with mp.workdps(40):
+        f = lambda k: _MP_SYMBOLS[name](mp, k)  # noqa: E731
+        for order, view, bound in ((0, s.m, 1e-15), (1, s.m1, 1e-10), (2, s.m2, 1e-10)):
+            want = [mp.diff(f, mp.mpf(k), order) for k in ks.tolist()]
+            rel = [abs((got - w) / w) for got, w in zip(view(ks).tolist(), want)]
+            worst = max(range(len(ks)), key=rel.__getitem__)
+            assert rel[worst] <= bound, f"{name} order {order}: {float(rel[worst]):.2e} at k={ks[worst]!r}"
 
 
 def test_large_k_overflow_safe():
