@@ -94,9 +94,8 @@ def _summary(payload: dict) -> None:
 # argument plumbing
 
 
-def _add_model_args(sub, need_symbol: bool = True):
-    if need_symbol:
-        sub.add_argument("--symbol", required=True, help="symbol spec, e.g. fkdv:delta=1.5")
+def _add_model_args(sub, overrides: bool = True):
+    sub.add_argument("--symbol", required=True, help="symbol spec, e.g. fkdv:delta=1.5")
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--gamma", type=float, default=None)
     sub.add_argument(
@@ -105,8 +104,9 @@ def _add_model_args(sub, need_symbol: bool = True):
         default=None,
         help="sets beta=sign(alpha), gamma=|alpha| (exclusive with --beta/--gamma)",
     )
-    sub.add_argument("--T", type=float, default=None, help="surface tension (overrides spec)")
-    sub.add_argument("--delta", type=float, default=None, help="fractional order (overrides spec)")
+    if overrides:  # tc and diagram sweep T themselves and read no spec parameters
+        sub.add_argument("--T", type=float, default=None, help="surface tension (overrides spec)")
+        sub.add_argument("--delta", type=float, default=None, help="fractional order (overrides spec)")
 
 
 def _add_io_args(sub):
@@ -144,6 +144,13 @@ def _symbol(args):
         merged.update(overrides)
         s = make_symbol(s.name, merged)
     return s
+
+
+def _family(args) -> str:
+    """The family named by --symbol, refusing a spec with parameters, which tc and diagram never read."""
+    if ":" in args.symbol:
+        raise ValueError(f"{args.command} takes a family name, not the symbol spec {args.symbol!r}")
+    return parse_symbol_spec(args.symbol).name
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +234,11 @@ def cmd_kc(args) -> None:
 
 
 def cmd_tc(args) -> None:
-    s = parse_symbol_spec(args.symbol)
+    family = _family(args)
     alpha = _alpha(args)
-    tc = critical.tc_of_alpha(s.name, alpha, tol=args.tol)
+    tc = critical.tc_of_alpha(family, alpha, tol=args.tol)
     emit(
-        [{"variant": s.name, "alpha": alpha, "tc": tc, "tol": args.tol}],
+        [{"variant": family, "alpha": alpha, "tc": tc, "tol": args.tol}],
         args.format,
         args.out,
     )
@@ -260,10 +267,10 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_diagram(args) -> None:
-    s = parse_symbol_spec(args.symbol)
+    family = _family(args)
     alpha = _alpha(args)
     diag = critical.diagram(
-        s.name, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
+        family, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
     )
     emit(
         diag.to_records(),
@@ -333,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("kc", help="critical wavenumbers")
     _add_model_args(sp)
     _add_io_args(sp)
-    sp.add_argument("--numeric", action="store_true", help="force bisection even for kdv/fkdv/kdv_st")
+    sp.add_argument("--numeric", action="store_true", help="force the Brent scan even for kdv/fkdv/kdv_st")
     sp.add_argument("--k-min", type=float, default=1e-2)
     sp.add_argument("--k-max", type=float, default=1e2)
     sp.add_argument("--n-probe", type=int, default=400)
     sp.set_defaults(func=cmd_kc)
 
     sp = subs.add_parser("tc", help="surface-tension threshold T_c(alpha)")
-    _add_model_args(sp)
+    _add_model_args(sp, overrides=False)
     _add_io_args(sp)
     sp.add_argument("--tol", type=float, default=5e-3)
     sp.set_defaults(func=cmd_tc)
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     sp = subs.add_parser("diagram", help="(k, T) stability diagram")
-    _add_model_args(sp)
+    _add_model_args(sp, overrides=False)
     _add_io_args(sp)
     sp.add_argument("--k-max", type=float, default=2.0)
     sp.add_argument("--t-max", type=float, default=0.8)

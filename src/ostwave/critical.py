@@ -12,8 +12,8 @@ nonlocal models they are bracketed on a log grid and refined with
 Brent's method (``roots.brentq``).  The surface-tension families
 additionally exhibit a threshold T_c at which a pair of critical
 wavenumbers merges and disappears, dropping the count from three to
-one; ``tc_of_alpha`` locates it by bisecting on the existence of that
-pair.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
+one; ``tc_of_alpha`` locates it by Brent's method on the pair owner's
+minimum over k.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
 plus the two zero-locus curves: it evaluates the whole lattice at once
 and refines the zero-locus points of each factor in one lockstep solve
 (``roots.brentq_lanes``); where the curves cross (T_s), one 2x2 Newton
@@ -85,7 +85,7 @@ class CriticalResult:
     params: dict
     mechanism: str  # group_velocity_extremum | phase_velocity_coincidence
     kc: float
-    method: str  # closed_form | bisection
+    method: str  # closed_form | bisection (the Brent scan of kc_numeric)
 
 
 def _result_params(p: ModelParams, extra: dict | None = None) -> dict:
@@ -282,8 +282,9 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
 
     For alpha > 0 the disappearing pair belongs to the group-velocity
     slope; for alpha < 0 to the phase-velocity coincidence factor.  The
-    returned value is the bisection midpoint of the pair-existence
-    predicate over T, accurate to tol/2 (plus predicate resolution).
+    pair exists while g(T), the owner's numerator minimised over k in
+    [1e-2, 1e2], is negative: T_c is the ``brentq`` root of g on T in
+    [0.01, 0.9], accurate to tol/2 (plus the resolution of the minimum).
 
     ``kdv_st`` is handled in closed form: both formula branches blow up
     at T = 1/3 from either side, so the threshold is exactly 1/3 for any
@@ -292,9 +293,9 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
     Raises
     ------
     BracketError
-        The predicate does not straddle (pair present at T=0.01, absent
-        at T=0.9) — e.g. alpha outside the regime where the threshold
-        exists.
+        g does not change sign on T in [0.01, 0.9] (pair present at
+        T=0.01, absent at T=0.9), e.g. alpha outside the regime where the
+        threshold exists.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -309,24 +310,16 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
     owner = 1 if alpha > 0 else 0  # position in _numerators: f2 for alpha > 0, else f1
     k_grid = np.geomspace(1e-2, 1e2, 600)
 
-    def pair_exists(T: float) -> bool:
+    def g(T: float) -> float:
         # the pair exists while the owner's numerator dips below zero on the window
-        s = make_symbol("whitham_st", {"T": T})
-        return minimize_scalar(_numerators(s, p)[owner], k_grid) < 0.0
+        return minimize_scalar(_lattice_numerators("whitham_st", p, T)[owner], k_grid)
 
-    t_lo, t_hi = 0.01, 0.9
-    if not pair_exists(t_lo) or pair_exists(t_hi):
+    try:
+        return brentq(g, 0.01, 0.9, xtol=tol / 2)
+    except ValueError as exc:
         raise BracketError(
-            f"pair-existence predicate does not straddle on T in ({t_lo}, {t_hi}) "
-            f"for alpha={alpha}"
-        )
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if pair_exists(mid):
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+            f"pair-existence predicate does not straddle on T in (0.01, 0.9) for alpha={alpha}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

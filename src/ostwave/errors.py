@@ -27,7 +27,7 @@ class NoRootError(DomainError):
 
 
 class BracketError(DomainError):
-    """A bisection bracket does not straddle the sought transition."""
+    """A root-finding bracket does not straddle the sought transition."""
 
 
 class SolveError(DomainError, RuntimeError):

@@ -114,12 +114,6 @@ class StokesWave:
     A2: float
     A3: float
 
-    def speed(self, a: float) -> float:
-        return speed(self, a)
-
-    def profile(self, a: float, z):
-        return profile(self, a, z)
-
     def fourier_coefficients(self, a: float) -> np.ndarray:
         """Cosine-mode amplitudes [w_0, w_1, w_2, w_3] at amplitude a."""
         _check_amplitude(a)

@@ -241,6 +241,44 @@ def test_tc_row(capsys):
     assert float(row["tc"]) == pytest.approx(0.132, abs=5e-3)
 
 
+def test_tc_without_threshold_exits_1(capsys):
+    # at alpha = 1 the owner's pair exists at no T in [0.01, 0.9]
+    code, out, err = run_cli(capsys, ["tc", "--symbol", "whitham_st", "--alpha", "1"])
+    assert code == 1
+    assert out == ""
+    assert "does not straddle" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tc", "--symbol", "whitham_st", "--alpha", "0.1", "--T", "0.7"],
+        ["tc", "--symbol", "whitham_st", "--alpha", "0.1", "--delta", "9"],
+        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--T", "0.2", "--nk", "4", "--nt", "4"],
+    ],
+)
+def test_tc_and_diagram_refuse_model_overrides(capsys, argv):
+    # both sweep T over their own range, so --T and --delta would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tc", "--symbol", "whitham_st:T=0.7", "--alpha", "0.1"],
+        ["diagram", "--symbol", "kdv_st:T=0.5", "--alpha", "1", "--nk", "4", "--nt", "4"],
+    ],
+)
+def test_tc_and_diagram_refuse_spec_parameters(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert repr(argv[2]) in err
+
+
 # -------------------------------------------------------------------- files
 
 

@@ -223,6 +223,67 @@ def test_tc_validation():
         cr.tc_of_alpha("ilw", 0.1)
 
 
+def _owner_double_root(alpha, k0, T0):
+    """(k, T) where the owner numerator of whitham_st and its k-derivative both vanish, in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    beta, gamma = mp.sign(alpha), abs(mp.mpf(alpha))
+
+    def m(k, T):
+        return mp.sqrt(mp.tanh(k) / k * (1 + T * k * k))
+
+    if alpha > 0:  # f2's numerator 2 gamma + beta k^3 (k m)''
+        def km(T):
+            return lambda x: x * m(x, T)
+
+        def F(k, T):
+            return 2 * gamma + beta * k**3 * mp.diff(km(T), k, 2)
+
+        def G(k, T):
+            return beta * (3 * k**2 * mp.diff(km(T), k, 2) + k**3 * mp.diff(km(T), k, 3))
+    else:  # f1's numerator 3 gamma + 4 beta k^2 (m(k) - m(2k))
+        def F(k, T):
+            return 3 * gamma + 4 * beta * k**2 * (m(k, T) - m(2 * k, T))
+
+        def G(k, T):
+            return mp.diff(lambda x: F(x, T), k)
+
+    with mp.workdps(30):
+        return mp.findroot([F, G], (mp.mpf(k0), mp.mpf(T0)))
+
+
+@pytest.mark.parametrize("alpha, k0, T0", [(0.1, 1.2, 0.13), (-0.1, 1.23, 0.14)])
+def test_tc_matches_mpmath_double_root(alpha, k0, T0):
+    # at T_c the owner's pair of zeros merges into a double root in k
+    k, T = _owner_double_root(alpha, k0, T0)
+    assert 1.0 < float(k) < 1.5
+    assert cr.tc_of_alpha("whitham_st", alpha, tol=1e-10) == pytest.approx(float(T), abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 5e-3, 1e-3])
+def test_tc_evaluation_count(monkeypatch, tol):
+    # the alphas of the benchmark's threshold searches
+    alphas = (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.5, -0.5)
+    calls = []
+    minimize = cr.minimize_scalar
+    monkeypatch.setattr(cr, "minimize_scalar", lambda f, grid: calls.append(1) or minimize(f, grid))
+    counts = []
+    for alpha in alphas:
+        calls.clear()
+        cr.tc_of_alpha("whitham_st", alpha, tol=tol)
+        counts.append(len(calls))
+    # a bisection of [0.01, 0.9] down to a bracket of width tol: both ends, then the halvings
+    bisection = 2 + math.ceil(math.log2(0.89 / tol))
+    assert sum(counts) <= len(alphas) * bisection, counts
+    # Brent stops at a bracket of width tol/2, one halving further
+    assert max(counts) <= bisection + 1, counts
+
+
+def test_tc_without_threshold_raises_bracket_error():
+    with pytest.raises(ow.BracketError, match="does not straddle") as exc:
+        cr.tc_of_alpha("whitham_st", 1.0)
+    assert isinstance(exc.value.__cause__, ValueError)
+
+
 def test_params_from_alpha():
     p = cr.params_from_alpha(-0.4)
     assert p.beta == -1.0 and p.gamma == 0.4
