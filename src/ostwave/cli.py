@@ -31,7 +31,7 @@ import numpy as np
 from . import critical, floquet_hill, mi_index, svg
 from .errors import DomainError
 from .stokes import expand, profile, residual_norm
-from .symbols import ModelParams, check_hypotheses, make_symbol, parse_symbol_spec
+from .symbols import ModelParams, check_hypotheses, parse_symbol_spec
 
 ENV_OUT_DIR = "OSTWAVE_OUT_DIR"
 
@@ -94,7 +94,7 @@ def _summary(payload: dict) -> None:
 # argument plumbing
 
 
-def _add_model_args(sub, overrides: bool = True):
+def _add_model_args(sub):
     sub.add_argument("--symbol", required=True, help="symbol spec, e.g. fkdv:delta=1.5")
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--gamma", type=float, default=None)
@@ -104,9 +104,6 @@ def _add_model_args(sub, overrides: bool = True):
         default=None,
         help="sets beta=sign(alpha), gamma=|alpha| (exclusive with --beta/--gamma)",
     )
-    if overrides:  # tc and diagram sweep T themselves and read no spec parameters
-        sub.add_argument("--T", type=float, default=None, help="surface tension (overrides spec)")
-        sub.add_argument("--delta", type=float, default=None, help="fractional order (overrides spec)")
 
 
 def _add_io_args(sub):
@@ -132,20 +129,6 @@ def _alpha(args) -> float:
     raise ValueError("provide --alpha, or --beta and --gamma")
 
 
-def _symbol(args):
-    s = parse_symbol_spec(args.symbol)
-    overrides = {}
-    if args.T is not None:
-        overrides["T"] = args.T
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if overrides:
-        merged = dict(s.params)
-        merged.update(overrides)
-        s = make_symbol(s.name, merged)
-    return s
-
-
 def _family(args) -> str:
     """The family named by --symbol, refusing a spec with parameters, which tc and diagram never read."""
     if ":" in args.symbol:
@@ -158,8 +141,7 @@ def _family(args) -> str:
 
 
 def cmd_symbols(args) -> None:
-    s = _symbol(args)
-    rep = check_hypotheses(s, kmax=args.kmax, n_samples=args.n_samples)
+    rep = check_hypotheses(parse_symbol_spec(args.symbol))
     rec = {
         "name": rep.name,
         "h1": rep.h1_ok,
@@ -177,7 +159,7 @@ def cmd_symbols(args) -> None:
 
 
 def cmd_stokes(args) -> None:
-    s = _symbol(args)
+    s = parse_symbol_spec(args.symbol)
     p = _params(args)
     wave = expand(s, p, args.k)
     rec = {
@@ -188,7 +170,7 @@ def cmd_stokes(args) -> None:
         "c2": wave.c2,
         "A2": wave.A2,
         "A3": wave.A3,
-        "residual_norm": residual_norm(wave, args.a, args.n_modes),
+        "residual_norm": residual_norm(wave, args.a),
     }
     if args.profile_samples > 0:
         zs = np.linspace(0.0, 2.0 * math.pi, args.profile_samples, endpoint=False)
@@ -200,7 +182,7 @@ def cmd_stokes(args) -> None:
 
 
 def cmd_index(args) -> None:
-    s = _symbol(args)
+    s = parse_symbol_spec(args.symbol)
     p = _params(args)
     if args.k is not None:
         ks = [args.k]
@@ -219,12 +201,12 @@ _CLOSED_FORM_MODELS = ("kdv", "fkdv", "kdv_st")
 
 
 def cmd_kc(args) -> None:
-    s = _symbol(args)
+    s = parse_symbol_spec(args.symbol)
     p = _params(args)
     if s.name in _CLOSED_FORM_MODELS and not args.numeric:
         results = [critical.kc_closed_form(s.name, p, s.params)]
     else:
-        results = critical.kc_numeric(s, p, bracket=(args.k_min, args.k_max), n_probe=args.n_probe)
+        results = critical.kc_numeric(s, p, bracket=(args.k_min, args.k_max))
     rows = []
     for r in results:
         row = {"model": r.model, "mechanism": r.mechanism, "kc": r.kc, "method": r.method}
@@ -245,7 +227,7 @@ def cmd_tc(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    s = _symbol(args)
+    s = parse_symbol_spec(args.symbol)
     p = _params(args)
     if args.xi == 0:
         raise ValueError("xi = 0 is excluded; choose xi in (0, 1/2]")
@@ -315,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("symbols", help="hypothesis scan of a dispersion symbol")
     _add_model_args(sp)
     _add_io_args(sp)
-    sp.add_argument("--kmax", type=float, default=100.0)
-    sp.add_argument("--n-samples", type=int, default=400)
     sp.set_defaults(func=cmd_symbols)
 
     sp = subs.add_parser("stokes", help="small-amplitude wave coefficients")
@@ -324,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(sp)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--a", type=float, default=0.01)
-    sp.add_argument("--n-modes", type=int, default=16)
     sp.add_argument("--profile-samples", type=int, default=0)
     sp.set_defaults(func=cmd_stokes)
 
@@ -343,11 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--numeric", action="store_true", help="force the Brent scan even for kdv/fkdv/kdv_st")
     sp.add_argument("--k-min", type=float, default=1e-2)
     sp.add_argument("--k-max", type=float, default=1e2)
-    sp.add_argument("--n-probe", type=int, default=400)
     sp.set_defaults(func=cmd_kc)
 
     sp = subs.add_parser("tc", help="surface-tension threshold T_c(alpha)")
-    _add_model_args(sp, overrides=False)
+    _add_model_args(sp)
     _add_io_args(sp)
     sp.add_argument("--tol", type=float, default=5e-3)
     sp.set_defaults(func=cmd_tc)
@@ -358,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--a", type=float, default=0.01)
     sp.add_argument("--xi", type=float, default=1e-3)
-    sp.add_argument("--N", type=int, default=32)
+    sp.add_argument("--N", type=int, default=floquet_hill.DEFAULT_N)
     sp.add_argument("--window", type=float, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = subs.add_parser("diagram", help="(k, T) stability diagram")
-    _add_model_args(sp, overrides=False)
+    _add_model_args(sp)
     _add_io_args(sp)
     sp.add_argument("--k-max", type=float, default=2.0)
     sp.add_argument("--t-max", type=float, default=0.8)
@@ -374,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spot-check", type=int, default=0, help="re-validate N random cells")
     sp.add_argument("--a", type=float, default=0.01)
     sp.add_argument("--xi", type=float, default=1e-3)
-    sp.add_argument("--N", type=int, default=32)
+    sp.add_argument("--N", type=int, default=floquet_hill.DEFAULT_N)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_diagram)
 

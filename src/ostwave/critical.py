@@ -183,19 +183,14 @@ def _scan_roots(f, grid):
     return roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq)
 
 
-def kc_numeric(
-    s: DispersionSymbol,
-    p: ModelParams,
-    bracket: tuple = (1e-2, 1e2),
-    n_probe: int = 400,
-) -> list:
+def kc_numeric(s: DispersionSymbol, p: ModelParams, bracket: tuple = (1e-2, 1e2)) -> list:
     """All critical wavenumbers of either mechanism inside the bracket.
 
-    Sign changes of each factor's numerator are located on a log-spaced
-    probe grid and refined with Brent's method to a tolerance of
-    1e-12 + 4 eps |k| in k (``roots.brentq``, xtol 1e-12).  Models whose
-    critical wavenumber is claimed unique get a diagnostic warning (not an
-    error) if the scan disagrees.
+    Sign changes of each factor's numerator are located on a 400-point
+    log-spaced probe grid and refined with Brent's method to a tolerance
+    of 1e-12 + 4 eps |k| in k (``roots.brentq``, xtol 1e-12).  Models
+    whose critical wavenumber is claimed unique get a diagnostic warning
+    (not an error) if the scan disagrees.
 
     Raises
     ------
@@ -207,9 +202,7 @@ def kc_numeric(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    if n_probe < 16:
-        raise ValueError("n_probe too small")
-    grid = np.geomspace(lo, hi, n_probe)
+    grid = np.geomspace(lo, hi, 400)
 
     results = []
     mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
@@ -232,25 +225,18 @@ def kc_numeric(
     return results
 
 
-def classify_intervals(
-    s: DispersionSymbol,
-    p: ModelParams,
-    k_range: tuple,
-    n_probe: int = 400,
-) -> list:
+def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> list:
     """Split a wavenumber range into maximal constant-sign intervals.
 
     Returns an ordered list of ((lo, hi), label) with label "S", "U" or
     "degenerate", labels taken from ``index`` at interval midpoints and
     endpoints refined with Brent's method (xtol 1e-12) on whichever
-    factor's numerator changes sign.
+    factor's numerator changes sign on a 400-point log-spaced probe grid.
     """
-    if n_probe < 100:
-        raise ValueError("n_probe must be >= 100")
     lo, hi = float(k_range[0]), float(k_range[1])
     if not (0.0 < lo < hi):
         raise ValueError("k_range must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, n_probe)
+    grid = np.geomspace(lo, hi, 400)
     zeros = sorted(root for f in _numerators(s, p) for root in _scan_roots(f, grid))
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
@@ -530,8 +516,7 @@ def spot_check(
     n_cells: int = 10,
     a: float = 0.01,
     xi: float = 1e-3,
-    N: int = 32,
-    window: float | None = None,
+    N: int = floquet_hill.DEFAULT_N,
     seed: int = 0,
 ) -> list:
     """Re-validate random diagram cells against the spectral oracle.
@@ -542,10 +527,10 @@ def spot_check(
     zero; the cell lies inside the projected model's trust region (see
     ``mi_index.detuning_ratio``), where an S cell's Hill growth at
     amplitude a is still the a -> 0 verdict; and no fast oscillatory
-    branch intrudes into the reporting window.  Cells sitting
-    essentially on a zero locus (including the resonance locus, where
-    the expansion itself is singular) are skipped as ill-posed rather
-    than forced.
+    branch intrudes into the reporting window, of radius
+    ``floquet_hill.default_window``.  Cells sitting essentially on a zero
+    locus (including the resonance locus, where the expansion itself is
+    singular) are skipped as ill-posed rather than forced.
 
     The S and U cells are screened in a seeded random order, in batches
     that start at 4 n_cells and double: each test is one array
@@ -558,11 +543,10 @@ def spot_check(
     hill, ok}.  a, xi and N are checked as the screen and the oracle
     check them (ValueError), before any cell is screened.
     """
-    mi_index._check_small(a, xi, mi_index.A_BOUND, mi_index.XI_BOUND)
+    mi_index._check_small(a, xi)
     floquet_hill.FloquetProblem(None, a, xi, N)
     p = params_from_alpha(diag.alpha)
-    if window is None:
-        window = floquet_hill.default_window(p)
+    window = floquet_hill.default_window(p)
     rng = np.random.default_rng(seed)
     order = rng.permutation(diag.nk * diag.nt)
     labels = diag.labels.ravel()[order]
@@ -583,7 +567,7 @@ def spot_check(
         s = _tension_symbol(diag.family, T)
         # resonant cells carry non-finite coefficients; the mask drops them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _, _, c0, A2, A3, resonant = _stokes(s, p, k)
+            c0, A2, A3, resonant = _stokes(s, p, k)
             wave = StokesWave(s, p, k, c0, A2, A2, A3)
             predicted = mi_index.growth_rate_leading(wave, a, xi).ravel()
             ratio = mi_index.detuning_ratio(wave, a, xi).ravel()

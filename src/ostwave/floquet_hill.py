@@ -31,7 +31,12 @@ few eigenvalues nearest the origin and doubling their number until the
 farthest one returned lies outside the window, which certifies that
 every eigenvalue inside it was found.  The factorisation and each solve
 cost O(N).  Only a window holding nearly the whole spectrum is solved
-densely.
+densely, as the inverse of the same LU.
+
+Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
+k t, with t the equation's time.  Every growth rate this module reports
+(``max_real_in_window``, ``max_growth``) is in that unit; the physical
+growth rate is lambda / k.
 
 This module never consults the projected 2x2 system — it is the
 cross-check for it.
@@ -144,7 +149,7 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
     eigenvalues nearest the origin; count starts at 4 and doubles until
     the farthest of them lies outside the window, so none inside is
     missed.  A window that would need count >= 2N - 1 is solved by a
-    dense eigen-solve of the same B.
+    dense eigen-solve of B^-1, formed from the same banded LU.
 
     Raises
     ------
@@ -180,10 +185,13 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
             break
         count *= 2
     else:
+        # the whole spectrum from the factored B^-1, so each eigenvalue near
+        # the origin is as accurate as the Arnoldi solve makes it
         try:
-            eig = -1j * np.linalg.eigvals(_dense(ab))
+            mu = 1.0 / np.linalg.eigvals(lapack.dgbtrs(lu, 3, 3, np.eye(size), piv)[0])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolveError(_SOLVE_FAILED) from exc
+        eig = -1j * mu
     # deterministic ordering regardless of the solver's internal return order
     eig = eig[np.lexsort((eig.real, eig.imag))]
     inside = eig[np.abs(eig) <= window_radius]

@@ -21,7 +21,9 @@ directions yields a 2x2 matrix pencil in the spectral parameter lambda,
 assembled through second order in the amplitude a and the sideband
 offset xi.  Solving det = 0 exactly as a complex quadratic gives the
 leading-order growth rate, which the independent spectral oracle must
-(and does, in tests) confirm quantitatively.
+(and does, in tests) confirm quantitatively.  Like the oracle's, the
+roots lambda and the growth rates are per unit of k t, with t the
+equation's time: the physical growth rate is lambda / k.
 """
 
 from __future__ import annotations
@@ -100,11 +102,11 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
     return IndexResult(k, f1, f2, delta, ratio, label)
 
 
-def _check_small(a: float, xi: float, a_bound: float, xi_bound: float):
-    if not abs(a) <= a_bound:
-        raise ValueError(f"amplitude |a| <= {a_bound} required, got {a}")
-    if not abs(xi) <= xi_bound:
-        raise ValueError(f"sideband offset |xi| <= {xi_bound} required, got {xi}")
+def _check_small(a: float, xi: float):
+    if not abs(a) <= A_BOUND:
+        raise ValueError(f"amplitude |a| <= {A_BOUND} required, got {a}")
+    if not abs(xi) <= XI_BOUND:
+        raise ValueError(f"sideband offset |xi| <= {XI_BOUND} required, got {xi}")
 
 
 def _pencil(wave: StokesWave, a: float, xi: float):
@@ -157,14 +159,7 @@ def _quot(num, den):
     return complex(out) if out.ndim == 0 else out
 
 
-def assemble_b_matrix(
-    wave: StokesWave,
-    lam: complex,
-    a: float,
-    xi: float,
-    a_bound: float = A_BOUND,
-    xi_bound: float = XI_BOUND,
-) -> np.ndarray:
+def assemble_b_matrix(wave: StokesWave, lam: complex, a: float, xi: float) -> np.ndarray:
     """Project the linearized sideband problem onto a 2x2 complex matrix.
 
     The rows/columns follow the (sin-series, cos-series) basis of the two
@@ -172,7 +167,7 @@ def assemble_b_matrix(
     terms through second order in a and xi.  At a = xi = 0 only the
     symplectic lambda-block survives: (lambda/2) [[0, 1], [-1, 0]].
     """
-    _check_small(a, xi, a_bound, xi_bound)
+    _check_small(a, xi)
     u, v1, v2, s, w12, w21 = _pencil(wave, a, xi)
     return np.array(
         [
@@ -183,20 +178,14 @@ def assemble_b_matrix(
     )
 
 
-def bmatrix_det_roots(
-    wave: StokesWave,
-    a: float,
-    xi: float,
-    a_bound: float = A_BOUND,
-    xi_bound: float = XI_BOUND,
-):
+def bmatrix_det_roots(wave: StokesWave, a: float, xi: float):
     """The two roots lambda of det(projected matrix) = 0.
 
     The determinant is exactly quadratic in lambda, so the roots come
     from the complex quadratic formula with no further approximation.
     A batch of waves gives two arrays of roots.
     """
-    _check_small(a, xi, a_bound, xi_bound)
+    _check_small(a, xi)
     u, v1, v2, s, w12, w21 = _pencil(wave, a, xi)
     qa = u * u + s * s
     qb = u * (v1 + v2) - s * (w21 - w12)
@@ -249,7 +238,7 @@ def discriminant(wave: StokesWave, a: float, xi: float) -> float:
     the true coefficient of the cross term differs from P/D2 by a
     positive factor, so zero crossings in xi/a are not quantitative.
     """
-    _check_small(a, xi, A_BOUND, XI_BOUND)
+    _check_small(a, xi)
     s, p = wave.symbol, wave.params
     k = wave.k
     D2 = harmonic_denominator(s, p, k, 2)

@@ -62,34 +62,26 @@ def denominator_floor(p: ModelParams) -> float:
     return 1e-8 * max(p.gamma, 1.0)
 
 
-def check_resonance(s: DispersionSymbol, p: ModelParams, k: float, nmax: int = 3) -> list:
-    """List the harmonics n in [2, nmax] whose denominator (nearly) vanishes.
+def check_resonance(s: DispersionSymbol, p: ModelParams, k: float) -> list:
+    """List the harmonics n = 2, 3 whose denominator (nearly) vanishes.
 
-    Returns an empty list at non-resonant wavenumbers.  ``expand`` raises
-    exactly when this list is nonempty for nmax=3.
+    These are the two harmonics the expansion carries.  Returns an empty
+    list at non-resonant wavenumbers; ``expand`` raises exactly when this
+    list is nonempty.
     """
-    if nmax < 2:
-        raise ValueError("nmax must be >= 2")
     floor = denominator_floor(p)
-    return [n for n in range(2, nmax + 1) if abs(harmonic_denominator(s, p, k, n)) < floor]
+    return [n for n in (2, 3) if abs(harmonic_denominator(s, p, k, n)) < floor]
 
 
-def find_resonances(
-    s: DispersionSymbol,
-    p: ModelParams,
-    nmax: int = 3,
-    kmin: float = 1e-2,
-    kmax: float = 1e2,
-    n_probe: int = 400,
-):
-    """Scan (kmin, kmax) for resonant wavenumbers D_n(k) = 0.
+def find_resonances(s: DispersionSymbol, p: ModelParams):
+    """Scan k in (1e-2, 1e2) for resonant wavenumbers D_n(k) = 0, n = 2 and 3.
 
     Returns a sorted list of (k, n) pairs, one per sign change of D_n on a
-    log-spaced probe grid, refined with Brent's method.
+    400-point log-spaced probe grid, refined with Brent's method.
     """
-    grid = np.geomspace(kmin, kmax, n_probe)
+    grid = np.geomspace(1e-2, 1e2, 400)
     found = []
-    for n in range(2, nmax + 1):
+    for n in (2, 3):
         found.extend((k, n) for k in scan(lambda k: harmonic_denominator(s, p, k, n), grid))
     return sorted(found)
 
@@ -123,11 +115,11 @@ class StokesWave:
 def _stokes(s: DispersionSymbol, p: ModelParams, k):
     """The expansion at k, a scalar or an array broadcasting against s's parameters.
 
-    Returns (D2, D3, c0, A2, A3, resonant): the harmonic denominators, the
-    linear speed, the mode-2 and mode-3 coefficients (c2 = A2) and the mask
-    of wavenumbers where a denominator falls below ``denominator_floor``
-    (A2 and A3 mean nothing there).  Every value is the float a call at
-    that (k, T) alone gives, so ``expand`` is the 0-d case.
+    Returns (c0, A2, A3, resonant): the linear speed, the mode-2 and mode-3
+    coefficients (c2 = A2) and the mask of wavenumbers where a harmonic
+    denominator falls below ``denominator_floor`` (A2 and A3 mean nothing
+    there).  Every value is the float a call at that (k, T) alone gives,
+    so ``expand`` is the 0-d case.
     """
     D2 = harmonic_denominator(s, p, k, 2)
     D3 = harmonic_denominator(s, p, k, 3)
@@ -138,7 +130,7 @@ def _stokes(s: DispersionSymbol, p: ModelParams, k):
     with np.errstate(divide="ignore", invalid="ignore"):
         A2 = 2.0 * k * k / D2
         A3 = 9.0 * k * k * A2 / D3
-    return D2, D3, c0, A2, A3, resonant
+    return c0, A2, A3, resonant
 
 
 def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
@@ -154,7 +146,7 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     k = float(k)
     if k <= 0:
         raise ValueError("wavenumber k must be positive")
-    _, _, c0, A2, A3, resonant = _stokes(s, p, k)
+    c0, A2, A3, resonant = _stokes(s, p, k)
     if resonant:
         harmonics = check_resonance(s, p, k)
         raise ResonanceError(
@@ -191,7 +183,7 @@ def profile(wave: StokesWave, a: float, z):
     return float(out) if np.isscalar(z) or out.ndim == 0 else out
 
 
-def residual_norm(wave: StokesWave, a: float, n_modes: int = 16) -> float:
+def residual_norm(wave: StokesWave, a: float) -> float:
     """L2 norm over one period of the steady equation at the truncation.
 
     In cosine modes the steady equation reads, for each j >= 1,
@@ -199,12 +191,12 @@ def residual_norm(wave: StokesWave, a: float, n_modes: int = 16) -> float:
         [j^2 k^2 (c - beta m(j k)) - gamma] w_j - j^2 k^2 (w * w)_j = 0,
 
     with (w * w)_j the cosine amplitude of the profile squared, computed by
-    exact coefficient convolution.  The truncation satisfies modes 1..3 up
-    to fourth order in a, so the returned norm scales like a^4 as a -> 0;
-    tests pin that decay rate.
+    exact coefficient convolution.  The profile carries modes 1..3, so its
+    square carries modes up to 6 and every residual past j = 6 is exactly
+    zero: the sum runs over j = 0..6.  The truncation satisfies modes 1..3
+    up to fourth order in a, so the returned norm scales like a^4 as
+    a -> 0; tests pin that decay rate.
     """
-    if n_modes < 8:
-        raise ValueError("n_modes must be >= 8")
     a = _check_amplitude(a)
     s, p = wave.symbol, wave.params
     k, c = wave.k, speed(wave, a)
@@ -221,11 +213,10 @@ def residual_norm(wave: StokesWave, a: float, n_modes: int = 16) -> float:
     # mode 0: the equation reduces to -gamma w_0 = 0
     r0 = -p.gamma * w[0]
     total = 2.0 * np.pi * r0 * r0
-    for j in range(1, n_modes + 1):
+    for j in range(1, 2 * n + 1):
         wj = w[j] if j <= n else 0.0
-        sqj = 2.0 * sq[mid + j] if j <= 2 * n else 0.0
         lin = (j * j * k * k * (c - p.beta * s.m(j * k)) - p.gamma) * wj
-        quad = j * j * k * k * sqj
+        quad = j * j * k * k * (2.0 * sq[mid + j])
         r = lin - quad
         total += np.pi * r * r
     return float(np.sqrt(total))

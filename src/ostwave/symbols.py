@@ -360,7 +360,7 @@ class HypothesisReport:
     c1: float
     c2: float
     h3_violations: dict
-    kmax: float
+    kmax: float  # the fixed scan: the tail grid has n_samples points on (0, kmax]
     n_samples: int
 
     @property
@@ -368,24 +368,19 @@ class HypothesisReport:
         return min(self.h3_violations.values()) if self.h3_violations else None
 
 
-def check_hypotheses(s: DispersionSymbol, kmax: float = 100.0, n_samples: int = 400) -> HypothesisReport:
+def check_hypotheses(s: DispersionSymbol) -> HypothesisReport:
     """Scan a symbol for normalization, tail growth, and harmonic collisions.
 
     The tail-growth fit regresses log|m| on log k over the upper half of a
-    linear grid on (0, kmax] and accepts when the slope is within 0.05 of
-    the declared growth exponent.  The harmonic check scans m(k) - m(nk)
-    for sign changes on a log grid for n in {2, 3} and refines any
-    crossing with Brent's method.
+    400-point linear grid on (0, 100] and accepts when the slope is within
+    0.05 of the declared growth exponent.  The harmonic check scans
+    m(k) - m(nk) for sign changes on a 1600-point log grid on [1e-3, 100]
+    for n in {2, 3} and refines any crossing with Brent's method.
     """
-    if n_samples < 16:
-        raise ValueError("n_samples too small for a meaningful scan")
-    if not kmax > 0:
-        raise ValueError("kmax must be positive")
-
     h1_ok = abs(s.m(1e-12) - 1.0) <= 1e-5 and s.m_even(-1.0) == s.m_even(1.0)
 
-    grid = np.linspace(kmax / n_samples, kmax, n_samples)
-    tail = grid[grid >= 0.5 * kmax]
+    grid = np.linspace(0.25, 100.0, 400)
+    tail = grid[grid >= 50.0]
     vals = np.abs(s.m(tail))
     mask = vals > 1e-12
     alpha = s.growth_exponent
@@ -397,7 +392,7 @@ def check_hypotheses(s: DispersionSymbol, kmax: float = 100.0, n_samples: int = 
         slope, c1, c2 = math.nan, math.nan, math.nan
     h2_ok = bool(abs(slope - alpha) <= 0.05)
 
-    kscan = np.geomspace(max(1e-3, kmax * 1e-5), kmax, 4 * n_samples)
+    kscan = np.geomspace(1e-3, 100.0, 1600)
     violations = {}
     for n in (2, 3):
         kc = next(scan(lambda k: s.m(k) - s.m(n * k), kscan), None)
@@ -414,8 +409,8 @@ def check_hypotheses(s: DispersionSymbol, kmax: float = 100.0, n_samples: int = 
         c1=c1,
         c2=c2,
         h3_violations=violations,
-        kmax=float(kmax),
-        n_samples=int(n_samples),
+        kmax=100.0,
+        n_samples=400,
     )
 
 

@@ -59,8 +59,7 @@ def test_kc_numeric_flag(capsys):
 
 def test_domain_error_exits_1(capsys):
     code, out, err = run_cli(
-        capsys, ["kc", "--symbol", "kdv_st", "--beta", "1", "--gamma", "1",
-                 "--T", "0.333333"]
+        capsys, ["kc", "--symbol", "kdv_st:T=0.333333", "--beta", "1", "--gamma", "1"]
     )
     assert code == 1
     assert out == ""
@@ -261,6 +260,28 @@ def test_tc_and_diagram_refuse_model_overrides(capsys, argv):
     # both sweep T over their own range, so --T and --delta would be ignored
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_VALID = {
+    "symbols": ["symbols", "--symbol", "kdv"],
+    "stokes": ["stokes", *KDV, "--k", "1"],
+    "index": ["index", *KDV, "--k", "1"],
+    "kc": ["kc", *KDV],
+    "spectrum": ["spectrum", *KDV, "--k", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command in _VALID for flag in ("--T", "--delta")]
+    + [("symbols", "--kmax"), ("symbols", "--n-samples"), ("stokes", "--n-modes"), ("kc", "--n-probe")],
+)
+def test_removed_flags_exit_2(capsys, command, flag):
+    # tension and fractional order ride in the symbol spec; the scan sizes are fixed
+    with pytest.raises(SystemExit) as exc:
+        main([*_VALID[command], flag, "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -192,11 +192,6 @@ def test_classify_intervals_whitham_st_above_threshold():
     assert ivs[0][0][1] == pytest.approx(0.8403, abs=2e-3)
 
 
-def test_classify_intervals_needs_probes():
-    with pytest.raises(ValueError):
-        cr.classify_intervals(ow.make_symbol("kdv"), P11, (0.05, 3.0), n_probe=10)
-
-
 # --------------------------------------------------------------- threshold
 
 

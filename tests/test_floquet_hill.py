@@ -281,6 +281,16 @@ def test_window_certification_and_whole_window_fallback():
             assert np.min(np.abs(spec.eigenvalues - z)) <= 1e-9 * scale
 
 
+def test_whole_window_growth_matches_default_window():
+    # the whole-window solve inverts the same banded LU as the Arnoldi
+    # solve, so the small sideband growth does not depend on the window
+    prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
+    whole = fh.spectrum(prob, 1e9)
+    assert len(whole.eigenvalues) == 17
+    want = fh.spectrum(prob, fh.default_window(P11)).max_real_in_window
+    assert whole.max_real_in_window == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_singular_band_matrix_raises():
     # kdv, beta = -4, gamma = 1, k = 1, a = 0: the mode nu = 1/2 has
     # B = k^2 nu (-c + beta m(k nu)) + gamma / nu = 0 exactly

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ostwave as ow
-from ostwave import floquet_hill, stokes
+from ostwave import floquet_hill, mi_index, stokes
 from ostwave.symbols import _tension_symbol
 from conftest import draw_model
 
@@ -207,9 +207,6 @@ def test_b_matrix_bounds():
         ow.assemble_b_matrix(w, 0.0, 0.2, 0.01)
     with pytest.raises(ValueError):
         ow.assemble_b_matrix(w, 0.0, 0.01, 0.2)
-    # bounds are explicit knobs, not hard limits
-    B = ow.assemble_b_matrix(w, 0.0, 0.0, 0.4, xi_bound=0.5)
-    assert B.shape == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -241,8 +238,8 @@ def test_roots_purely_imaginary_at_zero_amplitude():
             w = ow.expand(s, p, k)
         except ow.ResonanceError:
             continue
-        xi = float(rng.uniform(1e-4, 0.5))
-        r1, r2 = ow.bmatrix_det_roots(w, 0.0, xi, xi_bound=0.5)
+        xi = float(rng.uniform(1e-4, mi_index.XI_BOUND))
+        r1, r2 = ow.bmatrix_det_roots(w, 0.0, xi)
         assert r1.real == 0.0 and r2.real == 0.0
 
 
@@ -314,7 +311,7 @@ def _seeded_batch(name, params, seed, n=120):
 def test_batch_resonance_mask_flags_exact_resonances():
     # kdv, beta = -1, gamma = 1: D2 = 0 at k^4 = 1/4 and D3 = 0 at k^4 = 1/9
     ks = np.array([0.25**0.25, 1.0, (1.0 / 9.0) ** 0.25])
-    resonant = stokes._stokes(ow.make_symbol("kdv"), ow.ModelParams(-1.0, 1.0), ks)[5]
+    resonant = stokes._stokes(ow.make_symbol("kdv"), ow.ModelParams(-1.0, 1.0), ks)[3]
     assert resonant.tolist() == [True, False, True]
 
 
@@ -322,7 +319,7 @@ def test_batch_resonance_mask_flags_exact_resonances():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_expansion_and_pencil_match_scalar_calls(name, params, seed):
     s, p, ks, scalar = _seeded_batch(name, params, seed)
-    _, _, c0, A2, A3, resonant = stokes._stokes(s, p, ks)
+    c0, A2, A3, resonant = stokes._stokes(s, p, ks)
     wave = ow.StokesWave(s, p, ks, c0, A2, A2, A3)
     waves = []
     for i, k in enumerate(ks):

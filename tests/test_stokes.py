@@ -169,17 +169,3 @@ def test_residual_band_factor_four():
     amps = [0.04, 0.02, 0.01, 0.005]
     ratios = [ow.residual_norm(w, a) / a**4 for a in amps]
     assert max(ratios) / min(ratios) < 4.0
-
-
-def test_residual_nmodes_validation():
-    with pytest.raises(ValueError):
-        ow.residual_norm(_kdv_wave(), 0.01, n_modes=4)
-
-
-def test_residual_insensitive_to_extra_modes():
-    # the residual of the cubic truncation has finitely many harmonics,
-    # so enlarging the mode count far past them must not change the norm
-    w = _kdv_wave()
-    assert ow.residual_norm(w, 0.01, n_modes=16) == pytest.approx(
-        ow.residual_norm(w, 0.01, n_modes=64), rel=1e-12
-    )
