@@ -121,14 +121,6 @@ def _params(args) -> ModelParams:
     return ModelParams(beta=args.beta, gamma=args.gamma)
 
 
-def _alpha(args) -> float:
-    if args.alpha is not None:
-        return args.alpha
-    if args.beta is not None and args.gamma is not None:
-        return args.gamma / args.beta
-    raise ValueError("provide --alpha, or --beta and --gamma")
-
-
 def _family(args) -> str:
     """The family named by --symbol, refusing a spec with parameters, which tc and diagram never read."""
     if ":" in args.symbol:
@@ -217,7 +209,8 @@ def cmd_kc(args) -> None:
 
 def cmd_tc(args) -> None:
     family = _family(args)
-    alpha = _alpha(args)
+    p = _params(args)
+    alpha = p.gamma / p.beta
     tc = critical.tc_of_alpha(family, alpha, tol=args.tol)
     emit(
         [{"variant": family, "alpha": alpha, "tc": tc, "tol": args.tol}],
@@ -250,7 +243,8 @@ def cmd_spectrum(args) -> None:
 
 def cmd_diagram(args) -> None:
     family = _family(args)
-    alpha = _alpha(args)
+    p = _params(args)
+    alpha = p.gamma / p.beta
     diag = critical.diagram(
         family, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
     )

@@ -183,6 +183,17 @@ def _scan_roots(f, grid):
     return roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq)
 
 
+def _critical_roots(s: DispersionSymbol, p: ModelParams, k_range: tuple, name: str) -> list:
+    """Ascending (root, mechanism) pairs of both factor numerators on a 400-point log grid."""
+    lo, hi = float(k_range[0]), float(k_range[1])
+    if not (0.0 < lo < hi):
+        raise ValueError(f"{name} must satisfy 0 < lo < hi")
+    grid = np.geomspace(lo, hi, 400)
+    mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
+    pairs = [(root, mech) for mech, f in zip(mechanisms, _numerators(s, p)) for root in _scan_roots(f, grid)]
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
 def kc_numeric(s: DispersionSymbol, p: ModelParams, bracket: tuple = (1e-2, 1e2)) -> list:
     """All critical wavenumbers of either mechanism inside the bracket.
 
@@ -199,23 +210,12 @@ def kc_numeric(s: DispersionSymbol, p: ModelParams, bracket: tuple = (1e-2, 1e2)
     ValueError
         Non-finite endpoint evaluations or a bad bracket.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, 400)
-
-    results = []
-    mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
-    for mech, f in zip(mechanisms, _numerators(s, p)):
-        for root in _scan_roots(f, grid):
-            results.append(
-                CriticalResult(s.name, _result_params(p, s.params), mech, root, "bisection")
-            )
+    params = _result_params(p, s.params)
+    pairs = _critical_roots(s, p, bracket, "bracket")
+    results = [CriticalResult(s.name, params, mech, root, "bisection") for root, mech in pairs]
     if not results:
-        raise NoRootError(
-            f"no critical wavenumber of either mechanism in ({lo:g}, {hi:g}) for {s.name}"
-        )
-    results.sort(key=lambda r: r.kc)
+        lo, hi = float(bracket[0]), float(bracket[1])
+        raise NoRootError(f"no critical wavenumber of either mechanism in ({lo:g}, {hi:g}) for {s.name}")
     if s.name in ("ilw", "whitham") and len(results) > 1:
         warnings.warn(
             f"{s.name}: expected a unique critical wavenumber, found "
@@ -229,15 +229,13 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
     """Split a wavenumber range into maximal constant-sign intervals.
 
     Returns an ordered list of ((lo, hi), label) with label "S", "U" or
-    "degenerate", labels taken from ``index`` at interval midpoints and
-    endpoints refined with Brent's method (xtol 1e-12) on whichever
-    factor's numerator changes sign on a 400-point log-spaced probe grid.
+    "degenerate", labels taken from one ``index`` call at the interval
+    midpoints and endpoints the critical wavenumbers ``kc_numeric`` finds
+    in the range: Brent refinements (xtol 1e-12) of the sign changes of
+    either factor's numerator on a 400-point log-spaced probe grid.
     """
+    zeros = [root for root, _ in _critical_roots(s, p, k_range, "k_range")]
     lo, hi = float(k_range[0]), float(k_range[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("k_range must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, 400)
-    zeros = sorted(root for f in _numerators(s, p) for root in _scan_roots(f, grid))
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
     for r in zeros:
@@ -248,10 +246,10 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
     else:
         bounds[-1] = hi
 
+    codes = mi_index.index(s, p, np.sqrt(np.multiply(bounds[:-1], bounds[1:]))).classification
     intervals = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        mid = math.sqrt(a * b)
-        lab = _LABELS[mi_index.index(s, p, mid).classification]
+    for a, b, code in zip(bounds[:-1], bounds[1:], codes.tolist()):
+        lab = _LABELS[code]
         if intervals and intervals[-1][1] == lab:
             intervals[-1] = ((intervals[-1][0][0], b), lab)
         else:
@@ -453,12 +451,12 @@ def diagram(
     the column of cell-center tensions.  Cell labels come from one
     ``index`` call at the cell centers; every value is the float a call
     per cell gives, so the lattice is consistent with the pointwise
-    classifier by construction.  The curves are the roots of the same
-    factor numerators the classifier uses along each T row: exact zeros
-    at cell centers, and Brent refinements of every sign-change cell of
-    the lattice, all of one numerator solved together in lanes.  ``t_s``
-    is where they cross, by a Newton solve seeded from them; it is None
-    unless the followed curve has points in two adjacent rows.
+    classifier by construction.  The curves are read from the same
+    values: the exact zeros and sign-change cells of f1 and f2 along each
+    T row, each cell refined by Brent's method on the factor's numerator,
+    all of one numerator solved together in lanes.  ``t_s`` is where they
+    cross, by a Newton solve seeded from them; it is None unless the
+    followed curve has points in two adjacent rows.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -474,8 +472,9 @@ def diagram(
         labels[r.classification == code] = label
 
     points = []  # (rows, k) of each zero locus
-    for which, num in enumerate(_lattice_numerators(s_family, p, Ts[:, None])):
-        zero, start = roots.cells(_finite_ends(num(ks)))
+    # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells
+    for which, vals in enumerate((r.f1, r.f2)):
+        zero, start = roots.cells(_finite_ends(vals))
         rows, cols = np.nonzero(start)  # row by row, ascending k within a row
         # a zero point is its own root; every other start is a cell the lane solve refines
         k, cell = ks[cols], ~zero[rows, cols]

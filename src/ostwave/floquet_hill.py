@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolveError
-from .stokes import A_MAX, StokesWave, speed
+from .stokes import StokesWave, _check_amplitude, speed
 
 __all__ = [
     "FloquetProblem",
@@ -85,8 +85,7 @@ class FloquetProblem:
             raise ValueError("Floquet exponent xi must lie in (0, 1/2]")
         if not isinstance(self.N, numbers.Integral) or self.N < 8:
             raise ValueError(f"mode truncation N must be an integer >= 8, got {self.N!r}")
-        if not abs(self.a) <= A_MAX:
-            raise ValueError(f"amplitude a must be finite with |a| <= {A_MAX}, got {self.a}")
+        _check_amplitude(self.a)
 
 
 @dataclass(frozen=True)

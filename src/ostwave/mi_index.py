@@ -7,13 +7,15 @@ The index is a product of two independently meaningful factors,
     delta(k) = f1 * f2,
 
 and delta < 0 predicts instability of the small-amplitude wave at
-wavenumber k to long-wavelength sideband perturbations.  Clearing the
-positive scale factors 4k^2 and k^3 gives the equivalent ratio form
+wavenumber k to long-wavelength sideband perturbations.  Each factor is
+evaluated as its numerator over a positive scale factor,
 
-    ratio(k) = [2 gamma + beta k^3 (k m''(k) + 2 m'(k))]
-             / [3 gamma + 4 beta k^2 (m(k) - m(2k))],
+    f1 = D2 / (4 k^2),  D2 = 3 gamma + 4 beta k^2 (m(k) - m(2k)),
+    f2 = P / k^3,       P  = 2 gamma + beta k^3 (k m''(k) + 2 m'(k)),
 
-whose sign always matches delta's.
+so each factor's sign is its numerator's, float for float, and the labels
+agree with the zero-locus curves, critical wavenumbers and resonance tests,
+which solve D2 = 0 and P = 0.  The ratio form P / D2 has delta's sign too.
 
 The same prediction is reproduced dynamically here: projecting the
 linearization about the wave onto its two near-neutral oscillation
@@ -35,13 +37,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .stokes import StokesWave, denominator_floor, harmonic_denominator
-from .symbols import (
-    DispersionSymbol,
-    ModelParams,
-    _check_k,
-    group_velocity_derivative,
-    phase_velocity,
-)
+from .symbols import DispersionSymbol, ModelParams, _check_k, group_velocity_derivative
 
 __all__ = [
     "IndexResult",
@@ -85,9 +81,9 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
     or an infinite factor met a zero one): NaN has no sign to classify.
     """
     k = _check_k(k)
-    f1 = phase_velocity(s, p, k) - phase_velocity(s, p, 2.0 * k)
+    num1 = harmonic_denominator(s, p, k, 2)
+    f1 = num1 / (4.0 * k * k)
     f2, num2 = group_velocity_derivative(s, p, k)
-    num1 = harmonic_denominator(s, p, k, 2)  # = 4 k^2 f1
     delta = f1 * f2
     # a 0-d delta is a float, tested as one: np.isnan(...).any() costs more
     if math.isnan(delta) if k.ndim == 0 else np.isnan(delta).any():
@@ -98,7 +94,7 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
     floor = 1e-10 * (1.0 + np.abs(f1)) * (1.0 + np.abs(f2))
     label = np.where(delta < -floor, "unstable", np.where(delta > floor, "stable", "degenerate"))
     if k.ndim == 0:
-        return IndexResult(float(k), f1, f2, delta, float(ratio), str(label))
+        return IndexResult(float(k), float(f1), f2, float(delta), float(ratio), str(label))
     return IndexResult(k, f1, f2, delta, ratio, label)
 
 

@@ -158,10 +158,10 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     return StokesWave(symbol=s, params=p, k=k, c0=c0, c2=A2, A2=A2, A3=A3)
 
 
-def _check_amplitude(a: float, bound: float = A_MAX) -> float:
+def _check_amplitude(a: float) -> float:
     a = float(a)
-    if not abs(a) <= bound:
-        raise ValueError(f"amplitude a must be finite with |a| <= {bound}, got {a}")
+    if not abs(a) <= A_MAX:
+        raise ValueError(f"amplitude a must be finite with |a| <= {A_MAX}, got {a}")
     return a
 
 

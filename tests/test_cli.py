@@ -143,6 +143,19 @@ def test_alpha_exclusive_with_beta(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["tc"], ["diagram", "--nk", "4", "--nt", "4"]])
+@pytest.mark.parametrize(
+    "model",
+    [["--alpha", "0.1", "--beta", "1"], ["--alpha", "0.1", "--gamma", "1"],
+     ["--beta", "1", "--gamma", "-0.1"], ["--beta", "-1", "--gamma", "0"]],
+)
+def test_tc_and_diagram_resolve_model_args_as_params(capsys, command, model):
+    code, out, err = run_cli(capsys, [command[0], "--symbol", "whitham_st", *model, *command[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_alpha_mode_sets_sign_and_magnitude(capsys):
     code, out, _ = run_cli(
         capsys, ["kc", "--symbol", "kdv", "--alpha", "-0.5"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -357,6 +358,26 @@ def test_diagram_curves_lie_on_zero_loci():
             val = r.f1 if owner == "f1" else r.f2
             other = r.f2 if owner == "f1" else r.f1
             assert abs(val) <= 1e-6 * (1.0 + abs(other))
+
+
+def test_diagram_evaluates_the_lattice_three_times(monkeypatch):
+    shapes = []
+    tension_symbol = cr._tension_symbol
+
+    def logged_symbol(family, T):
+        s = tension_symbol(family, T)
+
+        def jet_fn(k, order):
+            out = s.jet_fn(k, order)
+            shapes.append(np.shape(out[0]))
+            return out
+
+        return dataclasses.replace(s, jet_fn=jet_fn)
+
+    monkeypatch.setattr(cr, "_tension_symbol", logged_symbol)
+    cr.diagram("whitham_st", 0.1, k_max=2.0, t_max=0.8, nk=50, nt=50)
+    # m(k) and m(2k) for f1, the order-2 jet for f2; the curves scan the same values
+    assert shapes.count((50, 50)) == 3
 
 
 def test_diagram_curve_intersection_reported_for_negative_alpha():

@@ -255,7 +255,7 @@ def test_banded_solve_matches_extended_precision():
     eig = np.array([complex(z) for z in eig])
     want = np.max(np.abs(eig[np.abs(eig) <= window].real))
     assert want > 1e-6
-    assert fh.spectrum(prob, window).max_real_in_window == pytest.approx(want, rel=1e-9)
+    assert fh.spectrum(prob, window).max_real_in_window == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_large_truncation_agrees_with_n64():
@@ -263,7 +263,7 @@ def test_large_truncation_agrees_with_n64():
     g64 = fh.max_growth(w, DESK_A, DESK_XI, N=64)
     assert g64 > 1e-6
     for N in (256, 4096):
-        assert fh.max_growth(w, DESK_A, DESK_XI, N=N) == pytest.approx(g64, rel=1e-8)
+        assert fh.max_growth(w, DESK_A, DESK_XI, N=N) == pytest.approx(g64, rel=1e-8, abs=0.0)
 
 
 def test_window_certification_and_whole_window_fallback():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,38 @@ SIX_FAMILIES = [
     ("kdv_st", {"T": 0.2}),
     ("whitham_st", {"T": 0.3}),
 ]
+
+
+def test_f1_sign_is_the_resonance_denominator_sign_at_the_f1_locus():
+    # the diagram's f1 curve points, and the points 1 ulp and 8e-15 relative off them
+    total = 0
+    for family, alpha, k_max, t_max in (
+        ("kdv_st", 1.0, 2.0, 0.8),
+        ("whitham_st", 0.1, 2.0, 0.8),
+        ("whitham_st", -0.1, 5.0, 0.4),
+        ("whitham_st", -0.3, 2.0, 0.8),
+        ("whitham_st", 0.5, 2.0, 0.8),
+    ):
+        d = ow.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=50, nt=50)
+        k, T = np.array(d.f1_curve).T
+        ks = np.concatenate([k, np.nextafter(k, 0.0), np.nextafter(k, np.inf), k * (1 - 8e-15), k * (1 + 8e-15)])
+        s, p = _tension_symbol(family, np.tile(T, 5)), ow.params_from_alpha(alpha)
+        f1 = ow.index(s, p, ks).f1
+        np.testing.assert_array_equal(np.sign(f1), np.sign(stokes.harmonic_denominator(s, p, ks, 2)))
+        total += ks.size
+    assert total > 500
+
+
+def test_index_evaluates_the_symbol_three_times():
+    s = ow.make_symbol("whitham_st", {"T": 0.2})
+    orders = []
+
+    def logged(k, order):
+        orders.append(order)
+        return s.jet_fn(k, order)
+
+    ow.index(dataclasses.replace(s, jet_fn=logged), P11, 1.3)
+    assert orders == [0, 0, 2]  # m(k) and m(2k) for D2, then the order-2 jet at k for P
 
 
 @pytest.mark.parametrize("name,params", SIX_FAMILIES)
