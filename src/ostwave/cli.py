@@ -186,7 +186,7 @@ def cmd_index(args) -> None:
     names = ("k", "f1", "f2", "delta", "ratio", "class")
     values = (r.k, r.f1, r.f2, r.delta, r.ratio, r.classification)
     rows = [dict(zip(names, row)) for row in zip(*(v.tolist() for v in values))]
-    emit(rows, args.format, args.out)
+    emit(rows, args.format, args.out, fieldnames=names)
 
 
 _CLOSED_FORM_MODELS = ("kdv", "fkdv", "kdv_st")
@@ -233,10 +233,10 @@ def cmd_spectrum(args) -> None:
     _summary(
         {
             "max_real_in_window": result.max_real_in_window,
-            "N": result.N,
+            "N": problem.N,
             "xi": args.xi,
             "a": args.a,
-            "window": result.window_radius,
+            "window": window,
         }
     )
 
@@ -264,7 +264,7 @@ def cmd_diagram(args) -> None:
     if args.svg:
         svg.write_svg(diag, _resolve_path(args.svg))
     summary = {"region_counts": diag.region_counts, "t_s": diag.t_s}
-    if args.spot_check > 0:
+    if args.spot_check != 0:
         checks = critical.spot_check(
             diag, n_cells=args.spot_check, a=args.a, xi=args.xi, N=args.N, seed=args.seed
         )

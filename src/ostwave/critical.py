@@ -539,9 +539,12 @@ def spot_check(
     over the same order applying the tests to one cell at a time.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
-    hill, ok}.  a, xi and N are checked as the screen and the oracle
-    check them (ValueError), before any cell is screened.
+    hill, ok}.  n_cells must be >= 0, and a, xi and N are checked as the
+    screen and the oracle check them (ValueError), before any cell is
+    screened.
     """
+    if n_cells < 0:
+        raise ValueError(f"spot check cell count must be >= 0, got {n_cells}")
     mi_index._check_small(a, xi)
     floquet_hill.FloquetProblem(None, a, xi, N)
     p = params_from_alpha(diag.alpha)

@@ -19,19 +19,21 @@ lambda = -i mu, with mu those of the real matrix
     S_nm = k^2 [ (-c + beta m(k nu)) delta_nm + 2 w_{n-m} ]
            + gamma nu^-2 delta_nm,
 
-with S real symmetric.  The profile carries modes 1-3 only, so B has
-seven nonzero diagonals.  B is real, so the mu come in conjugate pairs
-and the lambda in pairs (lambda, -conj lambda).
+with S real symmetric.  The profile carries cosine modes 1..M (M = 3
+from the third-order Stokes expansion), so B has 2M + 1 nonzero
+diagonals, at offsets -M..M.  B is real, so the mu come in conjugate
+pairs and the lambda in pairs (lambda, -conj lambda).
 
 Eigenvalues are reported inside a window |lambda| <= R around the
 origin; the window deliberately excludes fast oscillatory branches so
 that max |Re lambda| measures sideband growth alone.  ``spectrum`` finds
-them by shift-invert Arnoldi at 0 on a banded LU of B, asking for the
-few eigenvalues nearest the origin and doubling their number until the
-farthest one returned lies outside the window, which certifies that
+them as mu = 1/theta, theta the eigenvalues of B^-1 through one banded
+LU of B: Arnoldi on B^-1 returns the few theta largest in magnitude,
+which are the mu nearest the origin, and their number doubles until the
+farthest mu returned lies outside the window, which certifies that
 every eigenvalue inside it was found.  The factorisation and each solve
-cost O(N).  Only a window holding nearly the whole spectrum is solved
-densely, as the inverse of the same LU.
+cost O(N).  A window that needs nearly all eigenvalues takes them
+densely, from the inverse that the same LU forms.
 
 Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
 k t, with t the equation's time.  Every growth rate this module reports
@@ -93,9 +95,7 @@ class FloquetSpectrum:
     """Eigenvalues inside the reporting window, with the growth summary."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    window_radius: float
     max_real_in_window: float
-    N: int
 
 
 _SOLVE_FAILED = (
@@ -105,29 +105,34 @@ _SOLVE_FAILED = (
 
 
 def _bands(problem: FloquetProblem):
-    """Return nu and B = i (-D^{-1} L) in band storage, B[i, j] = ab[3 + i - j, j]."""
+    """Return nu and B = i (-D^{-1} L) in band storage, B[i, j] = ab[M + i - j, j].
+
+    M is the number of cosine modes of the profile, so ab holds the
+    2M + 1 diagonals at offsets +M..-M, row M the main one.
+    """
     wave, a, xi, N = problem.wave, problem.a, problem.xi, problem.N
     sym, p = wave.symbol, wave.params
     k = wave.k
     c = speed(wave, a)
+    cos_amp = wave.fourier_coefficients(a)  # w_0..w_M
+    M = cos_amp.size - 1
 
     nu = np.arange(-N, N + 1) + xi
     row = k * k * nu
-    ab = np.zeros((7, nu.size))
-    ab[3] = row * (-c + p.beta * sym.m_even(k * nu)) + p.gamma / nu
+    ab = np.zeros((2 * M + 1, nu.size))
+    ab[M] = row * (-c + p.beta * sym.m_even(k * nu)) + p.gamma / nu
     # multiplication by 2w: cosine amplitude w_j on the bands at +-j,
     # scaled by the row's k^2 nu
-    cos_amp = wave.fourier_coefficients(a)  # w_0..w_3
-    for j in (1, 2, 3):
-        ab[3 - j, j:] = row[:-j] * cos_amp[j]  # B[i, i + j]
-        ab[3 + j, :-j] = row[j:] * cos_amp[j]  # B[i + j, i]
+    for j in range(1, M + 1):
+        ab[M - j, j:] = row[:-j] * cos_amp[j]  # B[i, i + j]
+        ab[M + j, :-j] = row[j:] * cos_amp[j]  # B[i + j, i]
     return nu, ab
 
 
 def _dense(ab) -> np.ndarray:
-    """The dense matrix held in band storage ab (offsets -3..3)."""
-    n = ab.shape[1]
-    return sum(np.diag(ab[3 - d, max(d, 0) : n + min(d, 0)], d) for d in range(-3, 4))
+    """The dense matrix held in band storage ab (offsets -M..M, M = ab.shape[0] // 2)."""
+    M, n = ab.shape[0] // 2, ab.shape[1]
+    return sum(np.diag(ab[M - d, max(d, 0) : n + min(d, 0)], d) for d in range(-M, M + 1))
 
 
 def assemble(problem: FloquetProblem):
@@ -143,12 +148,13 @@ def assemble(problem: FloquetProblem):
 def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
     """Eigenvalues of -D^{-1} L filtered to |lambda| <= window_radius.
 
-    Shift-invert Arnoldi at 0 (a banded LU of B and a fixed start
-    vector, so the result is deterministic) returns the count
-    eigenvalues nearest the origin; count starts at 4 and doubles until
-    the farthest of them lies outside the window, so none inside is
-    missed.  A window that would need count >= 2N - 1 is solved by a
-    dense eigen-solve of B^-1, formed from the same banded LU.
+    The eigenvalues are lambda = -i mu, mu = 1/theta, with theta those of
+    B^-1 through one banded LU of B.  Arnoldi on B^-1 (a fixed start
+    vector, so the result is deterministic) returns the count theta
+    largest in magnitude, the mu nearest the origin; count starts at 4
+    and doubles until the farthest of them lies outside the window, so
+    none inside is missed.  A window that would need count >= 2N - 1
+    takes every theta densely, from the B^-1 that the same LU forms.
 
     Raises
     ------
@@ -157,50 +163,39 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     _, ab = _bands(problem)
-    size = ab.shape[1]
-    # dgbtrf wants 3 more rows on top for the fill-in of row pivoting
-    lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros((3, size)), ab]), 3, 3)
+    M, size = ab.shape[0] // 2, ab.shape[1]
+    # dgbtrf wants M more rows on top for the fill-in of row pivoting
+    lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros((M, size)), ab]), M, M)
     if info > 0:  # exactly singular
         raise SolveError(_SOLVE_FAILED)
-    B = LinearOperator(
-        (size, size), matvec=lambda x: blas.dgbmv(size, size, 3, 3, 1.0, ab, x), dtype=float
-    )
     B_inv = LinearOperator(
-        (size, size), matvec=lambda x: lapack.dgbtrs(lu, 3, 3, x, piv)[0], dtype=float
+        (size, size), matvec=lambda x: lapack.dgbtrs(lu, M, M, x, piv)[0], dtype=float
     )
-    start = np.ones(size)
     count = 4
-    while count < size - 2:
+    while True:
+        dense = count >= size - 2
         try:
-            mu = eigs(B, k=count, sigma=0.0, OPinv=B_inv, v0=start, return_eigenvectors=False)
-        except ArpackError as exc:
+            if dense:
+                # every theta of the factored B^-1, so each eigenvalue near the
+                # origin is as accurate as the Arnoldi solve makes it
+                theta = np.linalg.eigvals(lapack.dgbtrs(lu, M, M, np.eye(size), piv)[0])
+            else:
+                theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
+        except (ArpackError, np.linalg.LinAlgError) as exc:
             raise SolveError(_SOLVE_FAILED) from exc
-        eig = -1j * mu
-        if np.max(np.abs(eig)) > window_radius:
+        eig = -1j * (1.0 / theta)
+        if dense or np.max(np.abs(eig)) > window_radius:
             break
         count *= 2
-    else:
-        # the whole spectrum from the factored B^-1, so each eigenvalue near
-        # the origin is as accurate as the Arnoldi solve makes it
-        try:
-            mu = 1.0 / np.linalg.eigvals(lapack.dgbtrs(lu, 3, 3, np.eye(size), piv)[0])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SolveError(_SOLVE_FAILED) from exc
-        eig = -1j * mu
     # deterministic ordering regardless of the solver's internal return order
     eig = eig[np.lexsort((eig.real, eig.imag))]
     inside = eig[np.abs(eig) <= window_radius]
     max_real = float(np.max(np.abs(inside.real))) if inside.size else 0.0
-    return FloquetSpectrum(
-        eigenvalues=inside,
-        window_radius=float(window_radius),
-        max_real_in_window=max_real,
-        N=problem.N,
-    )
+    return FloquetSpectrum(eigenvalues=inside, max_real_in_window=max_real)
 
 
 def max_growth(

@@ -188,6 +188,18 @@ def test_index_sweep_row_count(capsys):
     assert len(parse_csv(out)) == 10
 
 
+@pytest.mark.parametrize(
+    "fmt,want", [("csv", "k,f1,f2,delta,ratio,class\n"), ("json", "[]\n")], ids=["csv", "json"]
+)
+def test_index_empty_sweep_is_header_only(capsys, fmt, want):
+    code, out, err = run_cli(
+        capsys,
+        ["index", *KDV, "--k-min", "0.2", "--k-max", "2.0", "--nk", "0", "--format", fmt],
+    )
+    assert code == 0, err
+    assert out == want
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["index", *KDV, "--k-min", "0.2", "--k-max", "2.0", "--nk", "25"]
     _, out1, _ = run_cli(capsys, argv)
@@ -395,6 +407,16 @@ def test_diagram_spot_check_nonpositive_xi_exits_2(capsys, xi):
     )
     assert code == 2
     assert "xi must lie in (0, 1/2]" in err
+
+
+def test_diagram_negative_spot_check_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "4", "--nt", "4",
+         "--spot-check", "-2"],
+    )
+    assert code == 2
+    assert "spot check cell count must be >= 0" in err
 
 
 def test_installed_entry_point_smoke():

@@ -600,6 +600,8 @@ def test_spot_check_refusals():
         cr.spot_check(d, n_cells=2, a=1.5 * mi_index.A_BOUND)
     with pytest.raises(ValueError, match="sideband offset"):
         cr.spot_check(d, n_cells=2, xi=-1.5 * mi_index.XI_BOUND)
+    with pytest.raises(ValueError, match="cell count"):
+        cr.spot_check(d, n_cells=-2)
     assert cr.spot_check(d, n_cells=0) == []
 
 

@@ -16,6 +16,7 @@ from conftest import (
     draw_unstable_trusted,
     trusted,
     try_expand,
+    window_isolates,
 )
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
@@ -282,13 +283,32 @@ def test_window_certification_and_whole_window_fallback():
 
 
 def test_whole_window_growth_matches_default_window():
-    # the whole-window solve inverts the same banded LU as the Arnoldi
-    # solve, so the small sideband growth does not depend on the window
+    # the whole-window solve takes every theta of the B^-1 that the Arnoldi
+    # solve iterates on, from the same banded LU, so the small sideband
+    # growth does not depend on the window
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
     whole = fh.spectrum(prob, 1e9)
     assert len(whole.eigenvalues) == 17
     want = fh.spectrum(prob, fh.default_window(P11)).max_real_in_window
     assert whole.max_real_in_window == pytest.approx(want, rel=1e-11, abs=0.0)
+    # the same on seeded draws of every family, at N = 8 and 12
+    rng = np.random.default_rng(13)
+    families = set()
+    n_done = 0
+    while n_done < 40:
+        s, p, k = draw_model(rng)
+        wave = try_expand(s, p, k)
+        window = fh.default_window(p)
+        N = (8, 12)[n_done % 2]
+        if wave is None or not window_isolates(wave, DESK_XI, window, n_span=N):
+            continue
+        prob = fh.FloquetProblem(wave, DESK_A, DESK_XI, N)
+        whole = fh.spectrum(prob, 1e9).max_real_in_window
+        want = fh.spectrum(prob, window).max_real_in_window
+        assert whole == pytest.approx(want, rel=1e-11, abs=0.0), (s, p, k, N)
+        families.add(s.name)
+        n_done += 1
+    assert len(families) == 6
 
 
 def test_singular_band_matrix_raises():
