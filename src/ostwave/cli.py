@@ -189,14 +189,11 @@ def cmd_index(args) -> None:
     emit(rows, args.format, args.out, fieldnames=names)
 
 
-_CLOSED_FORM_MODELS = ("kdv", "fkdv", "kdv_st")
-
-
 def cmd_kc(args) -> None:
     s = parse_symbol_spec(args.symbol)
     p = _params(args)
-    if s.name in _CLOSED_FORM_MODELS and not args.numeric:
-        results = [critical.kc_closed_form(s.name, p, s.params)]
+    if s.name in critical.CLOSED_FORM_MODELS and not args.numeric:
+        results = [critical.kc_closed_form(s, p)]
     else:
         results = critical.kc_numeric(s, p, bracket=(args.k_min, args.k_max))
     rows = []

@@ -7,9 +7,9 @@ point is owned by exactly one mechanism:
 - ``group_velocity_extremum``:       f2 = dc_g/dk = 0,
 - ``phase_velocity_coincidence``:    f1 = c_p(k) - c_p(2k) = 0.
 
-For the polynomial-symbol models the zeros have closed forms; for the
-nonlocal models they are bracketed on a log grid and refined with
-Brent's method (``roots.brentq``).  The surface-tension families
+For the power-law symbols m = 1 - c k^d (kdv, kdv_st, fkdv) the zeros
+have closed forms; for the nonlocal models they are bracketed on a log
+grid and refined with Brent's method (``roots.brentq``).  The surface-tension families
 additionally exhibit a threshold T_c at which a pair of critical
 wavenumbers merges and disappears, dropping the count from three to
 one; ``tc_of_alpha`` locates it by Brent's method on the pair owner's
@@ -49,6 +49,7 @@ __all__ = [
     "CriticalResult",
     "StabilityDiagram",
     "T_DEGENERATE_TOL",
+    "CLOSED_FORM_MODELS",
     "params_from_alpha",
     "kc_closed_form",
     "kc_numeric",
@@ -88,14 +89,33 @@ class CriticalResult:
     method: str  # closed_form | bisection (the Brent scan of kc_numeric)
 
 
-def _result_params(p: ModelParams, extra: dict | None = None) -> dict:
-    out = {"beta": p.beta, "gamma": p.gamma}
-    out.update(extra or {})
-    return out
+def _result_params(s: DispersionSymbol, p: ModelParams) -> dict:
+    return {"beta": p.beta, "gamma": p.gamma, **s.params}
 
 
-def kc_closed_form(model: str, p: ModelParams, extra: dict | None = None) -> CriticalResult:
-    """Exact critical wavenumber for the quadratic/fractional symbols.
+# (c, d) of the symbols m = 1 - c k^d, from their parameters: the models
+# whose critical wavenumber has a closed form
+CLOSED_FORM_MODELS = {
+    "kdv": lambda params: (1.0, 2.0),
+    "kdv_st": lambda params: (1.0 - 3.0 * params["T"], 2.0),
+    "fkdv": lambda params: (1.0, params["delta"]),
+}
+
+
+def kc_closed_form(s: DispersionSymbol, p: ModelParams) -> CriticalResult:
+    """Exact critical wavenumber of a power-law symbol m = 1 - c k^d.
+
+    kdv has (c, d) = (1, 2), kdv_st (1 - 3T, 2) and fkdv (1, delta).
+    With beta c > 0 the critical point is a group-velocity extremum at
+
+        kc = (2 gamma / (d (1 + d) beta c))^(1 / (2 + d)),
+
+    otherwise a phase-velocity coincidence at
+
+        kc = (gamma / (4 |beta c| (2^d - 1) / 3))^(1 / (2 + d)).
+
+    At d = 2 the factor (2^d - 1) / 3 is exactly 1, so fkdv at delta = 2
+    and kdv_st at T = 0 give kdv's floats.
 
     Raises
     ------
@@ -103,51 +123,24 @@ def kc_closed_form(model: str, p: ModelParams, extra: dict | None = None) -> Cri
         ``kdv_st`` at T = 1/3, where the effective dispersion coefficient
         vanishes and no verdict exists.
     ValueError
-        Unsupported model or missing/out-of-range extras.
+        A symbol with no closed form.
     """
-    extra = dict(extra or {})
-    beta, gamma = p.beta, p.gamma
-
-    if model == "fkdv":
-        if "delta" not in extra:
-            raise ValueError("fkdv requires extra parameter 'delta'")
-        d = float(extra["delta"])
-        if not d > 0.5:
-            raise ValueError(f"fkdv requires delta > 1/2, got {d}")
-        if beta > 0:
-            kc = (2.0 * gamma / (d * (1.0 + d) * beta)) ** (1.0 / (2.0 + d))
-            mech = "group_velocity_extremum"
-        else:
-            kc = (3.0 * gamma / (4.0 * (2.0 ** d - 1.0) * abs(beta))) ** (1.0 / (2.0 + d))
-            mech = "phase_velocity_coincidence"
-        return CriticalResult("fkdv", _result_params(p, {"delta": d}), mech, kc, "closed_form")
-
-    if model == "kdv":
-        beta_eff = beta
-        pd = {}
-    elif model == "kdv_st":
-        if "T" not in extra:
-            raise ValueError("kdv_st requires extra parameter 'T'")
-        T = float(extra["T"])
-        if T < 0:
-            raise ValueError(f"kdv_st requires T >= 0, got {T}")
-        if abs(T - 1.0 / 3.0) <= T_DEGENERATE_TOL:
-            raise InconclusiveError(
-                "kdv_st at T = 1/3 has no dispersive term at quadratic order; "
-                "the stability verdict is inconclusive there"
-            )
-        beta_eff = beta * (1.0 - 3.0 * T)
-        pd = {"T": T}
-    else:
-        raise ValueError(f"no closed-form critical wavenumber for model {model!r}")
-
-    if beta_eff > 0:
-        kc = (gamma / (3.0 * beta_eff)) ** 0.25
+    if s.name not in CLOSED_FORM_MODELS:
+        raise ValueError(f"no closed-form critical wavenumber for model {s.name!r}")
+    if s.name == "kdv_st" and abs(s.params["T"] - 1.0 / 3.0) <= T_DEGENERATE_TOL:
+        raise InconclusiveError(
+            "kdv_st at T = 1/3 has no dispersive term at quadratic order; "
+            "the stability verdict is inconclusive there"
+        )
+    c, d = CLOSED_FORM_MODELS[s.name](s.params)
+    beta_c, gamma = p.beta * c, p.gamma
+    if beta_c > 0:
+        kc = (2.0 * gamma / (d * (1.0 + d) * beta_c)) ** (1.0 / (2.0 + d))
         mech = "group_velocity_extremum"
     else:
-        kc = (gamma / (4.0 * abs(beta_eff))) ** 0.25
+        kc = (gamma / (4.0 * abs(beta_c) * ((2.0 ** d - 1.0) / 3.0))) ** (1.0 / (2.0 + d))
         mech = "phase_velocity_coincidence"
-    return CriticalResult(model, _result_params(p, pd), mech, kc, "closed_form")
+    return CriticalResult(s.name, _result_params(s, p), mech, kc, "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +203,7 @@ def kc_numeric(s: DispersionSymbol, p: ModelParams, bracket: tuple = (1e-2, 1e2)
     ValueError
         Non-finite endpoint evaluations or a bad bracket.
     """
-    params = _result_params(p, s.params)
+    params = _result_params(s, p)
     pairs = _critical_roots(s, p, bracket, "bracket")
     results = [CriticalResult(s.name, params, mech, root, "bisection") for root, mech in pairs]
     if not results:

@@ -140,21 +140,6 @@ def _pencil(wave: StokesWave, a: float, xi: float):
     return u, v1, v2, s, w12, w21
 
 
-def _quot(num, den):
-    """num / den by Python's complex division, elementwise, with |Re den| >= |Im den|.
-
-    numpy's complex division multiplies by 1 / denom, which rounds
-    differently; this keeps a batch's roots the floats the scalar
-    quotient gives.
-    """
-    ratio = den.imag / den.real
-    denom = den.real + den.imag * ratio
-    out = np.empty(np.broadcast(num, den).shape, dtype=complex)
-    out.real = (num.real + num.imag * ratio) / denom
-    out.imag = (num.imag - num.real * ratio) / denom
-    return complex(out) if out.ndim == 0 else out
-
-
 def assemble_b_matrix(wave: StokesWave, lam: complex, a: float, xi: float) -> np.ndarray:
     """Project the linearized sideband problem onto a 2x2 complex matrix.
 
@@ -187,7 +172,11 @@ def bmatrix_det_roots(wave: StokesWave, a: float, xi: float):
     qb = u * (v1 + v2) - s * (w21 - w12)
     qc = v1 * v2 - w12 * w21
     sq = np.sqrt(qb * qb - 4.0 * qa * qc)  # bit for bit cmath.sqrt
-    return (_quot(-qb + sq, 2.0 * qa), _quot(-qb - sq, 2.0 * qa))
+    # qa is real (u is imaginary, s real): dividing each part by it gives the
+    # floats Python's complex division does, where numpy's multiplies by 1 / qa
+    d = 2.0 * qa.real
+    roots = [r.real / d + 1j * (r.imag / d) for r in (-qb + sq, -qb - sq)]
+    return tuple(complex(r) if np.ndim(r) == 0 else r for r in roots)
 
 
 def growth_rate_leading(wave: StokesWave, a: float, xi: float):

@@ -34,7 +34,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_critical_wavenumber_reference():
     t0 = time.perf_counter()
-    kc = cr.kc_closed_form("kdv", P11).kc
+    kc = cr.kc_closed_form(ow.make_symbol("kdv"), P11).kc
     elapsed = time.perf_counter() - t0
     exact = 3.0**-0.25
     ok = abs(kc - exact) < 1e-12 and abs(kc - 0.760) < 1e-3 and elapsed < 1.0
@@ -169,15 +169,15 @@ def test_criterion_09_closed_form_reductions():
         worst = max(
             worst,
             abs(
-                cr.kc_closed_form("fkdv", p, {"delta": 2.0}).kc
-                - cr.kc_closed_form("kdv", p).kc
+                cr.kc_closed_form(ow.make_symbol("fkdv", {"delta": 2.0}), p).kc
+                - cr.kc_closed_form(ow.make_symbol("kdv"), p).kc
             ),
         )
     worst = max(
         worst,
         abs(
-            cr.kc_closed_form("kdv_st", P11, {"T": 0.0}).kc
-            - cr.kc_closed_form("kdv", P11).kc
+            cr.kc_closed_form(ow.make_symbol("kdv_st", {"T": 0.0}), P11).kc
+            - cr.kc_closed_form(ow.make_symbol("kdv"), P11).kc
         ),
     )
     ok = worst <= 1e-12

@@ -22,61 +22,78 @@ PN1 = ow.ModelParams(beta=-1.0, gamma=1.0)
 
 
 def test_kdv_closed_form_both_signs():
-    r = cr.kc_closed_form("kdv", P11)
+    r = cr.kc_closed_form(ow.make_symbol("kdv"), P11)
     assert r.kc == pytest.approx(3.0**-0.25, rel=1e-14)
     assert r.mechanism == "group_velocity_extremum"
     assert r.method == "closed_form"
-    r = cr.kc_closed_form("kdv", PN1)
+    r = cr.kc_closed_form(ow.make_symbol("kdv"), PN1)
     assert r.kc == pytest.approx(0.25**0.25, rel=1e-14)
     assert r.mechanism == "phase_velocity_coincidence"
 
 
 def test_kc_scales_with_parameters():
     # kc = (gamma/(3 beta))^{1/4} for beta > 0
-    r = cr.kc_closed_form("kdv", ow.ModelParams(beta=2.0, gamma=0.5))
+    r = cr.kc_closed_form(ow.make_symbol("kdv"), ow.ModelParams(beta=2.0, gamma=0.5))
     assert r.kc == pytest.approx((0.5 / 6.0) ** 0.25, rel=1e-14)
 
 
 def test_fkdv_closed_form():
-    r = cr.kc_closed_form("fkdv", P11, {"delta": 1.5})
+    r = cr.kc_closed_form(ow.make_symbol("fkdv", {"delta": 1.5}), P11)
     want = (2.0 / (1.5 * 2.5)) ** (1.0 / 3.5)
     assert r.kc == pytest.approx(want, rel=1e-14)
     assert r.params["delta"] == 1.5
-    r = cr.kc_closed_form("fkdv", PN1, {"delta": 1.5})
+    r = cr.kc_closed_form(ow.make_symbol("fkdv", {"delta": 1.5}), PN1)
     want = (3.0 / (4.0 * (2.0**1.5 - 1.0))) ** (1.0 / 3.5)
     assert r.kc == pytest.approx(want, rel=1e-14)
 
 
 def test_fkdv_delta2_reduces_to_kdv():
     for p in (P11, PN1):
-        assert cr.kc_closed_form("fkdv", p, {"delta": 2.0}).kc == pytest.approx(
-            cr.kc_closed_form("kdv", p).kc, abs=1e-12
+        assert cr.kc_closed_form(ow.make_symbol("fkdv", {"delta": 2.0}), p).kc == pytest.approx(
+            cr.kc_closed_form(ow.make_symbol("kdv"), p).kc, abs=1e-12
         )
+
+
+def test_power_law_reductions_are_exact():
+    # one formula pair serves m = 1 - c k^d: at d = 2, c = 1 every model is kdv, float for float
+    rng = np.random.default_rng(14)
+    reductions = [
+        ow.make_symbol("fkdv", {"delta": 2.0}),
+        ow.make_symbol("kdv_st", {"T": 0.0}),
+        ow.make_symbol("kdv_st"),  # T defaults to 0, as on the CLI
+    ]
+    for _ in range(200):
+        beta = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        p = ow.ModelParams(beta=beta, gamma=float(10.0 ** rng.uniform(-3.0, 3.0)))
+        want = cr.kc_closed_form(ow.make_symbol("kdv"), p)
+        for s in reductions:
+            got = cr.kc_closed_form(s, p)
+            assert (got.kc, got.mechanism) == (want.kc, want.mechanism), (s.name, s.params, p)
 
 
 def test_kdv_st_closed_form():
     # effective quadratic coefficient flips sign at T = 1/3
-    r = cr.kc_closed_form("kdv_st", P11, {"T": 2.0 / 3.0})
+    r = cr.kc_closed_form(ow.make_symbol("kdv_st", {"T": 2.0 / 3.0}), P11)
     assert r.kc == pytest.approx(0.25**0.25, rel=1e-14)
     assert r.mechanism == "phase_velocity_coincidence"
-    r = cr.kc_closed_form("kdv_st", P11, {"T": 0.1})
+    r = cr.kc_closed_form(ow.make_symbol("kdv_st", {"T": 0.1}), P11)
     assert r.kc == pytest.approx((1.0 / (3.0 * 0.7)) ** 0.25, rel=1e-14)
     assert r.mechanism == "group_velocity_extremum"
-    assert cr.kc_closed_form("kdv_st", P11, {"T": 0.0}).kc == pytest.approx(
-        cr.kc_closed_form("kdv", P11).kc, abs=1e-12
+    assert cr.kc_closed_form(ow.make_symbol("kdv_st", {"T": 0.0}), P11).kc == pytest.approx(
+        cr.kc_closed_form(ow.make_symbol("kdv"), P11).kc, abs=1e-12
     )
 
 
 def test_kdv_st_inconclusive_near_one_third():
     with pytest.raises(ow.InconclusiveError):
-        cr.kc_closed_form("kdv_st", P11, {"T": 1.0 / 3.0})
+        cr.kc_closed_form(ow.make_symbol("kdv_st", {"T": 1.0 / 3.0}), P11)
     with pytest.raises(ow.InconclusiveError):
-        cr.kc_closed_form("kdv_st", P11, {"T": 0.333333})
+        cr.kc_closed_form(ow.make_symbol("kdv_st", {"T": 0.333333}), P11)
 
 
 def test_unsupported_model_rejected():
     with pytest.raises(ValueError):
-        cr.kc_closed_form("ilw", P11)
+        cr.kc_closed_form(ow.make_symbol("ilw"), P11)
 
 
 # --------------------------------------------------------------- numeric
@@ -118,7 +135,7 @@ def test_sign_change_across_critical_point(name, p, kc, mech):
 def test_kdv_numeric_matches_closed_form():
     s = ow.make_symbol("kdv")
     for p in (P11, PN1):
-        closed = cr.kc_closed_form("kdv", p).kc
+        closed = cr.kc_closed_form(ow.make_symbol("kdv"), p).kc
         results = cr.kc_numeric(s, p)
         assert len(results) == 1
         assert abs(results[0].kc - closed) <= 1e-10
@@ -138,7 +155,7 @@ def test_kc_closed_form_matches_numeric(model, sign, log_beta, log_gamma, delta,
     if model == "kdv_st":
         assume(abs(T - 1.0 / 3.0) > 0.02)
     p = ow.ModelParams(beta=sign * 10.0**log_beta, gamma=10.0**log_gamma)
-    closed = cr.kc_closed_form(model, p, extra)
+    closed = cr.kc_closed_form(ow.make_symbol(model, extra), p)
     assume(0.05 < closed.kc < 20.0)  # well inside kc_numeric's bracket (0.01, 100)
     (numeric,) = cr.kc_numeric(ow.make_symbol(model, extra), p)
     assert numeric.mechanism == closed.mechanism
@@ -157,7 +174,7 @@ def test_closed_form_sign_change():
         ("fkdv", P11, {"delta": 1.5}),
         ("kdv_st", P11, {"T": 0.6}),
     ]:
-        r = cr.kc_closed_form(model, p, extra)
+        r = cr.kc_closed_form(ow.make_symbol(model, extra), p)
         s = ow.make_symbol(model, extra)
         lo = ow.index(s, p, r.kc * (1 - 1e-3)).delta
         hi = ow.index(s, p, r.kc * (1 + 1e-3)).delta
@@ -174,6 +191,17 @@ def test_classify_intervals_kdv():
     assert a0 == 0.05
     assert b0 == pytest.approx(3.0**-0.25, abs=1e-6)
     assert ivs[1][0][1] == 3.0
+
+
+@pytest.mark.parametrize("p", [P11, PN1], ids=["beta+", "beta-"])
+def test_classify_intervals_ends_on_kc(p):
+    # a range ending on the critical wavenumber is one interval with no sliver past it
+    s = ow.make_symbol("kdv")
+    kc = cr.kc_closed_form(s, p).kc
+    ivs = cr.classify_intervals(s, p, (0.1, kc))
+    assert len(ivs) == 1
+    (lo, hi), _ = ivs[0]
+    assert (lo, hi) == (0.1, kc)
 
 
 def test_classify_intervals_whitham_st_below_threshold():
