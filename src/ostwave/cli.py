@@ -151,6 +151,8 @@ def cmd_symbols(args) -> None:
 
 
 def cmd_stokes(args) -> None:
+    if args.profile_samples < 0:
+        raise ValueError(f"--profile-samples must be >= 0, got {args.profile_samples}")
     s = parse_symbol_spec(args.symbol)
     p = _params(args)
     wave = expand(s, p, args.k)
@@ -192,7 +194,7 @@ def cmd_index(args) -> None:
 def cmd_kc(args) -> None:
     s = parse_symbol_spec(args.symbol)
     p = _params(args)
-    if s.name in critical.CLOSED_FORM_MODELS and not args.numeric:
+    if s.power_law is not None and not args.numeric:
         results = [critical.kc_closed_form(s, p)]
     else:
         results = critical.kc_numeric(s, p, bracket=(args.k_min, args.k_max))

@@ -40,7 +40,6 @@ from .stokes import StokesWave, _stokes, harmonic_denominator
 from .symbols import (
     DispersionSymbol,
     ModelParams,
-    _tension_symbol,
     group_velocity_derivative,
     make_symbol,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "CriticalResult",
     "StabilityDiagram",
     "T_DEGENERATE_TOL",
-    "CLOSED_FORM_MODELS",
     "params_from_alpha",
     "kc_closed_form",
     "kc_numeric",
@@ -60,7 +58,7 @@ __all__ = [
 ]
 
 # |T - 1/3| below this counts as sitting on the degenerate tension value
-# where the quadratic-symbol model loses its dispersive term
+# where kdv_st loses its dispersive term: |c| = |1 - 3T| below 3 times it
 T_DEGENERATE_TOL = 1e-5
 
 # diagram and interval labels of the index classifications
@@ -93,20 +91,11 @@ def _result_params(s: DispersionSymbol, p: ModelParams) -> dict:
     return {"beta": p.beta, "gamma": p.gamma, **s.params}
 
 
-# (c, d) of the symbols m = 1 - c k^d, from their parameters: the models
-# whose critical wavenumber has a closed form
-CLOSED_FORM_MODELS = {
-    "kdv": lambda params: (1.0, 2.0),
-    "kdv_st": lambda params: (1.0 - 3.0 * params["T"], 2.0),
-    "fkdv": lambda params: (1.0, params["delta"]),
-}
-
-
 def kc_closed_form(s: DispersionSymbol, p: ModelParams) -> CriticalResult:
     """Exact critical wavenumber of a power-law symbol m = 1 - c k^d.
 
-    kdv has (c, d) = (1, 2), kdv_st (1 - 3T, 2) and fkdv (1, delta).
-    With beta c > 0 the critical point is a group-velocity extremum at
+    (c, d) is the symbol's ``power_law``.  With beta c > 0 the critical
+    point is a group-velocity extremum at
 
         kc = (2 gamma / (d (1 + d) beta c))^(1 / (2 + d)),
 
@@ -120,19 +109,16 @@ def kc_closed_form(s: DispersionSymbol, p: ModelParams) -> CriticalResult:
     Raises
     ------
     InconclusiveError
-        ``kdv_st`` at T = 1/3, where the effective dispersion coefficient
-        vanishes and no verdict exists.
+        |c| <= 3 T_DEGENERATE_TOL (kdv_st near T = 1/3): the dispersive
+        term vanishes and no verdict exists.
     ValueError
         A symbol with no closed form.
     """
-    if s.name not in CLOSED_FORM_MODELS:
+    if s.power_law is None:
         raise ValueError(f"no closed-form critical wavenumber for model {s.name!r}")
-    if s.name == "kdv_st" and abs(s.params["T"] - 1.0 / 3.0) <= T_DEGENERATE_TOL:
-        raise InconclusiveError(
-            "kdv_st at T = 1/3 has no dispersive term at quadratic order; "
-            "the stability verdict is inconclusive there"
-        )
-    c, d = CLOSED_FORM_MODELS[s.name](s.params)
+    c, d = s.power_law
+    if abs(c) <= 3.0 * T_DEGENERATE_TOL:
+        raise InconclusiveError(f"{s.name} has no k^{d:g} term (c = {c:.3g}); the verdict is inconclusive")
     beta_c, gamma = p.beta * c, p.gamma
     if beta_c > 0:
         kc = (2.0 * gamma / (d * (1.0 + d) * beta_c)) ** (1.0 / (2.0 + d))
@@ -289,7 +275,7 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
 
     def g(T: float) -> float:
         # the pair exists while the owner's numerator dips below zero on the window
-        return minimize_scalar(_lattice_numerators("whitham_st", p, T)[owner], k_grid)
+        return minimize_scalar(_numerators(make_symbol("whitham_st", {"T": T}), p)[owner], k_grid)
 
     try:
         return brentq(g, 0.01, 0.9, xtol=tol / 2)
@@ -370,11 +356,6 @@ def _region_counts(labels: np.ndarray) -> dict:
     return {lab: _count_regions(labels == lab) for lab in ("S", "U")}
 
 
-def _lattice_numerators(family: str, p: ModelParams, T) -> tuple:
-    """The factor numerators of the family's symbol at tension T, an array broadcasting against k."""
-    return _numerators(_tension_symbol(family, T), p)
-
-
 def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
     """Newton's method from (k, T) on both factor numerators: their common root, or None.
 
@@ -387,7 +368,7 @@ def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
         if not (0 < k < math.inf and 0 < T < math.inf):
             return None
         hk, hT = (k + h * k) - k, (T + h * T) - T
-        nums = _lattice_numerators(family, p, np.array([T, T, T + hT]))
+        nums = _numerators(make_symbol(family, {"T": np.array([T, T, T + hT])}), p)
         (f, fk, fT), (g, gk, gT) = (num(np.array([k, k + hk, k])).tolist() for num in nums)
         a, b, c, d = (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
         det = a * d - b * c
@@ -418,7 +399,7 @@ def _curve_intersection(family: str, p: ModelParams, Ts, curves):
         rows, k = rows[first], k[first]
         row_k, vals = np.full((2, len(Ts)), math.nan)
         row_k[rows] = k
-        vals[rows] = _lattice_numerators(family, p, Ts[rows])[other](k)
+        vals[rows] = _numerators(make_symbol(family, {"T": Ts[rows]}), p)[other](k)
         zero, start = roots.cells(vals)
         for j in np.flatnonzero(start).tolist():
             if zero[j]:
@@ -459,7 +440,7 @@ def diagram(
     ks = (np.arange(nk) + 0.5) * (k_max / nk)
     Ts = (np.arange(nt) + 0.5) * (t_max / nt)
 
-    r = mi_index.index(_tension_symbol(s_family, Ts[:, None]), p, ks)
+    r = mi_index.index(make_symbol(s_family, {"T": Ts[:, None]}), p, ks)
     labels = np.empty((nt, nk), dtype=object)
     for code, label in _LABELS.items():
         labels[r.classification == code] = label
@@ -474,7 +455,7 @@ def diagram(
         lane_t, lo = Ts[rows[cell]], cols[cell]
 
         def f(x, lanes, which=which, lane_t=lane_t):
-            return _lattice_numerators(s_family, p, lane_t[lanes])[which](x)
+            return _numerators(make_symbol(s_family, {"T": lane_t[lanes]}), p)[which](x)
 
         k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12)
         points.append((rows, k))
@@ -559,7 +540,7 @@ def spot_check(
         start, size = start + size, 2 * size
         T, k = diag.Ts[j][:, None], diag.ks[i][:, None]
         unstable = diag.labels[j, i] == "U"
-        s = _tension_symbol(diag.family, T)
+        s = make_symbol(diag.family, {"T": T})
         # resonant cells carry non-finite coefficients; the mask drops them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c0, A2, A3, resonant = _stokes(s, p, k)

@@ -22,6 +22,10 @@ name            m(k)                                           parameters
 ``custom``      user supplied callables
 ==============  =============================================  ==========
 
+``make_symbol`` declares each family once with the parameters it takes
+(finite, known keys only; T defaults to 0).  The power laws m = 1 - c k^d
+share one evaluator and carry their (c, d) as ``power_law``.
+
 Each family has one evaluator, its jet: ``DispersionSymbol.jet(k, order)``
 returns ``(m, m', m'')[:order + 1]`` from one pass that computes the
 transcendentals the orders share (tanh, exp, the series branch) once and
@@ -98,13 +102,15 @@ class DispersionSymbol:
     validates the sign of k and serves callers that need several orders
     at one k; ``m``, ``m1`` and ``m2`` are its single-order views, and
     ``m_even``, ``m1_odd`` and ``m2_even`` evaluate the even extension at
-    frequencies of any sign (m even, m' odd, m'' even).
+    frequencies of any sign (m even, m' odd, m'' even).  ``power_law``
+    is (c, d) for a symbol m = 1 - c k^d, else None.
     """
 
     name: str
     params: dict = field(default_factory=dict)
     growth_exponent: float = 0.0
     jet_fn: Callable = None
+    power_law: tuple = None
 
     def _value(self, arr, order):
         out = np.asarray(self.jet_fn(arr, order)[order], dtype=float)
@@ -146,32 +152,19 @@ class DispersionSymbol:
 # value is the same float whichever orders are asked for with it.
 
 
-def _kdv_family(coef):
-    # m = 1 - coef * k^2; coef may be an array that broadcasts against k
+def _power_law(c, d):
+    # growth exponent, jet and (c, d) of m = 1 - c k^d; c may be an array that broadcasts against k
     def jet(k, order):
-        m = 1.0 - coef * k * k
-        if order == 0:
-            return (m,)
-        m1 = -2.0 * coef * k
-        if order == 1:
-            return m, m1
-        return m, m1, np.full(np.broadcast(k, coef).shape, -2.0 * coef)
-
-    return jet
-
-
-def _fkdv(delta):
-    def jet(k, order):
-        m = 1.0 - np.power(k, delta)
+        m = 1.0 - c * np.power(k, d)
         if order == 0:
             return (m,)
         with np.errstate(divide="ignore"):
-            m1 = -delta * np.power(k, delta - 1.0)
+            m1 = -d * c * np.power(k, d - 1.0)
             if order == 1:
                 return m, m1
-            return m, m1, -delta * (delta - 1.0) * np.power(k, delta - 2.0)
+            return m, m1, -d * (d - 1.0) * c * np.power(k, d - 2.0)
 
-    return jet
+    return d * (c != 0), jet, (c, d)
 
 
 # Powers of intermediate values go through np.float_power, which rounds as
@@ -249,18 +242,24 @@ def _whitham_st(T):
     return jet
 
 
-def _tension_symbol(name: str, T) -> DispersionSymbol:
-    """The ``kdv_st`` or ``whitham_st`` symbol at tension T >= 0.
+# Each parameter of the built-in families: its default (None if it must be given),
+# its range, and the test of that range on its least and greatest value (NaN fails).
+_PARAMS = {
+    "delta": (None, "> 1/2", lambda lo, hi: 0.5 < lo and hi < math.inf),
+    "T": (0.0, ">= 0", lambda lo, hi: 0.0 <= lo and hi < math.inf),
+}
 
-    T is a float, or an array that broadcasts against k: the evaluators
-    then return the symbol at every (T, k) pair at once, each the same
-    float a symbol built at that T alone gives, and so does the growth
-    exponent.
-    """
-    # plain arithmetic on the comparisons: floats for a float T, no numpy call
-    if name == "kdv_st":
-        return DispersionSymbol(name, {"T": T}, 2.0 * (T != 1.0 / 3.0), _kdv_family(1.0 - 3.0 * T))
-    return DispersionSymbol(name, {"T": T}, (T > 0) - 0.5, _whitham_st(T))
+# Each built-in family: the parameters it takes, and its growth exponent,
+# jet and power-law (c, d) (None off the power laws) from their values.
+_FAMILIES = {
+    "kdv": ((), lambda: _power_law(1.0, 2.0)),
+    "fkdv": (("delta",), lambda delta: _power_law(1.0, delta)),
+    "ilw": ((), lambda: (1.0, _ilw_jet, None)),
+    "whitham": ((), lambda: (-0.5, _whitham_jet, None)),
+    "kdv_st": (("T",), lambda T: _power_law(1.0 - 3.0 * T, 2.0)),
+    # plain arithmetic on the comparison: a float for a float T, no numpy call
+    "whitham_st": (("T",), lambda T: ((T > 0) - 0.5, _whitham_st(T), None)),
+}
 
 
 def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
@@ -272,9 +271,12 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         One of ``kdv``, ``fkdv``, ``ilw``, ``whitham``, ``kdv_st``,
         ``whitham_st``, ``custom``.
     params : dict, optional
-        Extra parameters.  ``fkdv`` needs ``delta`` (> 1/2); the two
-        surface-tension variants need ``T`` (>= 0).  ``custom`` needs
-        callables ``m``, ``m1``, ``m2`` and a ``growth_exponent``.
+        The family's parameters, finite and no others: ``fkdv`` needs
+        ``delta`` (> 1/2); ``kdv_st`` and ``whitham_st`` take ``T`` (>= 0,
+        default 0), a float or an array broadcasting against k: the symbol
+        at every (T, k) pair at once, each the float a symbol built at that
+        T alone gives.  ``custom`` needs callables ``m``, ``m1``, ``m2``
+        and a ``growth_exponent``.
 
     Returns
     -------
@@ -283,27 +285,10 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
     Raises
     ------
     ValueError
-        Unknown name, missing parameters, or parameters out of range.
+        Unknown name, a parameter missing, not taken by the family, or
+        non-finite or out of range.
     """
     params = dict(params or {})
-    if name == "kdv":
-        return DispersionSymbol("kdv", params, 2.0, _kdv_family(1.0))
-    if name == "fkdv":
-        if "delta" not in params:
-            raise ValueError("fkdv requires parameter 'delta'")
-        delta = float(params["delta"])
-        if not delta > 0.5:
-            raise ValueError(f"fkdv requires delta > 1/2, got {delta}")
-        return DispersionSymbol("fkdv", {"delta": delta}, delta, _fkdv(delta))
-    if name == "ilw":
-        return DispersionSymbol("ilw", params, 1.0, _ilw_jet)
-    if name == "whitham":
-        return DispersionSymbol("whitham", params, -0.5, _whitham_jet)
-    if name in ("kdv_st", "whitham_st"):
-        T = float(params.get("T", 0.0))
-        if T < 0:
-            raise ValueError(f"{name} requires T >= 0, got {T}")
-        return _tension_symbol(name, T)
     if name == "custom":
         try:
             fns = (params["m"], params["m1"], params["m2"])
@@ -311,7 +296,28 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
             raise ValueError("custom symbol requires callables m, m1, m2") from exc
         alpha = float(params.get("growth_exponent", 0.0))
         return DispersionSymbol("custom", params, alpha, lambda k, order: [f(k) for f in fns[: order + 1]])
-    raise ValueError(f"unknown symbol name: {name!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown symbol name: {name!r}")
+    keys, build = _FAMILIES[name]
+    if params.keys() - keys:
+        unknown = ", ".join(sorted(params.keys() - keys))
+        raise ValueError(f"{name} takes {', '.join(keys) or 'no parameters'}, not {unknown}")
+    values = {}
+    for key in keys:
+        default, bound, allowed = _PARAMS[key]
+        value = params.get(key, default)
+        if value is None:
+            raise ValueError(f"{name} requires parameter {key!r}")
+        if not isinstance(value, np.ndarray):
+            value = lo = hi = float(value)
+        else:  # two reductions, the cheapest test: the diagram builds a symbol per solver step
+            value = value.astype(float, copy=False)
+            lo = np.minimum.reduce(value, axis=None, initial=math.inf)
+            hi = np.maximum.reduce(value, axis=None, initial=-math.inf)
+        if not allowed(lo, hi):
+            raise ValueError(f"{name} requires finite {key} {bound}, got {value}")
+        values[key] = value
+    return DispersionSymbol(name, values, *build(**values))
 
 
 def parse_symbol_spec(spec: str) -> DispersionSymbol:
@@ -327,8 +333,11 @@ def parse_symbol_spec(spec: str) -> DispersionSymbol:
             key, sep, value = item.partition("=")
             if not sep:
                 raise ValueError(f"malformed symbol parameter {item!r} in {spec!r}")
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"repeated symbol parameter {key!r} in {spec!r}")
             try:
-                params[key.strip()] = float(value)
+                params[key] = float(value)
             except ValueError as exc:
                 raise ValueError(f"non-numeric symbol parameter {item!r} in {spec!r}") from exc
     return make_symbol(name, params)

@@ -116,6 +116,9 @@ def test_usage_errors_exit_2(capsys):
         ["tc", "--symbol", "whitham_st", "--alpha", "nan"],
         ["spectrum", *KDV, "--k", "1", "--a", "nan"],
         ["stokes", *KDV, "--k", "1", "--a", "nan"],
+        ["kc", "--symbol", "kdv_st:T=nan", "--beta", "1", "--gamma", "1"],
+        ["kc", "--symbol", "kdv_st:T=inf", "--beta", "1", "--gamma", "1"],
+        ["kc", "--symbol", "fkdv:delta=inf", "--beta", "1", "--gamma", "1"],
     ],
 )
 def test_non_finite_input_exits_2(capsys, argv):
@@ -123,6 +126,25 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [("kdv:T=0.5", "takes no parameters"), ("whitham:delta=3", "takes no parameters"),
+     ("fkdv:delta=1.5,T=2", "takes delta, not T"), ("kdv_st:T=0.2,T=0.5", "repeated")],
+)
+def test_symbol_parameter_the_family_does_not_take_exits_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, ["kc", "--symbol", spec, "--beta", "1", "--gamma", "1"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_negative_profile_samples_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["stokes", *KDV, "--k", "1", "--profile-samples", "-4"])
+    assert code == 2
+    assert out == ""
+    assert "profile-samples" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

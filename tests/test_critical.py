@@ -96,6 +96,17 @@ def test_unsupported_model_rejected():
         cr.kc_closed_form(ow.make_symbol("ilw"), P11)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [ow.make_symbol("ilw"), ow.make_symbol("whitham"), ow.make_symbol("whitham_st", {"T": 0.2}),
+     ow.make_symbol("custom", {"m": lambda k: 1.0 - k * k, "m1": lambda k: -2.0 * k, "m2": lambda k: -2.0})],
+    ids=lambda s: s.name,
+)
+def test_closed_form_refuses_symbols_off_the_power_laws(s):
+    with pytest.raises(ValueError, match="no closed-form"):
+        cr.kc_closed_form(s, P11)
+
+
 # --------------------------------------------------------------- numeric
 
 
@@ -390,10 +401,10 @@ def test_diagram_curves_lie_on_zero_loci():
 
 def test_diagram_evaluates_the_lattice_three_times(monkeypatch):
     shapes = []
-    tension_symbol = cr._tension_symbol
+    make_symbol = cr.make_symbol
 
-    def logged_symbol(family, T):
-        s = tension_symbol(family, T)
+    def logged_symbol(family, params):
+        s = make_symbol(family, params)
 
         def jet_fn(k, order):
             out = s.jet_fn(k, order)
@@ -402,7 +413,7 @@ def test_diagram_evaluates_the_lattice_three_times(monkeypatch):
 
         return dataclasses.replace(s, jet_fn=jet_fn)
 
-    monkeypatch.setattr(cr, "_tension_symbol", logged_symbol)
+    monkeypatch.setattr(cr, "make_symbol", logged_symbol)
     cr.diagram("whitham_st", 0.1, k_max=2.0, t_max=0.8, nk=50, nt=50)
     # m(k) and m(2k) for f1, the order-2 jet for f2; the curves scan the same values
     assert shapes.count((50, 50)) == 3

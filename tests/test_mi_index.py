@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import ostwave as ow
 from ostwave import floquet_hill, mi_index, stokes
-from ostwave.symbols import _tension_symbol
 from conftest import draw_model
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
@@ -131,7 +130,7 @@ def test_f1_sign_is_the_resonance_denominator_sign_at_the_f1_locus():
         d = ow.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=50, nt=50)
         k, T = np.array(d.f1_curve).T
         ks = np.concatenate([k, np.nextafter(k, 0.0), np.nextafter(k, np.inf), k * (1 - 8e-15), k * (1 + 8e-15)])
-        s, p = _tension_symbol(family, np.tile(T, 5)), ow.params_from_alpha(alpha)
+        s, p = ow.make_symbol(family, {"T": np.tile(T, 5)}), ow.params_from_alpha(alpha)
         f1 = ow.index(s, p, ks).f1
         np.testing.assert_array_equal(np.sign(f1), np.sign(stokes.harmonic_denominator(s, p, ks, 2)))
         total += ks.size
@@ -338,7 +337,7 @@ def _seeded_batch(name, params, seed, n=120):
         s = ow.make_symbol(name, params)
         return s, p, ks, [s] * ks.size
     Ts = np.concatenate([rng.uniform(0.0, 0.8, n), np.full(len(resonances), params["T"])])
-    return _tension_symbol(name, Ts), p, ks, [ow.make_symbol(name, {"T": float(T)}) for T in Ts]
+    return ow.make_symbol(name, {"T": Ts}), p, ks, [ow.make_symbol(name, {"T": float(T)}) for T in Ts]
 
 
 def test_batch_resonance_mask_flags_exact_resonances():

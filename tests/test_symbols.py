@@ -95,7 +95,7 @@ def test_tension_lattice_matches_symbol_per_tension(name):
     # T as a column broadcasts against k: every row is the symbol at that T, bit for bit
     Ts = np.array([0.0, 0.05, 1.0 / 3.0, 0.4, 0.8])
     ks = np.geomspace(1e-5, 50.0, 300)
-    lattice = symbols._tension_symbol(name, Ts[:, None])
+    lattice = ow.make_symbol(name, {"T": Ts[:, None]})
     for ev in ("m", "m1", "m2"):
         got = getattr(lattice, ev)(ks)
         assert got.shape == (len(Ts), len(ks))
@@ -142,8 +142,8 @@ _K = st.one_of(
 _JET_SYMBOLS = {
     **{name: ow.make_symbol(name, params) for name, params in ALL_BUILTINS},
     "fkdv_0.75": ow.make_symbol("fkdv", {"delta": 0.75}),
-    "kdv_st_lattice": symbols._tension_symbol("kdv_st", np.array([[0.0], [0.2], [1.0 / 3.0], [0.7]])),
-    "whitham_st_lattice": symbols._tension_symbol("whitham_st", np.array([[0.0], [0.05], [0.4]])),
+    "kdv_st_lattice": ow.make_symbol("kdv_st", {"T": np.array([[0.0], [0.2], [1.0 / 3.0], [0.7]])}),
+    "whitham_st_lattice": ow.make_symbol("whitham_st", {"T": np.array([[0.0], [0.05], [0.4]])}),
     "custom": ow.make_symbol(
         "custom",
         {
@@ -332,6 +332,67 @@ def test_make_symbol_validation():
         ow.make_symbol("whitham_st", {"T": -0.1})
     with pytest.raises(ValueError):
         ow.make_symbol("unknown")
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("kdv", {"T": 0.5}), ("whitham", {"delta": 3.0}), ("fkdv", {"delta": 1.5, "T": 2.0}),
+     ("ilw", {"T": 0.0}), ("kdv_st", {"delta": 2.0}), ("whitham_st", {"T": 0.2, "t": 0.2})],
+)
+def test_make_symbol_refuses_parameters_the_family_does_not_take(name, params):
+    with pytest.raises(ValueError, match="takes"):
+        ow.make_symbol(name, params)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,key", [("fkdv", "delta"), ("kdv_st", "T"), ("whitham_st", "T")])
+def test_make_symbol_refuses_non_finite_parameters(name, key, value):
+    with pytest.raises(ValueError, match="finite"):
+        ow.make_symbol(name, {key: value})
+    if key == "T":
+        # one bad entry anywhere in a lattice column refuses the whole lattice
+        with pytest.raises(ValueError, match="finite"):
+            ow.make_symbol(name, {"T": np.array([[0.0], [0.2], [value], [0.5]])})
+
+
+def test_make_symbol_refuses_a_lattice_entry_out_of_range():
+    with pytest.raises(ValueError, match=">= 0"):
+        ow.make_symbol("kdv_st", {"T": np.array([0.1, -1e-300, 0.3])})
+
+
+def test_parse_symbol_spec_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="repeated"):
+        ow.parse_symbol_spec("kdv_st:T=0.2,T=0.5")
+    with pytest.raises(ValueError, match="repeated"):
+        ow.parse_symbol_spec("fkdv:delta=1.5, delta =2")
+
+
+_POWER_LAWS = [
+    ("kdv", None),
+    *(("fkdv", {"delta": d}) for d in (0.6, 0.75, 1.0, 1.5, 2.0, 2.5, 3.7)),
+    *(("kdv_st", {"T": T}) for T in (0.0, 0.1, 0.2, 1.0 / 3.0, 0.33333333333333337, 0.5, 0.8)),
+    ("kdv_st", {"T": np.array([[0.0], [0.2], [1.0 / 3.0], [0.7]])}),
+]
+
+
+@pytest.mark.parametrize("name,params", _POWER_LAWS)
+def test_power_law_symbol_is_its_declared_c_and_d(name, params):
+    # m is 1 - c k^d bit for bit, with the symbol's own (c, d)
+    s = ow.make_symbol(name, params)
+    c, d = s.power_law
+    ks = np.random.default_rng(5).uniform(0.0, 10.0, 500)
+    assert s.m(ks).tobytes() == (1.0 - c * np.power(ks, d)).tobytes()
+    assert np.array_equal(s.growth_exponent, d * (np.asarray(c) != 0))
+
+
+def test_power_law_declarations():
+    assert ow.make_symbol("kdv").power_law == (1.0, 2.0)
+    assert ow.make_symbol("fkdv", {"delta": 1.5}).power_law == (1.0, 1.5)
+    assert ow.make_symbol("kdv_st", {"T": 0.2}).power_law == (1.0 - 3.0 * 0.2, 2.0)
+    # 1 - 3T rounds to 0 one ulp above 1/3: m is 1 there, and the symbol grows like k^0
+    assert ow.make_symbol("kdv_st", {"T": 0.33333333333333337}).growth_exponent == 0.0
+    for name in ("ilw", "whitham", "whitham_st"):
+        assert ow.make_symbol(name).power_law is None
 
 
 def test_custom_symbol_requires_all_derivatives():
