@@ -40,7 +40,6 @@ from .mi_index import (
     assemble_b_matrix,
     bmatrix_det_roots,
     detuning_ratio,
-    discriminant,
     growth_rate_leading,
     index,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "convergence_study",
     "diagram",
     "detuning_ratio",
-    "discriminant",
     "expand",
     "find_resonances",
     "group_velocity",

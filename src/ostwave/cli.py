@@ -3,7 +3,7 @@
 Subcommands mirror the library modules:
 
     symbols   hypothesis scan of a dispersion symbol
-    stokes    small-amplitude wave coefficients (+ optional profile table)
+    stokes    small-amplitude wave coefficients
     index     stability index at one k or over a sweep
     kc        critical wavenumbers (closed form where available)
     tc        surface-tension threshold T_c(alpha)
@@ -13,27 +13,24 @@ Subcommands mirror the library modules:
 All tables emit as CSV (header row, 17 significant digits) or JSON (an
 array of flat objects); per-run scalar summaries go to stderr as a
 single JSON line.  Exit codes: 0 success, 1 domain failure (resonance,
-inconclusive tension, no root, failed eigen-solve), 2 usage error.  If
-the environment variable OSTWAVE_OUT_DIR is set, relative --out/--svg
-paths land there.
+inconclusive tension, no root, failed eigen-solve), 2 usage error,
+including a flag abbreviated to a prefix.  ``diagram --spot-check``
+checks its cells at the desk scale of ``critical.spot_check``:
+a = 0.01, xi = 1e-3, N = 32.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 import numpy as np
 
 from . import critical, floquet_hill, mi_index, svg
 from .errors import DomainError
-from .stokes import expand, profile, residual_norm
+from .stokes import expand, residual_norm
 from .symbols import ModelParams, check_hypotheses, parse_symbol_spec
-
-ENV_OUT_DIR = "OSTWAVE_OUT_DIR"
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +47,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _resolve_path(path):
-    if path is None:
-        return None
-    base = os.environ.get(ENV_OUT_DIR)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def emit(records, fmt: str = "csv", path=None, fieldnames=None) -> None:
     """Write records as CSV (17 significant digits) or a JSON array."""
     records = list(records)
@@ -66,7 +54,6 @@ def emit(records, fmt: str = "csv", path=None, fieldnames=None) -> None:
         if not records:
             raise ValueError("fieldnames required for an empty record list")
         fieldnames = list(records[0].keys())
-    path = _resolve_path(path)
 
     if fmt == "json":
         text = json.dumps(records, indent=1) + "\n"
@@ -151,8 +138,6 @@ def cmd_symbols(args) -> None:
 
 
 def cmd_stokes(args) -> None:
-    if args.profile_samples < 0:
-        raise ValueError(f"--profile-samples must be >= 0, got {args.profile_samples}")
     s = parse_symbol_spec(args.symbol)
     p = _params(args)
     wave = expand(s, p, args.k)
@@ -166,13 +151,7 @@ def cmd_stokes(args) -> None:
         "A3": wave.A3,
         "residual_norm": residual_norm(wave, args.a),
     }
-    if args.profile_samples > 0:
-        zs = np.linspace(0.0, 2.0 * math.pi, args.profile_samples, endpoint=False)
-        rows = [{"z": float(z), "w": float(profile(wave, args.a, z)), "order": 3} for z in zs]
-        emit(rows, args.format, args.out)
-        _summary(rec)
-    else:
-        emit([rec], args.format, args.out)
+    emit([rec], args.format, args.out)
 
 
 def cmd_index(args) -> None:
@@ -197,7 +176,7 @@ def cmd_kc(args) -> None:
     if s.power_law is not None and not args.numeric:
         results = [critical.kc_closed_form(s, p)]
     else:
-        results = critical.kc_numeric(s, p, bracket=(args.k_min, args.k_max))
+        results = critical.kc_numeric(s, p)
     rows = []
     for r in results:
         row = {"model": r.model, "mechanism": r.mechanism, "kc": r.kc, "method": r.method}
@@ -225,7 +204,7 @@ def cmd_spectrum(args) -> None:
         raise ValueError("xi = 0 is excluded; choose xi in (0, 1/2]")
     wave = expand(s, p, args.k)
     problem = floquet_hill.FloquetProblem(wave, args.a, args.xi, args.N)
-    window = args.window if args.window is not None else floquet_hill.default_window(p)
+    window = floquet_hill.default_window(p)
     result = floquet_hill.spectrum(problem, window)
     rows = [{"re": float(ev.real), "im": float(ev.imag)} for ev in result.eigenvalues]
     emit(rows, args.format, args.out, fieldnames=["re", "im"])
@@ -261,12 +240,10 @@ def cmd_diagram(args) -> None:
             fieldnames=["curve", "k", "T", "k_sqrtT"],
         )
     if args.svg:
-        svg.write_svg(diag, _resolve_path(args.svg))
+        svg.write_svg(diag, args.svg)
     summary = {"region_counts": diag.region_counts, "t_s": diag.t_s}
     if args.spot_check != 0:
-        checks = critical.spot_check(
-            diag, n_cells=args.spot_check, a=args.a, xi=args.xi, N=args.N, seed=args.seed
-        )
+        checks = critical.spot_check(diag, n_cells=args.spot_check, seed=args.seed)
         summary["spot_check"] = {
             "n": len(checks),
             "ok": sum(1 for c in checks if c["ok"]),
@@ -284,58 +261,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ostwave",
         description="Sideband stability of small-amplitude periodic waves "
         "of rotation-modified dispersive model equations.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("symbols", help="hypothesis scan of a dispersion symbol")
-    _add_model_args(sp)
-    _add_io_args(sp)
-    sp.set_defaults(func=cmd_symbols)
+    def command(name, func, summary):
+        # a prefix of a flag is refused: "--a" would otherwise parse as "--alpha"
+        sp = subs.add_parser(name, help=summary, allow_abbrev=False)
+        _add_model_args(sp)
+        _add_io_args(sp)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = subs.add_parser("stokes", help="small-amplitude wave coefficients")
-    _add_model_args(sp)
-    _add_io_args(sp)
+    command("symbols", cmd_symbols, "hypothesis scan of a dispersion symbol")
+
+    sp = command("stokes", cmd_stokes, "small-amplitude wave coefficients")
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--a", type=float, default=0.01)
-    sp.add_argument("--profile-samples", type=int, default=0)
-    sp.set_defaults(func=cmd_stokes)
 
-    sp = subs.add_parser("index", help="stability index at k or over a sweep")
-    _add_model_args(sp)
-    _add_io_args(sp)
+    sp = command("index", cmd_index, "stability index at k or over a sweep")
     sp.add_argument("--k", type=float, default=None)
     sp.add_argument("--k-min", type=float, default=None)
     sp.add_argument("--k-max", type=float, default=None)
     sp.add_argument("--nk", type=int, default=100)
-    sp.set_defaults(func=cmd_index)
 
-    sp = subs.add_parser("kc", help="critical wavenumbers")
-    _add_model_args(sp)
-    _add_io_args(sp)
+    sp = command("kc", cmd_kc, "critical wavenumbers")
     sp.add_argument("--numeric", action="store_true", help="force the Brent scan even for kdv/fkdv/kdv_st")
-    sp.add_argument("--k-min", type=float, default=1e-2)
-    sp.add_argument("--k-max", type=float, default=1e2)
-    sp.set_defaults(func=cmd_kc)
 
-    sp = subs.add_parser("tc", help="surface-tension threshold T_c(alpha)")
-    _add_model_args(sp)
-    _add_io_args(sp)
+    sp = command("tc", cmd_tc, "surface-tension threshold T_c(alpha)")
     sp.add_argument("--tol", type=float, default=5e-3)
-    sp.set_defaults(func=cmd_tc)
 
-    sp = subs.add_parser("spectrum", help="sideband eigenvalues near the origin")
-    _add_model_args(sp)
-    _add_io_args(sp)
+    sp = command("spectrum", cmd_spectrum, "sideband eigenvalues near the origin")
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--a", type=float, default=0.01)
     sp.add_argument("--xi", type=float, default=1e-3)
     sp.add_argument("--N", type=int, default=floquet_hill.DEFAULT_N)
-    sp.add_argument("--window", type=float, default=None)
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = subs.add_parser("diagram", help="(k, T) stability diagram")
-    _add_model_args(sp)
-    _add_io_args(sp)
+    sp = command("diagram", cmd_diagram, "(k, T) stability diagram")
     sp.add_argument("--k-max", type=float, default=2.0)
     sp.add_argument("--t-max", type=float, default=0.8)
     sp.add_argument("--nk", type=int, default=100)
@@ -343,11 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curves-out", default=None, help="also write the zero-locus curves here")
     sp.add_argument("--svg", default=None, help="write an SVG rendering here")
     sp.add_argument("--spot-check", type=int, default=0, help="re-validate N random cells")
-    sp.add_argument("--a", type=float, default=0.01)
-    sp.add_argument("--xi", type=float, default=1e-3)
-    sp.add_argument("--N", type=int, default=floquet_hill.DEFAULT_N)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_diagram)
 
     return parser
 

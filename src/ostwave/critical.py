@@ -162,39 +162,35 @@ def _scan_roots(f, grid):
     return roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq)
 
 
-def _critical_roots(s: DispersionSymbol, p: ModelParams, k_range: tuple, name: str) -> list:
+def _critical_roots(s: DispersionSymbol, p: ModelParams, lo: float, hi: float) -> list:
     """Ascending (root, mechanism) pairs of both factor numerators on a 400-point log grid."""
-    lo, hi = float(k_range[0]), float(k_range[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"{name} must satisfy 0 < lo < hi")
     grid = np.geomspace(lo, hi, 400)
     mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
     pairs = [(root, mech) for mech, f in zip(mechanisms, _numerators(s, p)) for root in _scan_roots(f, grid)]
     return sorted(pairs, key=lambda pair: pair[0])
 
 
-def kc_numeric(s: DispersionSymbol, p: ModelParams, bracket: tuple = (1e-2, 1e2)) -> list:
-    """All critical wavenumbers of either mechanism inside the bracket.
+def kc_numeric(s: DispersionSymbol, p: ModelParams) -> list:
+    """All critical wavenumbers of either mechanism in k in (1e-2, 1e2).
 
     Sign changes of each factor's numerator are located on a 400-point
-    log-spaced probe grid and refined with Brent's method to a tolerance
-    of 1e-12 + 4 eps |k| in k (``roots.brentq``, xtol 1e-12).  Models
-    whose critical wavenumber is claimed unique get a diagnostic warning
-    (not an error) if the scan disagrees.
+    log-spaced probe grid over that range and refined with Brent's method
+    to a tolerance of 1e-12 + 4 eps |k| in k (``roots.brentq``, xtol
+    1e-12).  Models whose critical wavenumber is claimed unique get a
+    diagnostic warning (not an error) if the scan disagrees.
 
     Raises
     ------
     NoRootError
-        Neither factor changes sign in the bracket.
+        Neither factor changes sign in the range.
     ValueError
-        Non-finite endpoint evaluations or a bad bracket.
+        Non-finite evaluations at the ends of the range.
     """
     params = _result_params(s, p)
-    pairs = _critical_roots(s, p, bracket, "bracket")
+    pairs = _critical_roots(s, p, 1e-2, 1e2)
     results = [CriticalResult(s.name, params, mech, root, "bisection") for root, mech in pairs]
     if not results:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        raise NoRootError(f"no critical wavenumber of either mechanism in ({lo:g}, {hi:g}) for {s.name}")
+        raise NoRootError(f"no critical wavenumber of either mechanism in (0.01, 100) for {s.name}")
     if s.name in ("ilw", "whitham") and len(results) > 1:
         warnings.warn(
             f"{s.name}: expected a unique critical wavenumber, found "
@@ -213,8 +209,10 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
     in the range: Brent refinements (xtol 1e-12) of the sign changes of
     either factor's numerator on a 400-point log-spaced probe grid.
     """
-    zeros = [root for root, _ in _critical_roots(s, p, k_range, "k_range")]
     lo, hi = float(k_range[0]), float(k_range[1])
+    if not (0.0 < lo < hi):
+        raise ValueError("k_range must satisfy 0 < lo < hi")
+    zeros = [root for root, _ in _critical_roots(s, p, lo, hi)]
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
     for r in zeros:
@@ -484,18 +482,13 @@ def diagram(
     )
 
 
-def spot_check(
-    diag: StabilityDiagram,
-    n_cells: int = 10,
-    a: float = 0.01,
-    xi: float = 1e-3,
-    N: int = floquet_hill.DEFAULT_N,
-    seed: int = 0,
-) -> list:
+def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list:
     """Re-validate random diagram cells against the spectral oracle.
 
+    Every cell is checked at one desk scale: amplitude a = 0.01, sideband
+    offset xi = 1e-3 and Hill truncation N = ``floquet_hill.DEFAULT_N``.
     Cells are eligible when the projected-system prediction is decisive
-    at the desk scale (a, xi): for U cells the predicted growth clears
+    at that scale: for U cells the predicted growth clears
     the detection threshold with margin, for S cells it is numerically
     zero; the cell lies inside the projected model's trust region (see
     ``mi_index.detuning_ratio``), where an S cell's Hill growth at
@@ -513,14 +506,11 @@ def spot_check(
     over the same order applying the tests to one cell at a time.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
-    hill, ok}.  n_cells must be >= 0, and a, xi and N are checked as the
-    screen and the oracle check them (ValueError), before any cell is
-    screened.
+    hill, ok}.  n_cells must be >= 0 (ValueError).
     """
     if n_cells < 0:
         raise ValueError(f"spot check cell count must be >= 0, got {n_cells}")
-    mi_index._check_small(a, xi)
-    floquet_hill.FloquetProblem(None, a, xi, N)
+    a, xi, N = 0.01, 1e-3, floquet_hill.DEFAULT_N
     p = params_from_alpha(diag.alpha)
     window = floquet_hill.default_window(p)
     rng = np.random.default_rng(seed)

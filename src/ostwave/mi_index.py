@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonanceError
-from .stokes import StokesWave, denominator_floor, harmonic_denominator
+from .stokes import StokesWave, harmonic_denominator
 from .symbols import DispersionSymbol, ModelParams, _check_k, group_velocity_derivative
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "assemble_b_matrix",
     "bmatrix_det_roots",
     "growth_rate_leading",
-    "discriminant",
 ]
 
 # trust region of the second-order projection; remainders are O(xi^3 + a^3)
@@ -210,26 +208,3 @@ def detuning_ratio(wave: StokesWave, a: float, xi: float):
         out = np.where(scale == 0.0, np.where(detuning > 0.0, math.inf, 0.0), detuning / scale)
     return float(out) if out.ndim == 0 else out
 
-
-def discriminant(wave: StokesWave, a: float, xi: float) -> float:
-    """Two-term leading form of the sideband quadratic's discriminant.
-
-    Value:  xi^4 P^2 + xi^2 a^2 (P / D2)  with
-    P = 2 gamma + beta k^3 (k m'' + 2 m') and
-    D2 = 3 gamma + 4 beta k^2 (m(k) - m(2k)).
-
-    Only the sign is meaningful (negative predicts instability once
-    |xi| << |a|); the omitted remainder is O(|a| xi (xi^3 + a^3)), and
-    the true coefficient of the cross term differs from P/D2 by a
-    positive factor, so zero crossings in xi/a are not quantitative.
-    """
-    _check_small(a, xi)
-    s, p = wave.symbol, wave.params
-    k = wave.k
-    D2 = harmonic_denominator(s, p, k, 2)
-    if abs(D2) < denominator_floor(p):
-        raise ResonanceError(
-            f"second-harmonic resonance at k={k:.12g}; discriminant undefined", harmonics=[2]
-        )
-    P = group_velocity_derivative(s, p, k).numerator
-    return xi ** 4 * P * P + xi * xi * a * a * (P / D2)

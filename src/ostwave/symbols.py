@@ -276,7 +276,7 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         default 0), a float or an array broadcasting against k: the symbol
         at every (T, k) pair at once, each the float a symbol built at that
         T alone gives.  ``custom`` needs callables ``m``, ``m1``, ``m2``
-        and a ``growth_exponent``.
+        and takes a ``growth_exponent`` (default 0).
 
     Returns
     -------
@@ -290,18 +290,21 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
     """
     params = dict(params or {})
     if name == "custom":
+        keys = ("m", "m1", "m2", "growth_exponent")
+    elif name in _FAMILIES:
+        keys, build = _FAMILIES[name]
+    else:
+        raise ValueError(f"unknown symbol name: {name!r}")
+    if params.keys() - keys:
+        unknown = ", ".join(sorted(params.keys() - keys))
+        raise ValueError(f"{name} takes {', '.join(keys) or 'no parameters'}, not {unknown}")
+    if name == "custom":
         try:
             fns = (params["m"], params["m1"], params["m2"])
         except KeyError as exc:
             raise ValueError("custom symbol requires callables m, m1, m2") from exc
         alpha = float(params.get("growth_exponent", 0.0))
         return DispersionSymbol("custom", params, alpha, lambda k, order: [f(k) for f in fns[: order + 1]])
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown symbol name: {name!r}")
-    keys, build = _FAMILIES[name]
-    if params.keys() - keys:
-        unknown = ", ".join(sorted(params.keys() - keys))
-        raise ValueError(f"{name} takes {', '.join(keys) or 'no parameters'}, not {unknown}")
     values = {}
     for key in keys:
         default, bound, allowed = _PARAMS[key]

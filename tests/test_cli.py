@@ -67,8 +67,9 @@ def test_domain_error_exits_1(capsys):
 
 
 def test_no_root_exits_1(capsys):
+    # kc = (gamma/3)^(1/4), about 240, lies outside the scanned (0.01, 100)
     code, _, err = run_cli(
-        capsys, ["kc", *KDV, "--numeric", "--k-min", "1.5", "--k-max", "2.5"]
+        capsys, ["kc", "--symbol", "kdv", "--beta", "1", "--gamma", "1e10", "--numeric"]
     )
     assert code == 1
     assert "no critical wavenumber" in err
@@ -138,13 +139,6 @@ def test_symbol_parameter_the_family_does_not_take_exits_2(capsys, spec, message
     assert code == 2
     assert out == ""
     assert message in err
-
-
-def test_negative_profile_samples_exits_2(capsys):
-    code, out, err = run_cli(capsys, ["stokes", *KDV, "--k", "1", "--profile-samples", "-4"])
-    assert code == 2
-    assert out == ""
-    assert "profile-samples" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -229,18 +223,6 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_empty_result_is_header_only_csv(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["spectrum", *KDV, "--k", "1", "--a", "0.01", "--xi", "0.001",
-         "--window", "1e-300"],
-    )
-    assert code == 0
-    assert out.splitlines() == ["re,im"]
-    summary = json.loads(err)
-    assert summary["max_real_in_window"] == 0.0
-
-
 def test_spectrum_rows_and_summary(capsys):
     code, out, err = run_cli(
         capsys,
@@ -252,20 +234,6 @@ def test_spectrum_rows_and_summary(capsys):
     summary = json.loads(err)
     assert summary["max_real_in_window"] > 1e-8
     assert summary["N"] == 32
-
-
-def test_stokes_profile_samples(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["stokes", *KDV, "--k", "1", "--a", "0.01", "--profile-samples", "8"],
-    )
-    assert code == 0
-    rows = parse_csv(out)
-    assert len(rows) == 8
-    assert set(rows[0]) == {"z", "w", "order"}
-    meta = json.loads(err)
-    assert meta["A2"] == pytest.approx(2.0 / 15.0)
-    assert meta["residual_norm"] > 0.0
 
 
 def test_symbols_report(capsys):
@@ -317,18 +285,38 @@ _VALID = {
     "index": ["index", *KDV, "--k", "1"],
     "kc": ["kc", *KDV],
     "spectrum": ["spectrum", *KDV, "--k", "1"],
+    "diagram": ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "4", "--nt", "4", "--spot-check", "1"],
 }
 
 
 @pytest.mark.parametrize(
     "command,flag",
     [(command, flag) for command in _VALID for flag in ("--T", "--delta")]
-    + [("symbols", "--kmax"), ("symbols", "--n-samples"), ("stokes", "--n-modes"), ("kc", "--n-probe")],
+    + [("symbols", "--kmax"), ("symbols", "--n-samples"), ("stokes", "--n-modes"), ("kc", "--n-probe")]
+    + [("diagram", "--a"), ("diagram", "--xi"), ("diagram", "--N"), ("kc", "--k-min"), ("kc", "--k-max"),
+       ("spectrum", "--window"), ("stokes", "--profile-samples")],
 )
 def test_removed_flags_exit_2(capsys, command, flag):
-    # tension and fractional order ride in the symbol spec; the scan sizes are fixed
+    # tension and fractional order ride in the symbol spec; the scan sizes, the
+    # kc range, the spectrum window and the spot-check scale are fixed
     with pytest.raises(SystemExit) as exc:
         main([*_VALID[command], flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--symbol", "kdv", "--bet", "1", "--gam", "1", "--k", "1"],
+        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "4", "--nt", "4", "--spot-check", "1",
+         "--a", "0.02"],
+    ],
+)
+def test_abbreviated_flags_exit_2(capsys, argv):
+    # a prefix would parse as the flag it starts: --a as --alpha
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -351,7 +339,8 @@ def test_tc_and_diagram_refuse_spec_parameters(capsys, argv):
 
 
 def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("OSTWAVE_OUT_DIR", str(tmp_path))
+    # a relative --out lands in the working directory
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         capsys, ["index", *KDV, "--k", "1", "--out", "row.csv"]
     )
@@ -362,7 +351,8 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_absolute_out_ignores_env_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("OSTWAVE_OUT_DIR", str(tmp_path / "unused"))
+    (tmp_path / "unused").mkdir()
+    monkeypatch.chdir(tmp_path / "unused")
     target = tmp_path / "abs.json"
     code, _, _ = run_cli(
         capsys,
@@ -370,6 +360,7 @@ def test_absolute_out_ignores_env_dir(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text())[0]["delta"] == -15.0
+    assert not any((tmp_path / "unused").iterdir())
 
 
 def test_diagram_outputs(tmp_path, capsys):
@@ -405,30 +396,6 @@ def test_diagram_outputs(tmp_path, capsys):
     assert len(cells.findall("s:rect", ns)) == 625
     curves_g = root.find(".//s:g[@id='curves']", ns)
     assert len(curves_g.findall("s:polyline", ns)) >= 2
-
-
-@pytest.mark.parametrize(
-    "flag,message", [("--a", "amplitude |a| <= 0.05"), ("--xi", "sideband offset |xi| <= 0.05")]
-)
-def test_diagram_spot_check_out_of_range_exits_2(capsys, flag, message):
-    code, _, err = run_cli(
-        capsys,
-        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "20", "--nt", "20",
-         "--spot-check", "2", flag, "0.08"],
-    )
-    assert code == 2
-    assert message in err
-
-
-@pytest.mark.parametrize("xi", ["0", "-0.001"])
-def test_diagram_spot_check_nonpositive_xi_exits_2(capsys, xi):
-    code, _, err = run_cli(
-        capsys,
-        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "20", "--nt", "20",
-         "--spot-check", "2", "--xi", xi],
-    )
-    assert code == 2
-    assert "xi must lie in (0, 1/2]" in err
 
 
 def test_diagram_negative_spot_check_exits_2(capsys):

@@ -174,8 +174,9 @@ def test_kc_closed_form_matches_numeric(model, sign, log_beta, log_gamma, delta,
 
 
 def test_numeric_no_root_raises():
-    with pytest.raises(ow.NoRootError):
-        cr.kc_numeric(ow.make_symbol("kdv"), P11, bracket=(1.5, 2.5))
+    # kc = (gamma/3)^(1/4), about 240, lies outside the scanned (0.01, 100)
+    with pytest.raises(ow.NoRootError, match=r"in \(0\.01, 100\)"):
+        cr.kc_numeric(ow.make_symbol("kdv"), ow.ModelParams(beta=1.0, gamma=1e10))
 
 
 def test_closed_form_sign_change():
@@ -635,30 +636,8 @@ def test_spot_check_picks_only_checkable_cells(family, alpha, k_max, t_max):
 
 def test_spot_check_refusals():
     d = cr.diagram("kdv_st", 1.0, k_max=2.0, t_max=0.8, nk=20, nt=20)
-    with pytest.raises(ValueError, match="amplitude"):
-        cr.spot_check(d, n_cells=2, a=1.5 * mi_index.A_BOUND)
-    with pytest.raises(ValueError, match="sideband offset"):
-        cr.spot_check(d, n_cells=2, xi=-1.5 * mi_index.XI_BOUND)
     with pytest.raises(ValueError, match="cell count"):
         cr.spot_check(d, n_cells=-2)
     assert cr.spot_check(d, n_cells=0) == []
-
-
-@pytest.mark.parametrize(
-    "kwargs,message",
-    [
-        ({"xi": 0.0}, "xi"),
-        ({"xi": -1e-3}, "xi"),
-        ({"a": math.nan}, "amplitude"),
-        ({"N": 4}, "truncation N"),
-    ],
-)
-def test_spot_check_refuses_before_screening(monkeypatch, kwargs, message):
-    d = cr.diagram("kdv_st", 1.0, k_max=2.0, t_max=0.8, nk=20, nt=20)
-
-    def screened(*args):
-        raise AssertionError("a batch was screened")
-
-    monkeypatch.setattr(cr, "_stokes", screened)
-    with pytest.raises(ValueError, match=message):
-        cr.spot_check(d, n_cells=2, **kwargs)
+    with pytest.raises(TypeError):  # the desk scale is fixed
+        cr.spot_check(d, a=0.02)

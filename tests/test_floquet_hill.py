@@ -282,6 +282,13 @@ def test_window_certification_and_whole_window_fallback():
             assert np.min(np.abs(spec.eigenvalues - z)) <= 1e-9 * scale
 
 
+def test_empty_window_has_no_eigenvalues():
+    prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, DESK_N)
+    spec = fh.spectrum(prob, 1e-300)
+    assert len(spec.eigenvalues) == 0
+    assert spec.max_real_in_window == 0.0
+
+
 def test_whole_window_growth_matches_default_window():
     # the whole-window solve takes every theta of the B^-1 that the Arnoldi
     # solve iterates on, from the same banded LU, so the small sideband

@@ -1,4 +1,4 @@
-"""Index factors, the projected 2x2 pencil, discriminant, growth rates."""
+"""Index factors, the projected 2x2 pencil, growth rates."""
 
 from __future__ import annotations
 
@@ -375,68 +375,3 @@ def test_batch_expansion_and_pencil_match_scalar_calls(name, params, seed):
             assert _bits([r1[i], r2[i]]) == _bits(ow.bmatrix_det_roots(one, a, xi))
             assert _bits(growth[i]) == _bits(ow.growth_rate_leading(one, a, xi))
             assert _bits(ratio[i]) == _bits(ow.detuning_ratio(one, a, xi))
-
-
-# ----------------------------------------------------------- discriminant
-
-
-def test_discriminant_reference_value():
-    w = _kdv_wave()
-    xi, a = 1e-3, 1e-2
-    want = 16.0 * xi**4 - (4.0 / 15.0) * xi * xi * a * a
-    got = ow.discriminant(w, a, xi)
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got < 0.0
-
-
-def test_discriminant_nonnegative_at_zero_amplitude():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        s, p, k = draw_model(rng)
-        try:
-            w = ow.expand(s, p, k)
-        except ow.ResonanceError:
-            continue
-        assert ow.discriminant(w, 0.0, 0.01) >= 0.0
-
-
-def test_discriminant_sign_matches_ratio_for_small_xi():
-    # "small xi" is sample-relative: the cross term xi^2 a^2 P/D2 must
-    # dominate the quartic xi^4 P^2, i.e. xi^2 << a^2 / |P D2|
-    rng = np.random.default_rng(99)
-    a = 0.01
-    n_checked = 0
-    while n_checked < 60:
-        s, p, k = draw_model(rng)
-        r = ow.index(s, p, k)
-        if r.classification == "degenerate":
-            continue
-        try:
-            w = ow.expand(s, p, k)
-        except ow.ResonanceError:
-            continue
-        P = r.f2 * k**3
-        D2 = 4.0 * k * k * r.f1
-        xi = min(1e-3, 0.1 * a / np.sqrt(abs(P * D2) + 1.0))
-        d = ow.discriminant(w, a, xi)
-        if d == 0.0:
-            continue
-        assert np.sign(d) == np.sign(r.ratio), (s.name, p, k, xi)
-        n_checked += 1
-
-
-def test_discriminant_raises_on_resonance():
-    s = ow.make_symbol("kdv")
-    p = ow.ModelParams(beta=-1.0, gamma=1.0)
-    w = ow.expand(s, p, 1.3)  # non-resonant k, fine
-    assert ow.discriminant(w, 0.01, 1e-3) != 0.0
-    rk = 0.25**0.25
-    with pytest.raises(ow.ResonanceError):
-        # construct the wave just off resonance, then ask at resonance
-        ow.discriminant(
-            ow.StokesWave(
-                symbol=s, params=p, k=rk, c0=0.0, c2=0.0, A2=0.0, A3=0.0
-            ),
-            0.01,
-            1e-3,
-        )

@@ -404,10 +404,14 @@ def test_custom_symbol_requires_all_derivatives():
             "m": lambda k: 1.0 - k * k,
             "m1": lambda k: -2.0 * k,
             "m2": lambda k: -2.0,
-            "alpha": 2.0,
+            "growth_exponent": 2.0,
         },
     )
     assert s.m(2.0) == -3.0
+    assert s.growth_exponent == 2.0
+    # a misspelt key is refused, not read as a growth exponent of 0
+    with pytest.raises(ValueError, match="not alpha"):
+        ow.make_symbol("custom", {"m": s.m, "m1": s.m1, "m2": s.m2, "alpha": 2.0})
 
 
 def test_model_params_validation():
