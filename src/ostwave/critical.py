@@ -22,7 +22,8 @@ point.  ``spot_check`` re-validates random cells against the
 independent spectral oracle: it screens cells in batches, each
 eligibility test one array evaluation over a batch (the expansion
 ``stokes._stokes``, the pencil growth, the detuning ratio and the
-unperturbed eigenvalues), and runs the Hill solve only on its picks.
+unperturbed eigenvalues), and solves only its picks, all of them in one
+stacked dense Hill solve (``floquet_hill.dense_spectra``, numpy only).
 """
 
 from __future__ import annotations
@@ -503,7 +504,11 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     evaluation over the batch (the expansion, the pencil, the detuning
     ratio, the unperturbed eigenvalues), and the Hill oracle runs only on
     the first n_cells cells that pass.  The picks are those of a loop
-    over the same order applying the tests to one cell at a time.
+    over the same order applying the tests to one cell at a time.  They
+    are solved together in one stacked dense eigen-solve,
+    ``floquet_hill.dense_spectra``, which imports no scipy: a few dense
+    solves at N = 32 cost less than loading scipy for the banded one,
+    which ``max_growth`` keeps because it stays O(N) at any N.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
     hill, ok}.  n_cells must be >= 0 (ValueError).
@@ -522,7 +527,7 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     modes = np.arange(-N, N + 1)
     modes = np.concatenate(([-1, 1], modes[np.abs(modes) != 1]))
 
-    out = []
+    out, problems = [], []
     threshold = 1e-8
     start, size = 0, 4 * n_cells
     while len(out) < n_cells and start < order.size:
@@ -549,19 +554,19 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
             T_r, k_r = float(T[r, 0]), float(k[r, 0])
             s_r, A2_r = make_symbol(diag.family, {"T": T_r}), float(A2[r, 0])
             cell = StokesWave(s_r, p, k_r, float(c0[r, 0]), A2_r, A2_r, float(A3[r, 0]))
-            hill = floquet_hill.max_growth(cell, a, xi, N=N, window=window)
-            label = "U" if unstable[r] else "S"
-            ok = hill > threshold if label == "U" else hill <= threshold
+            problems.append(floquet_hill.FloquetProblem(cell, a, xi, N))
             out.append(
                 {
                     "i": int(i[r]),
                     "j": int(j[r]),
                     "k": k_r,
                     "T": T_r,
-                    "label": label,
+                    "label": "U" if unstable[r] else "S",
                     "predicted": float(predicted[r]),
-                    "hill": float(hill),
-                    "ok": bool(ok),
                 }
             )
+    for row, spec in zip(out, floquet_hill.dense_spectra(problems, window)):
+        hill = spec.max_real_in_window
+        row["hill"] = hill
+        row["ok"] = hill > threshold if row["label"] == "U" else hill <= threshold
     return out

@@ -26,14 +26,20 @@ pairs and the lambda in pairs (lambda, -conj lambda).
 
 Eigenvalues are reported inside a window |lambda| <= R around the
 origin; the window deliberately excludes fast oscillatory branches so
-that max |Re lambda| measures sideband growth alone.  ``spectrum`` finds
-them as mu = 1/theta, theta the eigenvalues of B^-1 through one banded
-LU of B: Arnoldi on B^-1 returns the few theta largest in magnitude,
-which are the mu nearest the origin, and their number doubles until the
-farthest mu returned lies outside the window, which certifies that
-every eigenvalue inside it was found.  The factorisation and each solve
-cost O(N).  A window that needs nearly all eigenvalues takes them
-densely, from the inverse that the same LU forms.
+that max |Re lambda| measures sideband growth alone.  Both solvers find
+them as mu = 1/theta, theta the eigenvalues of B^-1:
+
+- ``spectrum`` (and ``max_growth``) goes through one banded LU of B
+  (scipy): Arnoldi on B^-1 returns the few theta largest in magnitude,
+  which are the mu nearest the origin, and their number doubles until
+  the farthest mu returned lies outside the window, which certifies
+  that every eigenvalue inside it was found.  The factorisation and
+  each solve cost O(N), so this path stays for one problem at any N.
+- ``dense_spectra`` takes every theta of a stack of same-size problems
+  in one dense numpy inverse and eigen-solve, O(N^3) each and no scipy.
+  It serves ``critical.spot_check``'s few picks at the desk truncation,
+  where the import of scipy costs more than the solves, and the window
+  of ``spectrum`` that needs nearly all eigenvalues.
 
 Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
 k t, with t the equation's time.  Every growth rate this module reports
@@ -59,6 +65,7 @@ __all__ = [
     "FloquetSpectrum",
     "assemble",
     "spectrum",
+    "dense_spectra",
     "max_growth",
     "default_window",
     "unperturbed_eigenvalue",
@@ -145,6 +152,15 @@ def assemble(problem: FloquetProblem):
     return -nu[:, None] * _dense(ab), np.diag(1j * nu)
 
 
+def _in_window(eig, window_radius: float) -> FloquetSpectrum:
+    """The eigenvalues eig with |lambda| <= window_radius, in a fixed order."""
+    # deterministic ordering regardless of the solver's internal return order
+    eig = eig[np.lexsort((eig.real, eig.imag))]
+    inside = eig[np.abs(eig) <= window_radius]
+    max_real = float(np.max(np.abs(inside.real))) if inside.size else 0.0
+    return FloquetSpectrum(eigenvalues=inside, max_real_in_window=max_real)
+
+
 def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
     """Eigenvalues of -D^{-1} L filtered to |lambda| <= window_radius.
 
@@ -154,7 +170,7 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
     largest in magnitude, the mu nearest the origin; count starts at 4
     and doubles until the farthest of them lies outside the window, so
     none inside is missed.  A window that would need count >= 2N - 1
-    takes every theta densely, from the B^-1 that the same LU forms.
+    takes every theta densely, through ``dense_spectra``.
 
     Raises
     ------
@@ -176,26 +192,43 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
         (size, size), matvec=lambda x: lapack.dgbtrs(lu, M, M, x, piv)[0], dtype=float
     )
     count = 4
-    while True:
-        dense = count >= size - 2
+    while count < size - 2:
         try:
-            if dense:
-                # every theta of the factored B^-1, so each eigenvalue near the
-                # origin is as accurate as the Arnoldi solve makes it
-                theta = np.linalg.eigvals(lapack.dgbtrs(lu, M, M, np.eye(size), piv)[0])
-            else:
-                theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
+            theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
         except (ArpackError, np.linalg.LinAlgError) as exc:
             raise SolveError(_SOLVE_FAILED) from exc
         eig = -1j * (1.0 / theta)
-        if dense or np.max(np.abs(eig)) > window_radius:
-            break
+        if np.max(np.abs(eig)) > window_radius:
+            return _in_window(eig, window_radius)
         count *= 2
-    # deterministic ordering regardless of the solver's internal return order
-    eig = eig[np.lexsort((eig.real, eig.imag))]
-    inside = eig[np.abs(eig) <= window_radius]
-    max_real = float(np.max(np.abs(inside.real))) if inside.size else 0.0
-    return FloquetSpectrum(eigenvalues=inside, max_real_in_window=max_real)
+    return dense_spectra([problem], window_radius)[0]
+
+
+def dense_spectra(problems, window_radius: float) -> list:
+    """``spectrum`` of each problem, for problems of one size N, from one dense solve.
+
+    The dense B of every problem are stacked, inverted at once and every
+    theta of each B^-1 taken (numpy only, no scipy), then mu = 1/theta is
+    filtered to the window as ``spectrum`` does.  Each problem gets the
+    same floats as a one-problem call.  The cost is O(N^3) per problem
+    against the banded solve's O(N): it pays for a few problems at
+    N = 32, not for one large one.
+
+    Raises
+    ------
+    SolveError
+        Some B is singular, or the eigen-solve does not converge.
+    """
+    if not window_radius > 0:
+        raise ValueError("window_radius must be positive")
+    if not problems:
+        return []
+    stack = np.stack([_dense(_bands(problem)[1]) for problem in problems])
+    try:
+        theta = np.linalg.eigvals(np.linalg.inv(stack))
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(_SOLVE_FAILED) from exc
+    return [_in_window(-1j * (1.0 / t), window_radius) for t in theta]
 
 
 def max_growth(

@@ -597,7 +597,8 @@ def _reference_spot_check(diag, n_cells, a=0.01, xi=1e-3, N=32, seed=0):
         lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
         if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
             continue
-        hill = floquet_hill.max_growth(wave, a, xi, N=N, window=window)
+        problem = floquet_hill.FloquetProblem(wave, a, xi, N)
+        hill = floquet_hill.dense_spectra([problem], window)[0].max_real_in_window
         ok = hill > threshold if label == "U" else hill <= threshold
         out.append(
             {"i": i, "j": j, "k": k, "T": T, "label": label,
@@ -622,6 +623,22 @@ def test_spot_check_matches_reference_loop(family, alpha, k_max, t_max, n):
         want = _reference_spot_check(d, 20, seed=seed)
         assert len(got) == 20
         assert repr(got) == repr(want)  # bit for bit, types too
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("family,alpha,k_max,t_max", BENCH_DIAGRAMS)
+def test_spot_check_dense_growth_matches_banded_solve(family, alpha, k_max, t_max, n):
+    d = cr.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=n, nt=n)
+    p = cr.params_from_alpha(alpha)
+    window = floquet_hill.default_window(p)
+    for seed in range(3):
+        for row in cr.spot_check(d, n_cells=20, seed=seed):
+            wave = ow.expand(ow.make_symbol(family, {"T": row["T"]}), p, row["k"])
+            banded = floquet_hill.max_growth(wave, 0.01, 1e-3, N=32, window=window)
+            if row["label"] == "U":
+                assert abs(row["hill"] - banded) <= 1e-9 * banded
+            else:
+                assert row["hill"] <= 1e-8 and banded <= 1e-8
 
 
 @pytest.mark.parametrize("family,alpha,k_max,t_max", BENCH_DIAGRAMS)

@@ -290,9 +290,9 @@ def test_empty_window_has_no_eigenvalues():
 
 
 def test_whole_window_growth_matches_default_window():
-    # the whole-window solve takes every theta of the B^-1 that the Arnoldi
-    # solve iterates on, from the same banded LU, so the small sideband
-    # growth does not depend on the window
+    # the whole-window solve takes every theta of the dense B^-1
+    # (dense_spectra), the Arnoldi solve a few of the banded one; the small
+    # sideband growth does not depend on which
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
     whole = fh.spectrum(prob, 1e9)
     assert len(whole.eigenvalues) == 17
@@ -328,6 +328,19 @@ def test_singular_band_matrix_raises():
         fh.spectrum(prob, 0.25)
     with pytest.raises(ow.DomainError):
         fh.spectrum(prob, 0.25)
+
+
+def test_dense_solve_of_singular_matrix_raises_solve_error():
+    # the singular problem of the CLI's singular-solve test: numpy's
+    # LinAlgError becomes the package's SolveError, for one problem or a stack
+    w = ow.expand(ow.make_symbol("kdv"), ow.ModelParams(-4.0, 1.0), 1.0)
+    singular = fh.FloquetProblem(w, 0.0, 0.5, 8)
+    regular = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
+    for problems in ([singular], [regular, singular]):
+        with pytest.raises(ow.SolveError, match="eigenvalue solve failed") as info:
+            fh.dense_spectra(problems, 0.25)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 # ------------------------------------------------------ randomized studies

@@ -28,6 +28,19 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_spot_check_loads_no_scipy():
+    # the picks are solved densely in numpy; only floquet_hill.spectrum loads scipy
+    code = (
+        "import sys, ostwave\n"
+        "d = ostwave.diagram('kdv_st', 1.0, k_max=2.0, t_max=0.8, nk=20, nt=20)\n"
+        "assert len(ostwave.spot_check(d, n_cells=5)) == 5\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
+
+
 def _factor_functions(s, p):
     return {
         "f1": lambda k: harmonic_denominator(s, p, k, 2),
