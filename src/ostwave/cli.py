@@ -146,7 +146,7 @@ def cmd_stokes(args) -> None:
         "beta": p.beta,
         "gamma": p.gamma,
         "c0": wave.c0,
-        "c2": wave.c2,
+        "c2": wave.A2,
         "A2": wave.A2,
         "A3": wave.A3,
         "residual_norm": residual_norm(wave, args.a),
@@ -200,8 +200,6 @@ def cmd_tc(args) -> None:
 def cmd_spectrum(args) -> None:
     s = parse_symbol_spec(args.symbol)
     p = _params(args)
-    if args.xi == 0:
-        raise ValueError("xi = 0 is excluded; choose xi in (0, 1/2]")
     wave = expand(s, p, args.k)
     problem = floquet_hill.FloquetProblem(wave, args.a, args.xi, args.N)
     window = floquet_hill.default_window(p)

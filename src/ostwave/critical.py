@@ -22,8 +22,9 @@ point.  ``spot_check`` re-validates random cells against the
 independent spectral oracle: it screens cells in batches, each
 eligibility test one array evaluation over a batch (the expansion
 ``stokes._stokes``, the pencil growth, the detuning ratio and the
-unperturbed eigenvalues), and solves only its picks, all of them in one
-stacked dense Hill solve (``floquet_hill.dense_spectra``, numpy only).
+unperturbed eigenvalues), and solves only its picks, all of them as one
+batch wave in one stacked dense Hill solve (``floquet_hill.dense_spectra``,
+numpy only).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import floquet_hill, mi_index, roots
 from .errors import BracketError, InconclusiveError, NoRootError
 from .roots import brentq, minimize_scalar
-from .stokes import StokesWave, _stokes, harmonic_denominator
+from .stokes import _stokes, harmonic_denominator
 from .symbols import (
     DispersionSymbol,
     ModelParams,
@@ -505,10 +506,11 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     ratio, the unperturbed eigenvalues), and the Hill oracle runs only on
     the first n_cells cells that pass.  The picks are those of a loop
     over the same order applying the tests to one cell at a time.  They
-    are solved together in one stacked dense eigen-solve,
-    ``floquet_hill.dense_spectra``, which imports no scipy: a few dense
-    solves at N = 32 cost less than loading scipy for the banded one,
-    which ``max_growth`` keeps because it stays O(N) at any N.
+    become one batch wave, one expansion over their (k, T), solved in one
+    stacked dense eigen-solve, ``floquet_hill.dense_spectra``, which
+    imports no scipy: a few dense solves at N = 32 cost less than loading
+    scipy for the banded one, which ``max_growth`` keeps because it stays
+    O(N) at any N.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
     hill, ok}.  n_cells must be >= 0 (ValueError).
@@ -527,7 +529,7 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     modes = np.arange(-N, N + 1)
     modes = np.concatenate(([-1, 1], modes[np.abs(modes) != 1]))
 
-    out, problems = [], []
+    out = []
     threshold = 1e-8
     start, size = 0, 4 * n_cells
     while len(out) < n_cells and start < order.size:
@@ -538,8 +540,7 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
         s = make_symbol(diag.family, {"T": T})
         # resonant cells carry non-finite coefficients; the mask drops them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c0, A2, A3, resonant = _stokes(s, p, k)
-            wave = StokesWave(s, p, k, c0, A2, A2, A3)
+            wave, resonant = _stokes(s, p, k)
             predicted = mi_index.growth_rate_leading(wave, a, xi).ravel()
             ratio = mi_index.detuning_ratio(wave, a, xi).ravel()
         lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
@@ -551,21 +552,20 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
         crowded = (lam[:, :2].max(axis=1) > 0.5 * window) | (lam[:, 2:].min(axis=1) <= 2.0 * window)
         picks = np.flatnonzero(~resonant.ravel() & decisive & ~(ratio > 0.05) & ~crowded)
         for r in picks[: n_cells - len(out)]:
-            T_r, k_r = float(T[r, 0]), float(k[r, 0])
-            s_r, A2_r = make_symbol(diag.family, {"T": T_r}), float(A2[r, 0])
-            cell = StokesWave(s_r, p, k_r, float(c0[r, 0]), A2_r, A2_r, float(A3[r, 0]))
-            problems.append(floquet_hill.FloquetProblem(cell, a, xi, N))
             out.append(
                 {
                     "i": int(i[r]),
                     "j": int(j[r]),
-                    "k": k_r,
-                    "T": T_r,
+                    "k": float(k[r, 0]),
+                    "T": float(T[r, 0]),
                     "label": "U" if unstable[r] else "S",
                     "predicted": float(predicted[r]),
                 }
             )
-    for row, spec in zip(out, floquet_hill.dense_spectra(problems, window)):
+    j, i = (np.array([row[key] for row in out], dtype=int) for key in ("j", "i"))
+    T, k = diag.Ts[j][:, None], diag.ks[i][:, None]
+    wave = _stokes(make_symbol(diag.family, {"T": T}), p, k)[0]
+    for row, spec in zip(out, floquet_hill.dense_spectra(floquet_hill.FloquetProblem(wave, a, xi, N), window)):
         hill = spec.max_real_in_window
         row["hill"] = hill
         row["ok"] = hill > threshold if row["label"] == "U" else hill <= threshold

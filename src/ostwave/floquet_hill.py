@@ -35,7 +35,7 @@ them as mu = 1/theta, theta the eigenvalues of B^-1:
   the farthest mu returned lies outside the window, which certifies
   that every eigenvalue inside it was found.  The factorisation and
   each solve cost O(N), so this path stays for one problem at any N.
-- ``dense_spectra`` takes every theta of a stack of same-size problems
+- ``dense_spectra`` takes every theta of each wave of a batch problem
   in one dense numpy inverse and eigen-solve, O(N^3) each and no scipy.
   It serves ``critical.spot_check``'s few picks at the desk truncation,
   where the import of scipy costs more than the solves, and the window
@@ -82,7 +82,7 @@ def default_window(p) -> float:
 
 @dataclass(frozen=True)
 class FloquetProblem:
-    """One truncated sideband eigenproblem: wave + amplitude + offset + size."""
+    """A truncated sideband eigenproblem per wave (k a column for a batch): wave + amplitude + offset + size."""
 
     wave: StokesWave
     a: float
@@ -95,6 +95,8 @@ class FloquetProblem:
         if not isinstance(self.N, numbers.Integral) or self.N < 8:
             raise ValueError(f"mode truncation N must be an integer >= 8, got {self.N!r}")
         _check_amplitude(self.a)
+        if np.ndim(self.wave.k) and np.shape(self.wave.k)[-1] != 1:
+            raise ValueError(f"a batch wave's k must be a column, got shape {np.shape(self.wave.k)}")
 
 
 @dataclass(frozen=True)
@@ -115,31 +117,33 @@ def _bands(problem: FloquetProblem):
     """Return nu and B = i (-D^{-1} L) in band storage, B[i, j] = ab[M + i - j, j].
 
     M is the number of cosine modes of the profile, so ab holds the
-    2M + 1 diagonals at offsets +M..-M, row M the main one.
+    2M + 1 diagonals at offsets +M..-M, row M the main one, after any batch axis.
     """
     wave, a, xi, N = problem.wave, problem.a, problem.xi, problem.N
     sym, p = wave.symbol, wave.params
     k = wave.k
     c = speed(wave, a)
     cos_amp = wave.fourier_coefficients(a)  # w_0..w_M
-    M = cos_amp.size - 1
+    M = len(cos_amp) - 1
 
     nu = np.arange(-N, N + 1) + xi
     row = k * k * nu
-    ab = np.zeros((2 * M + 1, nu.size))
-    ab[M] = row * (-c + p.beta * sym.m_even(k * nu)) + p.gamma / nu
+    main = row * (-c + p.beta * sym.m_even(k * nu)) + p.gamma / nu
+    ab = np.zeros((*main.shape[:-1], 2 * M + 1, nu.size))
+    ab[..., M, :] = main
     # multiplication by 2w: cosine amplitude w_j on the bands at +-j,
     # scaled by the row's k^2 nu
     for j in range(1, M + 1):
-        ab[M - j, j:] = row[:-j] * cos_amp[j]  # B[i, i + j]
-        ab[M + j, :-j] = row[j:] * cos_amp[j]  # B[i + j, i]
+        ab[..., M - j, j:] = row[..., :-j] * cos_amp[j]  # B[i, i + j]
+        ab[..., M + j, :-j] = row[..., j:] * cos_amp[j]  # B[i + j, i]
     return nu, ab
 
 
 def _dense(ab) -> np.ndarray:
-    """The dense matrix held in band storage ab (offsets -M..M, M = ab.shape[0] // 2)."""
-    M, n = ab.shape[0] // 2, ab.shape[1]
-    return sum(np.diag(ab[M - d, max(d, 0) : n + min(d, 0)], d) for d in range(-M, M + 1))
+    """The dense matrices held in band storage ab (offsets -M..M on axis -2), over any leading axes."""
+    M, n = ab.shape[-2] // 2, ab.shape[-1]
+    i, j = np.indices((n, n))
+    return np.where(np.abs(i - j) <= M, ab[..., np.clip(M + i - j, 0, 2 * M), j], 0.0)
 
 
 def assemble(problem: FloquetProblem):
@@ -174,11 +178,15 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
 
     Raises
     ------
+    ValueError
+        The problem holds a batch of waves.
     SolveError
         B is singular, or the Arnoldi iteration does not converge.
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
+    if np.ndim(problem.wave.k):
+        raise ValueError("spectrum solves one wave; dense_spectra solves a batch")
     from scipy.linalg import lapack
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
@@ -201,18 +209,18 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
         if np.max(np.abs(eig)) > window_radius:
             return _in_window(eig, window_radius)
         count *= 2
-    return dense_spectra([problem], window_radius)[0]
+    return dense_spectra(problem, window_radius)[0]
 
 
-def dense_spectra(problems, window_radius: float) -> list:
-    """``spectrum`` of each problem, for problems of one size N, from one dense solve.
+def dense_spectra(problem: FloquetProblem, window_radius: float) -> list:
+    """``spectrum`` of each wave of the problem, from one dense solve.
 
-    The dense B of every problem are stacked, inverted at once and every
+    The dense B of every wave are stacked, inverted at once and every
     theta of each B^-1 taken (numpy only, no scipy), then mu = 1/theta is
-    filtered to the window as ``spectrum`` does.  Each problem gets the
-    same floats as a one-problem call.  The cost is O(N^3) per problem
-    against the banded solve's O(N): it pays for a few problems at
-    N = 32, not for one large one.
+    filtered to the window as ``spectrum`` does.  Returns one spectrum per
+    wave, each the floats of a one-wave call (a list of one for one wave).
+    The cost is O(N^3) per wave against the banded solve's O(N): it pays
+    for a few waves at N = 32, not for one large one.
 
     Raises
     ------
@@ -221,14 +229,12 @@ def dense_spectra(problems, window_radius: float) -> list:
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
-    if not problems:
-        return []
-    stack = np.stack([_dense(_bands(problem)[1]) for problem in problems])
+    dense = _dense(_bands(problem)[1])
     try:
-        theta = np.linalg.eigvals(np.linalg.inv(stack))
+        theta = np.linalg.eigvals(np.linalg.inv(dense))
     except np.linalg.LinAlgError as exc:
         raise SolveError(_SOLVE_FAILED) from exc
-    return [_in_window(-1j * (1.0 / t), window_radius) for t in theta]
+    return [_in_window(-1j * (1.0 / t), window_radius) for t in theta.reshape(-1, dense.shape[-1])]
 
 
 def max_growth(

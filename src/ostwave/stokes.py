@@ -7,14 +7,15 @@ the phase z = k(x - ct):
     c(a) = c0 + a^2 c2 + O(a^4).
 
 Substituting into the steady profile equation and matching cosine modes
-gives closed forms for A2, A3, c0, c2 whose denominators
+gives closed forms for A2, A3 and c0, and c2 = A2, with denominators
 
     D_n = gamma (n^2 - 1) + beta n^2 k^2 (m(k) - m(n k)),    n = 2, 3
 
-vanish exactly when the n-th harmonic travels at the fundamental's phase
-speed (a harmonic resonance).  ``expand`` raises ResonanceError at such
-wavenumbers instead of returning blown-up coefficients; ``check_resonance``
-reports which harmonics are resonant without raising.
+that vanish exactly when the n-th harmonic travels at the fundamental's
+phase speed (a harmonic resonance).  ``expand`` raises ResonanceError at
+such wavenumbers instead of returning blown-up coefficients;
+``check_resonance`` reports which harmonics are resonant without raising.
+``expand`` is the one-wave case of ``_stokes``, which builds a batch.
 """
 
 from __future__ import annotations
@@ -93,33 +94,36 @@ class StokesWave:
     Carries the expansion coefficients; the amplitude a is supplied at
     evaluation time (``profile``, ``speed``, ``residual_norm``), so one
     StokesWave describes the whole local branch.  The fields are floats;
-    a batch of waves holds arrays of k and of the coefficients instead,
-    with a symbol whose parameters broadcast against k, and the pencil
-    functions of ``mi_index`` evaluate it at once.
+    a batch of waves (``_stokes``) holds arrays of k and of the
+    coefficients instead, with a symbol whose parameters broadcast against
+    k, and ``mi_index`` and ``floquet_hill`` evaluate it at once.
     """
 
     symbol: DispersionSymbol
     params: ModelParams
     k: float
     c0: float
-    c2: float
     A2: float
     A3: float
 
-    def fourier_coefficients(self, a: float) -> np.ndarray:
-        """Cosine-mode amplitudes [w_0, w_1, w_2, w_3] at amplitude a."""
-        _check_amplitude(a)
-        return np.array([0.0, a, a * a * self.A2, a ** 3 * self.A3])
+    def fourier_coefficients(self, a: float) -> list:
+        """Cosine-mode amplitudes [w_0, w_1, w_2, w_3] at amplitude a (w_2, w_3 arrays for a batch).
+
+        The one place the truncated modes are written: ``profile``,
+        ``residual_norm`` and the Hill bands read them.
+        """
+        a = _check_amplitude(a)
+        return [0.0, a, a * a * self.A2, a ** 3 * self.A3]
 
 
 def _stokes(s: DispersionSymbol, p: ModelParams, k):
     """The expansion at k, a scalar or an array broadcasting against s's parameters.
 
-    Returns (c0, A2, A3, resonant): the linear speed, the mode-2 and mode-3
-    coefficients (c2 = A2) and the mask of wavenumbers where a harmonic
-    denominator falls below ``denominator_floor`` (A2 and A3 mean nothing
-    there).  Every value is the float a call at that (k, T) alone gives,
-    so ``expand`` is the 0-d case.
+    Returns (wave, resonant): the StokesWave, a batch one for an array k,
+    and the mask of wavenumbers where a harmonic denominator falls below
+    ``denominator_floor`` (the wave's A2 and A3 mean nothing there).
+    Every value is the float a call at that (k, T) alone gives, so
+    ``expand`` is the 0-d case.
     """
     D2 = harmonic_denominator(s, p, k, 2)
     D3 = harmonic_denominator(s, p, k, 3)
@@ -130,7 +134,9 @@ def _stokes(s: DispersionSymbol, p: ModelParams, k):
     with np.errstate(divide="ignore", invalid="ignore"):
         A2 = 2.0 * k * k / D2
         A3 = 9.0 * k * k * A2 / D3
-    return c0, A2, A3, resonant
+    if k.ndim == 0:
+        k, A2, A3 = float(k), float(A2), float(A3)
+    return StokesWave(symbol=s, params=p, k=k, c0=c0, A2=A2, A3=A3), resonant
 
 
 def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
@@ -139,14 +145,12 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     Raises
     ------
     ValueError
-        k <= 0.
+        k is not positive and finite.
     ResonanceError
         A second- or third-harmonic resonance collapses a denominator.
     """
     k = float(k)
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
-    c0, A2, A3, resonant = _stokes(s, p, k)
+    wave, resonant = _stokes(s, p, k)
     if resonant:
         harmonics = check_resonance(s, p, k)
         raise ResonanceError(
@@ -154,8 +158,7 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
             "the small-amplitude expansion is singular here",
             harmonics=harmonics,
         )
-    A2, A3 = float(A2), float(A3)
-    return StokesWave(symbol=s, params=p, k=k, c0=c0, c2=A2, A2=A2, A3=A3)
+    return wave
 
 
 def _check_amplitude(a: float) -> float:
@@ -166,20 +169,16 @@ def _check_amplitude(a: float) -> float:
 
 
 def speed(wave: StokesWave, a: float) -> float:
-    """Wave speed through second order: c0 + a^2 c2 (even in a)."""
+    """Wave speed through second order: c0 + a^2 c2, with c2 = A2 (even in a)."""
     a = _check_amplitude(a)
-    return wave.c0 + a * a * wave.c2
+    return wave.c0 + a * a * wave.A2
 
 
 def profile(wave: StokesWave, a: float, z):
     """Evaluate the truncated profile at phase z (scalar or array)."""
-    a = _check_amplitude(a)
+    w = wave.fourier_coefficients(a)
     zz = np.asarray(z, dtype=float)
-    out = (
-        a * np.cos(zz)
-        + a * a * wave.A2 * np.cos(2.0 * zz)
-        + a ** 3 * wave.A3 * np.cos(3.0 * zz)
-    )
+    out = sum(w[j] * np.cos(j * zz) for j in range(len(w)))
     return float(out) if np.isscalar(z) or out.ndim == 0 else out
 
 

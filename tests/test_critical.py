@@ -598,7 +598,7 @@ def _reference_spot_check(diag, n_cells, a=0.01, xi=1e-3, N=32, seed=0):
         if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
             continue
         problem = floquet_hill.FloquetProblem(wave, a, xi, N)
-        hill = floquet_hill.dense_spectra([problem], window)[0].max_real_in_window
+        hill = floquet_hill.dense_spectra(problem, window)[0].max_real_in_window
         ok = hill > threshold if label == "U" else hill <= threshold
         out.append(
             {"i": i, "j": j, "k": k, "T": T, "label": label,

@@ -7,6 +7,7 @@ import pytest
 
 import ostwave as ow
 from ostwave import floquet_hill as fh
+from ostwave import stokes
 from conftest import (
     DESK_A,
     DESK_N,
@@ -332,15 +333,59 @@ def test_singular_band_matrix_raises():
 
 def test_dense_solve_of_singular_matrix_raises_solve_error():
     # the singular problem of the CLI's singular-solve test: numpy's
-    # LinAlgError becomes the package's SolveError, for one problem or a stack
-    w = ow.expand(ow.make_symbol("kdv"), ow.ModelParams(-4.0, 1.0), 1.0)
-    singular = fh.FloquetProblem(w, 0.0, 0.5, 8)
-    regular = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
-    for problems in ([singular], [regular, singular]):
+    # LinAlgError becomes the package's SolveError, for one wave or a batch
+    # (kdv, beta = -4, gamma = 1 at k = 0.9 and the singular k = 1)
+    s, p = ow.make_symbol("kdv"), ow.ModelParams(-4.0, 1.0)
+    one = fh.FloquetProblem(ow.expand(s, p, 1.0), 0.0, 0.5, 8)
+    batch = fh.FloquetProblem(stokes._stokes(s, p, np.array([[0.9], [1.0]]))[0], 0.0, 0.5, 8)
+    for problem in (one, batch):
         with pytest.raises(ow.SolveError, match="eigenvalue solve failed") as info:
-            fh.dense_spectra(problems, 0.25)
+            fh.dense_spectra(problem, 0.25)
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("family", ["kdv_st", "whitham_st"])
+def test_dense_spectra_of_batch_wave_matches_one_wave_calls(family):
+    # one wave per (k, T) of a seeded draw, T broadcast as a column: each
+    # spectrum of the batch is the one-wave solve's, bit for bit
+    rng = np.random.default_rng(29)
+    p = ow.ModelParams(float(rng.choice([-1.0, 1.0])), float(rng.uniform(0.05, 1.0)))
+    Ts, ks = rng.uniform(0.0, 0.8, (40, 1)), rng.uniform(0.3, 2.0, (40, 1))
+    wave, resonant = stokes._stokes(ow.make_symbol(family, {"T": Ts}), p, ks)
+    keep = ~resonant.ravel()
+    assert keep.sum() >= 20
+    Ts, ks = Ts[keep], ks[keep]
+    wave = stokes._stokes(ow.make_symbol(family, {"T": Ts}), p, ks)[0]
+    window = fh.default_window(p)
+    specs = fh.dense_spectra(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), window)
+    assert len(specs) == len(ks)
+    for T, k, spec in zip(Ts.ravel(), ks.ravel(), specs):
+        one = ow.expand(ow.make_symbol(family, {"T": float(T)}), p, float(k))
+        (want,) = fh.dense_spectra(fh.FloquetProblem(one, DESK_A, DESK_XI, DESK_N), window)
+        assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert spec.max_real_in_window == want.max_real_in_window
+
+
+def test_dense_spectra_of_empty_batch_is_empty():
+    empty = np.empty((0, 1))
+    wave = stokes._stokes(ow.make_symbol("kdv_st", {"T": empty}), P11, empty)[0]
+    assert fh.dense_spectra(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25) == []
+
+
+def test_spectrum_and_max_growth_refuse_a_batch():
+    wave = stokes._stokes(ow.make_symbol("kdv"), P11, np.array([[0.9], [1.1]]))[0]
+    with pytest.raises(ValueError, match="batch"):
+        fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25)
+    with pytest.raises(ValueError, match="batch"):
+        fh.max_growth(wave, DESK_A, DESK_XI)
+
+
+def test_batch_problem_refuses_a_row_of_k():
+    # the bands put the modes on the last axis, so a batch k is a column
+    wave = stokes._stokes(ow.make_symbol("kdv"), P11, np.linspace(0.8, 1.2, 17))[0]
+    with pytest.raises(ValueError, match=r"column, got shape \(17,\)"):
+        fh.FloquetProblem(wave, DESK_A, DESK_XI, 8)
 
 
 # ------------------------------------------------------ randomized studies

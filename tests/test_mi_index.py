@@ -343,7 +343,7 @@ def _seeded_batch(name, params, seed, n=120):
 def test_batch_resonance_mask_flags_exact_resonances():
     # kdv, beta = -1, gamma = 1: D2 = 0 at k^4 = 1/4 and D3 = 0 at k^4 = 1/9
     ks = np.array([0.25**0.25, 1.0, (1.0 / 9.0) ** 0.25])
-    resonant = stokes._stokes(ow.make_symbol("kdv"), ow.ModelParams(-1.0, 1.0), ks)[3]
+    resonant = stokes._stokes(ow.make_symbol("kdv"), ow.ModelParams(-1.0, 1.0), ks)[1]
     assert resonant.tolist() == [True, False, True]
 
 
@@ -351,8 +351,8 @@ def test_batch_resonance_mask_flags_exact_resonances():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_expansion_and_pencil_match_scalar_calls(name, params, seed):
     s, p, ks, scalar = _seeded_batch(name, params, seed)
-    c0, A2, A3, resonant = stokes._stokes(s, p, ks)
-    wave = ow.StokesWave(s, p, ks, c0, A2, A2, A3)
+    wave, resonant = stokes._stokes(s, p, ks)
+    c0, A2, A3 = wave.c0, wave.A2, wave.A3
     waves = []
     for i, k in enumerate(ks):
         try:

@@ -24,7 +24,8 @@ def test_kdv_expand_reference_values():
     assert w.c0 == pytest.approx(1.0, abs=1e-15)
     assert w.A2 == pytest.approx(2.0 / 15.0, rel=1e-15)
     assert w.A3 == pytest.approx(0.015, rel=1e-13)
-    assert w.c2 == w.A2  # speed correction equals the second coefficient
+    a = 0.01
+    assert ow.speed(w, a) == w.c0 + a * a * w.A2  # the speed correction c2 is A2
 
 
 def test_speed_profile_series_values():
@@ -56,7 +57,7 @@ def test_fourier_coefficients_order():
 def test_fkdv_delta2_expand_identical_to_kdv():
     wk = _kdv_wave(0.9)
     wf = ow.expand(ow.make_symbol("fkdv", {"delta": 2.0}), P11, 0.9)
-    assert (wf.c0, wf.c2, wf.A2, wf.A3) == (wk.c0, wk.c2, wk.A2, wk.A3)
+    assert (wf.c0, wf.A2, wf.A3) == (wk.c0, wk.A2, wk.A3)
 
 
 def test_amplitude_bound_enforced():
