@@ -23,8 +23,7 @@ independent spectral oracle: it screens cells in batches, each
 eligibility test one array evaluation over a batch (the expansion
 ``stokes._stokes``, the pencil growth, the detuning ratio and the
 unperturbed eigenvalues), and solves only its picks, all of them as one
-batch wave in one stacked dense Hill solve (``floquet_hill.dense_spectra``,
-numpy only).
+batch wave in one ``floquet_hill.spectrum`` call.
 """
 
 from __future__ import annotations
@@ -506,11 +505,8 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     ratio, the unperturbed eigenvalues), and the Hill oracle runs only on
     the first n_cells cells that pass.  The picks are those of a loop
     over the same order applying the tests to one cell at a time.  They
-    become one batch wave, one expansion over their (k, T), solved in one
-    stacked dense eigen-solve, ``floquet_hill.dense_spectra``, which
-    imports no scipy: a few dense solves at N = 32 cost less than loading
-    scipy for the banded one, which ``max_growth`` keeps because it stays
-    O(N) at any N.
+    become one batch wave, one expansion over their (k, T), and one Hill
+    problem, which ``floquet_hill.spectrum`` solves as a batch, in numpy.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
     hill, ok}.  n_cells must be >= 0 (ValueError).
@@ -565,7 +561,7 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     j, i = (np.array([row[key] for row in out], dtype=int) for key in ("j", "i"))
     T, k = diag.Ts[j][:, None], diag.ks[i][:, None]
     wave = _stokes(make_symbol(diag.family, {"T": T}), p, k)[0]
-    for row, spec in zip(out, floquet_hill.dense_spectra(floquet_hill.FloquetProblem(wave, a, xi, N), window)):
+    for row, spec in zip(out, floquet_hill.spectrum(floquet_hill.FloquetProblem(wave, a, xi, N), window)):
         hill = spec.max_real_in_window
         row["hill"] = hill
         row["ok"] = hill > threshold if row["label"] == "U" else hill <= threshold

@@ -26,20 +26,21 @@ pairs and the lambda in pairs (lambda, -conj lambda).
 
 Eigenvalues are reported inside a window |lambda| <= R around the
 origin; the window deliberately excludes fast oscillatory branches so
-that max |Re lambda| measures sideband growth alone.  Both solvers find
-them as mu = 1/theta, theta the eigenvalues of B^-1:
+that max |Re lambda| measures sideband growth alone.  ``spectrum`` finds
+them as mu = 1/theta, theta the eigenvalues of B^-1, and picks its path
+from the problem:
 
-- ``spectrum`` (and ``max_growth``) goes through one banded LU of B
-  (scipy): Arnoldi on B^-1 returns the few theta largest in magnitude,
-  which are the mu nearest the origin, and their number doubles until
-  the farthest mu returned lies outside the window, which certifies
-  that every eigenvalue inside it was found.  The factorisation and
-  each solve cost O(N), so this path stays for one problem at any N.
-- ``dense_spectra`` takes every theta of each wave of a batch problem
-  in one dense numpy inverse and eigen-solve, O(N^3) each and no scipy.
-  It serves ``critical.spot_check``'s few picks at the desk truncation,
-  where the import of scipy costs more than the solves, and the window
-  of ``spectrum`` that needs nearly all eigenvalues.
+- one wave goes through one banded LU of B (scipy): Arnoldi on B^-1
+  returns the few theta largest in magnitude, which are the mu nearest
+  the origin, and their number doubles until the farthest mu returned
+  lies outside the window, which certifies that every eigenvalue inside
+  it was found.  The factorisation and each solve cost O(N), so this
+  path serves one problem at any N;
+- a batch of waves, or one wave whose window needs nearly every
+  eigenvalue, takes every theta of each dense B^-1 in one stacked numpy
+  inverse and eigen-solve, O(N^3) each and no scipy.  It serves
+  ``critical.spot_check``'s few picks at the desk truncation, where the
+  import of scipy costs more than the solves.
 
 Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
 k t, with t the equation's time.  Every growth rate this module reports
@@ -65,7 +66,6 @@ __all__ = [
     "FloquetSpectrum",
     "assemble",
     "spectrum",
-    "dense_spectra",
     "max_growth",
     "default_window",
     "unperturbed_eigenvalue",
@@ -165,28 +165,30 @@ def _in_window(eig, window_radius: float) -> FloquetSpectrum:
     return FloquetSpectrum(eigenvalues=inside, max_real_in_window=max_real)
 
 
-def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
+def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum | list:
     """Eigenvalues of -D^{-1} L filtered to |lambda| <= window_radius.
 
     The eigenvalues are lambda = -i mu, mu = 1/theta, with theta those of
-    B^-1 through one banded LU of B.  Arnoldi on B^-1 (a fixed start
-    vector, so the result is deterministic) returns the count theta
-    largest in magnitude, the mu nearest the origin; count starts at 4
-    and doubles until the farthest of them lies outside the window, so
-    none inside is missed.  A window that would need count >= 2N - 1
-    takes every theta densely, through ``dense_spectra``.
+    B^-1.  For one wave, through one banded LU of B: Arnoldi on B^-1 (a
+    fixed start vector, so the result is deterministic) returns the count
+    theta largest in magnitude, the mu nearest the origin; count starts at
+    4 and doubles until the farthest of them lies outside the window, so
+    none inside is missed.  A batch problem (k a column), or a window that
+    would need count >= 2N - 1, takes every theta densely instead, in one
+    stacked numpy solve.
+
+    Returns a ``FloquetSpectrum`` for one wave, and a list of one per wave
+    for a batch, each the floats of that wave's batch of one.
 
     Raises
     ------
-    ValueError
-        The problem holds a batch of waves.
     SolveError
-        B is singular, or the Arnoldi iteration does not converge.
+        Some B is singular, or the eigen-solve does not converge.
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
     if np.ndim(problem.wave.k):
-        raise ValueError("spectrum solves one wave; dense_spectra solves a batch")
+        return _dense_spectra(problem, window_radius)
     from scipy.linalg import lapack
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
@@ -209,26 +211,11 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum:
         if np.max(np.abs(eig)) > window_radius:
             return _in_window(eig, window_radius)
         count *= 2
-    return dense_spectra(problem, window_radius)[0]
+    return _dense_spectra(problem, window_radius)[0]
 
 
-def dense_spectra(problem: FloquetProblem, window_radius: float) -> list:
-    """``spectrum`` of each wave of the problem, from one dense solve.
-
-    The dense B of every wave are stacked, inverted at once and every
-    theta of each B^-1 taken (numpy only, no scipy), then mu = 1/theta is
-    filtered to the window as ``spectrum`` does.  Returns one spectrum per
-    wave, each the floats of a one-wave call (a list of one for one wave).
-    The cost is O(N^3) per wave against the banded solve's O(N): it pays
-    for a few waves at N = 32, not for one large one.
-
-    Raises
-    ------
-    SolveError
-        Some B is singular, or the eigen-solve does not converge.
-    """
-    if not window_radius > 0:
-        raise ValueError("window_radius must be positive")
+def _dense_spectra(problem: FloquetProblem, window_radius: float) -> list:
+    """One spectrum per wave: every theta of each dense B^-1, inverted and solved as one stack."""
     dense = _dense(_bands(problem)[1])
     try:
         theta = np.linalg.eigvals(np.linalg.inv(dense))
@@ -244,7 +231,9 @@ def max_growth(
     N: int = DEFAULT_N,
     window: float | None = None,
 ) -> float:
-    """Largest |Re lambda| inside the sideband window (0 if none)."""
+    """Largest |Re lambda| inside the sideband window (0 if none), for one wave."""
+    if np.ndim(wave.k):
+        raise ValueError("max_growth takes one wave; spectrum solves a batch")
     if window is None:
         window = default_window(wave.params)
     return spectrum(FloquetProblem(wave, a, xi, N), window).max_real_in_window

@@ -46,6 +46,7 @@ __all__ = [
     "assemble_b_matrix",
     "bmatrix_det_roots",
     "growth_rate_leading",
+    "detuning_ratio",
 ]
 
 # trust region of the second-order projection; remainders are O(xi^3 + a^3)

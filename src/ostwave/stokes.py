@@ -33,6 +33,7 @@ __all__ = [
     "A_MAX",
     "expand",
     "harmonic_denominator",
+    "denominator_floor",
     "check_resonance",
     "find_resonances",
     "profile",

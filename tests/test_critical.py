@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ostwave as ow
 from ostwave import critical as cr
-from ostwave import floquet_hill, mi_index, roots
+from ostwave import floquet_hill, mi_index, roots, stokes
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
 PN1 = ow.ModelParams(beta=-1.0, gamma=1.0)
@@ -597,8 +597,10 @@ def _reference_spot_check(diag, n_cells, a=0.01, xi=1e-3, N=32, seed=0):
         lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
         if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
             continue
-        problem = floquet_hill.FloquetProblem(wave, a, xi, N)
-        hill = floquet_hill.dense_spectra(problem, window)[0].max_real_in_window
+        # a batch of one wave: the dense solve that spot_check's batch takes
+        one = stokes._stokes(s, p, np.array([[k]]))[0]
+        (spec,) = floquet_hill.spectrum(floquet_hill.FloquetProblem(one, a, xi, N), window)
+        hill = spec.max_real_in_window
         ok = hill > threshold if label == "U" else hill <= threshold
         out.append(
             {"i": i, "j": j, "k": k, "T": T, "label": label,

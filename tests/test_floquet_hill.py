@@ -291,9 +291,9 @@ def test_empty_window_has_no_eigenvalues():
 
 
 def test_whole_window_growth_matches_default_window():
-    # the whole-window solve takes every theta of the dense B^-1
-    # (dense_spectra), the Arnoldi solve a few of the banded one; the small
-    # sideband growth does not depend on which
+    # the whole-window solve takes every theta of the dense B^-1, the Arnoldi
+    # solve a few of the banded one; the small sideband growth does not
+    # depend on which
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
     whole = fh.spectrum(prob, 1e9)
     assert len(whole.eigenvalues) == 17
@@ -333,14 +333,13 @@ def test_singular_band_matrix_raises():
 
 def test_dense_solve_of_singular_matrix_raises_solve_error():
     # the singular problem of the CLI's singular-solve test: numpy's
-    # LinAlgError becomes the package's SolveError, for one wave or a batch
-    # (kdv, beta = -4, gamma = 1 at k = 0.9 and the singular k = 1)
+    # LinAlgError becomes the package's SolveError, for a batch of one wave
+    # or of two (kdv, beta = -4, gamma = 1 at k = 0.9 and the singular k = 1)
     s, p = ow.make_symbol("kdv"), ow.ModelParams(-4.0, 1.0)
-    one = fh.FloquetProblem(ow.expand(s, p, 1.0), 0.0, 0.5, 8)
-    batch = fh.FloquetProblem(stokes._stokes(s, p, np.array([[0.9], [1.0]]))[0], 0.0, 0.5, 8)
-    for problem in (one, batch):
+    for k in ([[1.0]], [[0.9], [1.0]]):
+        problem = fh.FloquetProblem(stokes._stokes(s, p, np.array(k))[0], 0.0, 0.5, 8)
         with pytest.raises(ow.SolveError, match="eigenvalue solve failed") as info:
-            fh.dense_spectra(problem, 0.25)
+            fh.spectrum(problem, 0.25)
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
@@ -348,7 +347,7 @@ def test_dense_solve_of_singular_matrix_raises_solve_error():
 @pytest.mark.parametrize("family", ["kdv_st", "whitham_st"])
 def test_dense_spectra_of_batch_wave_matches_one_wave_calls(family):
     # one wave per (k, T) of a seeded draw, T broadcast as a column: each
-    # spectrum of the batch is the one-wave solve's, bit for bit
+    # spectrum of the batch is that wave's batch of one, bit for bit
     rng = np.random.default_rng(29)
     p = ow.ModelParams(float(rng.choice([-1.0, 1.0])), float(rng.uniform(0.05, 1.0)))
     Ts, ks = rng.uniform(0.0, 0.8, (40, 1)), rng.uniform(0.3, 2.0, (40, 1))
@@ -358,11 +357,11 @@ def test_dense_spectra_of_batch_wave_matches_one_wave_calls(family):
     Ts, ks = Ts[keep], ks[keep]
     wave = stokes._stokes(ow.make_symbol(family, {"T": Ts}), p, ks)[0]
     window = fh.default_window(p)
-    specs = fh.dense_spectra(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), window)
+    specs = fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), window)
     assert len(specs) == len(ks)
     for T, k, spec in zip(Ts.ravel(), ks.ravel(), specs):
-        one = ow.expand(ow.make_symbol(family, {"T": float(T)}), p, float(k))
-        (want,) = fh.dense_spectra(fh.FloquetProblem(one, DESK_A, DESK_XI, DESK_N), window)
+        one = stokes._stokes(ow.make_symbol(family, {"T": float(T)}), p, np.array([[k]]))[0]
+        (want,) = fh.spectrum(fh.FloquetProblem(one, DESK_A, DESK_XI, DESK_N), window)
         assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert spec.max_real_in_window == want.max_real_in_window
 
@@ -370,15 +369,36 @@ def test_dense_spectra_of_batch_wave_matches_one_wave_calls(family):
 def test_dense_spectra_of_empty_batch_is_empty():
     empty = np.empty((0, 1))
     wave = stokes._stokes(ow.make_symbol("kdv_st", {"T": empty}), P11, empty)[0]
-    assert fh.dense_spectra(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25) == []
+    assert fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25) == []
 
 
-def test_spectrum_and_max_growth_refuse_a_batch():
+def test_spectrum_solves_a_batch_and_max_growth_refuses_one():
     wave = stokes._stokes(ow.make_symbol("kdv"), P11, np.array([[0.9], [1.1]]))[0]
-    with pytest.raises(ValueError, match="batch"):
-        fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25)
+    specs = fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25)
+    assert len(specs) == 2 and all(isinstance(spec, fh.FloquetSpectrum) for spec in specs)
     with pytest.raises(ValueError, match="batch"):
         fh.max_growth(wave, DESK_A, DESK_XI)
+
+
+def test_batch_of_one_matches_banded_solve_on_every_family():
+    # the dense batch path against the banded one-wave path on seeded draws
+    # of all six families: the same growth where it is resolvable (U), both
+    # below the 1e-8 detection threshold elsewhere (S)
+    rng = np.random.default_rng(1919)
+    families, n_unstable = set(), 0
+    for _ in range(120):
+        s, p, k, wave, window = draw_hill_ready(rng)
+        one = stokes._stokes(s, p, np.array([[k]]))[0]
+        (spec,) = fh.spectrum(fh.FloquetProblem(one, DESK_A, DESK_XI, DESK_N), window)
+        banded = fh.max_growth(wave, DESK_A, DESK_XI, N=DESK_N, window=window)
+        if banded > 1e-8:
+            assert spec.max_real_in_window == pytest.approx(banded, rel=1e-9, abs=0.0), (s.name, p, k)
+            n_unstable += 1
+        else:
+            assert spec.max_real_in_window <= 1e-8, (s.name, p, k)
+        families.add(s.name)
+    assert len(families) == 6
+    assert n_unstable >= 20
 
 
 def test_batch_problem_refuses_a_row_of_k():

@@ -29,7 +29,8 @@ def test_import_loads_no_scipy():
 
 
 def test_spot_check_loads_no_scipy():
-    # the picks are solved densely in numpy; only floquet_hill.spectrum loads scipy
+    # the picks are one batch problem, which floquet_hill.spectrum solves in
+    # numpy; only its one-wave banded path loads scipy
     code = (
         "import sys, ostwave\n"
         "d = ostwave.diagram('kdv_st', 1.0, k_max=2.0, t_max=0.8, nk=20, nt=20)\n"
