@@ -10,13 +10,16 @@ Subcommands mirror the library modules:
     spectrum  truncated sideband eigenvalues near the origin
     diagram   (k, T) stability diagram with zero-locus curves
 
-All tables emit as CSV (header row, 17 significant digits) or JSON (an
-array of flat objects); per-run scalar summaries go to stderr as a
-single JSON line.  Exit codes: 0 success, 1 domain failure (resonance,
-inconclusive tension, no root, failed eigen-solve), 2 usage error,
-including a flag abbreviated to a prefix.  ``diagram --spot-check``
-checks its cells at the desk scale of ``critical.spot_check``:
-a = 0.01, xi = 1e-3, N = 32.
+All tables emit as CSV (header row, floats to 17 significant digits as
+Python spells them: ``nan``, ``inf``, ``-0``) or JSON (an array of flat
+objects carrying the same floats); per-run scalar summaries go to stderr
+as a single JSON line.  The diagram grid has the columns
+``k,T,k_sqrtT,label,f1,f2,delta``, one row per cell, T rows ascending
+and k ascending within a row; its SVG holds one rect per cell.  Exit
+codes: 0 success, 1 domain failure (resonance, inconclusive tension, no
+root, failed eigen-solve), 2 usage error, including a flag abbreviated
+to a prefix.  ``diagram --spot-check`` checks its cells at the desk
+scale of ``critical.spot_check``: a = 0.01, xi = 1e-3, N = 32.
 """
 
 from __future__ import annotations
@@ -58,11 +61,16 @@ def emit(records, fmt: str = "csv", path=None, fieldnames=None) -> None:
     if fmt == "json":
         text = json.dumps(records, indent=1) + "\n"
     elif fmt == "csv":
-        buf = []
-        buf.append(",".join(fieldnames))
-        for rec in records:
-            buf.append(",".join(_csv_cell(rec.get(name)) for name in fieldnames))
-        text = "\n".join(buf) + "\n"
+        # one formatter per column: a column of exact floats is written by one "%.17g"
+        # %-format of the whole column, the digits of _csv_cell's format(value, ".17g")
+        columns = []
+        for name in fieldnames:
+            values = [rec.get(name) for rec in records]
+            if set(map(type, values)) == {float}:
+                columns.append(("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n"))
+            else:
+                columns.append(map(_csv_cell, values))
+        text = "\n".join([",".join(fieldnames), *map(",".join, zip(*columns))]) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -310,12 +310,11 @@ class StabilityDiagram:
     region_counts: dict
 
     def to_records(self) -> list:
-        return [
-            {"k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T)), "label": str(self.labels[j, i]),
-             "f1": float(self.f1[j, i]), "f2": float(self.f2[j, i]), "delta": float(self.delta[j, i])}
-            for j, T in enumerate(self.Ts)
-            for i, k in enumerate(self.ks)
-        ]
+        """One row per cell, T rows ascending and k ascending within a row."""
+        k, T = np.meshgrid(self.ks, self.Ts)
+        names = ("k", "T", "k_sqrtT", "label", "f1", "f2", "delta")
+        columns = (k, T, k * np.sqrt(T), self.labels, self.f1, self.f2, self.delta)
+        return [dict(zip(names, row)) for row in zip(*(c.ravel().tolist() for c in columns))]
 
     def curve_records(self) -> list:
         return [

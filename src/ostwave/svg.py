@@ -54,15 +54,13 @@ def render_diagram(diag) -> str:
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         '<g id="cells">',
     ]
+    # x depends on the column alone, y on the row and the size on neither: each is formatted once
+    xs = [f"{MARGIN_L + i * cell_w:.2f}" for i in range(diag.nk)]
+    size = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
     for j in range(diag.nt):
-        y = MARGIN_T + (diag.nt - 1 - j) * cell_h
-        for i in range(diag.nk):
-            x = MARGIN_L + i * cell_w
-            fill = FILL[str(diag.labels[j, i])]
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="{fill}"/>'
-            )
+        y = f"{MARGIN_T + (diag.nt - 1 - j) * cell_h:.2f}"
+        for x, label in zip(xs, diag.labels[j].tolist()):
+            parts.append(f'<rect x="{x}" y="{y}" {size} fill="{FILL[label]}"/>')
     parts.append("</g>")
 
     parts.append('<g id="curves" fill="none" stroke-width="2">')

@@ -5,14 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from ostwave.cli import main
+from ostwave import critical
+from ostwave.cli import _csv_cell, emit, main
+from ostwave.svg import FILL, HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 
 KDV = ["--symbol", "kdv", "--beta", "1", "--gamma", "1"]
 
@@ -216,6 +220,51 @@ def test_index_empty_sweep_is_header_only(capsys, fmt, want):
     assert out == want
 
 
+def per_cell_csv(records, fieldnames):
+    """The CSV writer cell by cell: the reference the column writer must match."""
+    lines = [",".join(fieldnames)]
+    lines += [",".join(_csv_cell(rec.get(n)) for n in fieldnames) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+MIXED_TABLE = [
+    {"x": 0.1, "y": np.float64(1 / 3), "flag": True, "n": 3, "s": "S", "any": 2.5, "gap": None},
+    {"x": -0.0, "y": np.float64(-0.0), "flag": False, "n": -7, "s": "degenerate", "any": np.float64(0.1)},
+    {"x": math.nan, "y": np.float64(math.nan), "flag": True, "n": 0, "s": "", "any": None, "gap": None},
+    {"x": math.inf, "y": np.float64(-math.inf), "flag": False, "n": 10**20, "s": "a b", "any": True},
+    {"x": -math.inf, "y": np.float64(5e-324), "flag": True, "n": 1, "s": "U", "any": "x"},
+    {"x": 1e300 * 1e-10, "y": np.float64(1e22), "flag": False, "n": 2, "s": "S", "any": 7},
+]
+ONE_NONE_TABLE = [{"k": 0.5, "f": 1 / 3}, {"k": 1.5, "f": None}, {"k": 2.5, "f": -0.0}]
+# doubles from random bit patterns: every exponent, subnormals, nan payloads
+RANDOM_BITS_TABLE = [
+    {"x": x} for x in np.random.default_rng(0).integers(0, 2**64, 4096, dtype=np.uint64).view(np.float64).tolist()
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "records,fieldnames",
+    [
+        (MIXED_TABLE, ["x", "y", "flag", "n", "s", "any", "gap"]),
+        # one None in a float column sends that column cell by cell: it writes ""
+        (ONE_NONE_TABLE, ["k", "f"]),
+        (RANDOM_BITS_TABLE, ["x"]),
+        ([], ["k", "T"]),
+    ],
+    ids=["mixed", "float-column-with-none", "random-bits", "empty"],
+)
+def test_emit_matches_per_cell_writer(capsys, records, fieldnames, fmt):
+    emit(records, fmt, None, fieldnames)
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out == per_cell_csv(records, fieldnames)
+    else:
+        assert out == json.dumps(records, indent=1) + "\n"
+    if not records:
+        assert out == {"csv": "k,T\n", "json": "[]\n"}[fmt]
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["index", *KDV, "--k-min", "0.2", "--k-max", "2.0", "--nk", "25"]
     _, out1, _ = run_cli(capsys, argv)
@@ -396,6 +445,62 @@ def test_diagram_outputs(tmp_path, capsys):
     assert len(cells.findall("s:rect", ns)) == 625
     curves_g = root.find(".//s:g[@id='curves']", ns)
     assert len(curves_g.findall("s:polyline", ns)) >= 2
+
+
+def cells_block(svg_text):
+    return svg_text.split('<g id="cells">\n', 1)[1].split("\n</g>", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "family,alpha,k_max,t_max",
+    [("kdv_st", 1.0, 2.0, 0.8), ("whitham_st", 0.1, 2.0, 0.8), ("whitham_st", -0.1, 5.0, 0.4)],
+    ids=["kdv_st", "whitham_st+", "whitham_st-"],
+)
+def test_diagram_outputs_match_per_cell_writers(tmp_path, capsys, family, alpha, k_max, t_max):
+    # nk != nt, so a swapped axis changes the bytes
+    nk, nt = 30, 20
+    d = critical.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=nk, nt=nt)
+    cells = [
+        {"k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T)), "label": str(d.labels[j, i]),
+         "f1": float(d.f1[j, i]), "f2": float(d.f2[j, i]), "delta": float(d.delta[j, i])}
+        for j, T in enumerate(d.Ts)
+        for i, k in enumerate(d.ks)
+    ]
+    grid = ["k,T,k_sqrtT,label,f1,f2,delta"] + [
+        ",".join(c["label"] if n == "label" else format(c[n], ".17g") for n in c) for c in cells
+    ]
+    curves = ["curve,k,T,k_sqrtT"] + [
+        f"{name},{format(float(k), '.17g')},{format(float(T), '.17g')},{format(float(k * math.sqrt(T)), '.17g')}"
+        for name, pts in (("f1", d.f1_curve), ("f2", d.f2_curve))
+        for k, T in pts
+    ]
+    cell_w = (WIDTH - MARGIN_L - MARGIN_R) / nk
+    cell_h = (HEIGHT - MARGIN_T - MARGIN_B) / nt
+    rects = []
+    for j in range(nt):
+        y = MARGIN_T + (nt - 1 - j) * cell_h
+        for i in range(nk):
+            x = MARGIN_L + i * cell_w
+            fill = FILL[str(d.labels[j, i])]
+            rects.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
+                f'height="{cell_h:.2f}" fill="{fill}"/>'
+            )
+
+    args = ["diagram", "--symbol", family, "--alpha", str(alpha), "--k-max", str(k_max),
+            "--t-max", str(t_max), "--nk", str(nk), "--nt", str(nt)]
+    out = {name: tmp_path / name for name in ("grid.csv", "curves.csv", "grid.json", "cells.svg")}
+    code, _, err = run_cli(capsys, [*args, "--out", str(out["grid.csv"]),
+                                    "--curves-out", str(out["curves.csv"]), "--svg", str(out["cells.svg"])])
+    assert code == 0, err
+    code, _, err = run_cli(capsys, [*args, "--format", "json", "--out", str(out["grid.json"])])
+    assert code == 0, err
+
+    # compared line by line: a failing diff of one long string takes minutes to print
+    assert out["grid.csv"].read_text().split("\n") == [*grid, ""]
+    assert out["curves.csv"].read_text().split("\n") == [*curves, ""]
+    assert out["grid.json"].read_text().split("\n") == (json.dumps(cells, indent=1) + "\n").split("\n")
+    assert cells_block(out["cells.svg"].read_text()).split("\n") == rects
 
 
 def test_diagram_negative_spot_check_exits_2(capsys):

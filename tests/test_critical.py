@@ -342,8 +342,14 @@ def test_diagram_grid_and_labels():
     # cell centers and the auxiliary coordinate
     assert rec[0]["k"] == pytest.approx(0.025)
     assert rec[0]["T"] == pytest.approx(0.01)
-    assert rec[0]["k_sqrtT"] == pytest.approx(0.025 * np.sqrt(0.01))
     assert all(r["label"] in ("S", "U", "degenerate") for r in rec)
+    # exactly float, T-major, and k*sqrt(T) rounded as the scalar product rounds it
+    for n, r in enumerate(rec):
+        j, i = divmod(n, 40)
+        assert all(type(r[name]) is float for name in ("k", "T", "k_sqrtT", "f1", "f2", "delta"))
+        assert type(r["label"]) is str
+        assert (r["k"], r["T"]) == (d.ks[i], d.Ts[j])
+        assert r["k_sqrtT"] == d.ks[i] * math.sqrt(d.Ts[j])
 
 
 def test_diagram_labels_match_index_at_cell_centers():
