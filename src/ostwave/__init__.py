@@ -5,113 +5,25 @@ rotation-modified dispersive model equations, classifies their stability
 to long-wavelength sideband perturbations through a closed-form index,
 and cross-validates every verdict with an independent truncated-Fourier
 spectral solver.  See the README for the CLI surface.
+
+The package exports the ``__all__`` of each library module (``critical``,
+``errors``, ``floquet_hill``, ``mi_index``, ``stokes``, ``symbols``) and
+nothing else but ``__version__``: a module's ``__all__`` is the one list
+of its public names.  That includes the constants ``A_BOUND``, ``A_MAX``,
+``XI_BOUND`` and ``T_DEGENERATE_TOL``, ``GroupVelocitySlope``,
+``default_window`` and ``denominator_floor``.
 """
 
-from .critical import (
-    CriticalResult,
-    StabilityDiagram,
-    classify_intervals,
-    diagram,
-    kc_closed_form,
-    kc_numeric,
-    params_from_alpha,
-    spot_check,
-    tc_of_alpha,
-)
-from .errors import (
-    BracketError,
-    DomainError,
-    InconclusiveError,
-    NoRootError,
-    ResonanceError,
-    SolveError,
-)
-from .floquet_hill import (
-    FloquetProblem,
-    FloquetSpectrum,
-    assemble,
-    convergence_study,
-    max_growth,
-    spectrum,
-    unperturbed_eigenvalue,
-)
-from .mi_index import (
-    IndexResult,
-    assemble_b_matrix,
-    bmatrix_det_roots,
-    detuning_ratio,
-    growth_rate_leading,
-    index,
-)
-from .stokes import (
-    StokesWave,
-    check_resonance,
-    expand,
-    find_resonances,
-    harmonic_denominator,
-    profile,
-    residual_norm,
-    speed,
-)
-from .symbols import (
-    DispersionSymbol,
-    HypothesisReport,
-    ModelParams,
-    check_hypotheses,
-    group_velocity,
-    group_velocity_derivative,
-    make_symbol,
-    parse_symbol_spec,
-    phase_velocity,
-)
+from . import critical, errors, floquet_hill, mi_index, stokes, symbols
+from .critical import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .floquet_hill import *  # noqa: F403
+from .mi_index import *  # noqa: F403
+from .stokes import *  # noqa: F403
+from .symbols import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
-    "CriticalResult",
-    "DispersionSymbol",
-    "DomainError",
-    "FloquetProblem",
-    "FloquetSpectrum",
-    "HypothesisReport",
-    "InconclusiveError",
-    "IndexResult",
-    "ModelParams",
-    "NoRootError",
-    "ResonanceError",
-    "SolveError",
-    "StabilityDiagram",
-    "StokesWave",
-    "assemble",
-    "assemble_b_matrix",
-    "bmatrix_det_roots",
-    "check_hypotheses",
-    "check_resonance",
-    "classify_intervals",
-    "convergence_study",
-    "diagram",
-    "detuning_ratio",
-    "expand",
-    "find_resonances",
-    "group_velocity",
-    "group_velocity_derivative",
-    "growth_rate_leading",
-    "harmonic_denominator",
-    "index",
-    "kc_closed_form",
-    "kc_numeric",
-    "make_symbol",
-    "max_growth",
-    "params_from_alpha",
-    "parse_symbol_spec",
-    "phase_velocity",
-    "profile",
-    "residual_norm",
-    "speed",
-    "spectrum",
-    "spot_check",
-    "tc_of_alpha",
-    "unperturbed_eigenvalue",
-    "__version__",
-]
+    name for module in (critical, errors, floquet_hill, mi_index, stokes, symbols) for name in module.__all__
+] + ["__version__"]

@@ -18,8 +18,10 @@ as a single JSON line.  The diagram grid has the columns
 and k ascending within a row; its SVG holds one rect per cell.  Exit
 codes: 0 success, 1 domain failure (resonance, inconclusive tension, no
 root, failed eigen-solve), 2 usage error, including a flag abbreviated
-to a prefix.  ``diagram --spot-check`` checks its cells at the desk
-scale of ``critical.spot_check``: a = 0.01, xi = 1e-3, N = 32.
+to a prefix or ``index --k`` given with a sweep flag.  The desk scale is
+``floquet_hill``'s ``DESK_A`` = 0.01, ``DESK_XI`` = 1e-3 and ``DEFAULT_N``
+= 32: ``spectrum``'s ``--a``, ``--xi`` and ``--N`` default to it, and
+``diagram --spot-check`` checks its cells at it.
 """
 
 from __future__ import annotations
@@ -166,9 +168,11 @@ def cmd_index(args) -> None:
     s = parse_symbol_spec(args.symbol)
     p = _params(args)
     if args.k is not None:
+        if (args.k_min, args.k_max, args.nk) != (None, None, None):
+            raise ValueError("--k is exclusive with --k-min/--k-max/--nk")
         ks = [args.k]
     elif args.k_min is not None and args.k_max is not None:
-        ks = np.linspace(args.k_min, args.k_max, args.nk)
+        ks = np.linspace(args.k_min, args.k_max, 100 if args.nk is None else args.nk)
     else:
         raise ValueError("provide --k, or --k-min/--k-max (optionally --nk)")
     r = mi_index.index(s, p, ks)
@@ -232,13 +236,9 @@ def cmd_diagram(args) -> None:
     diag = critical.diagram(
         family, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
     )
-    emit(
-        diag.to_records(),
-        args.format,
-        args.out,
-        fieldnames=["k", "T", "k_sqrtT", "label", "f1", "f2", "delta"],
-    )
+    emit(diag.to_records(), args.format, args.out)
     if args.curves_out:
+        # the curve table can be empty, so it names its columns
         emit(
             diag.curve_records(),
             args.format,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, default=None)
     sp.add_argument("--k-min", type=float, default=None)
     sp.add_argument("--k-max", type=float, default=None)
-    sp.add_argument("--nk", type=int, default=100)
+    sp.add_argument("--nk", type=int, default=None)
 
     sp = command("kc", cmd_kc, "critical wavenumbers")
     sp.add_argument("--numeric", action="store_true", help="force the Brent scan even for kdv/fkdv/kdv_st")
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("spectrum", cmd_spectrum, "sideband eigenvalues near the origin")
     sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--a", type=float, default=0.01)
-    sp.add_argument("--xi", type=float, default=1e-3)
+    sp.add_argument("--a", type=float, default=floquet_hill.DESK_A)
+    sp.add_argument("--xi", type=float, default=floquet_hill.DESK_XI)
     sp.add_argument("--N", type=int, default=floquet_hill.DEFAULT_N)
 
     sp = command("diagram", cmd_diagram, "(k, T) stability diagram")

@@ -485,8 +485,8 @@ def diagram(
 def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list:
     """Re-validate random diagram cells against the spectral oracle.
 
-    Every cell is checked at one desk scale: amplitude a = 0.01, sideband
-    offset xi = 1e-3 and Hill truncation N = ``floquet_hill.DEFAULT_N``.
+    Every cell is checked at ``floquet_hill``'s desk scale: amplitude a =
+    ``DESK_A`` = 0.01, offset xi = ``DESK_XI`` = 1e-3, N = ``DEFAULT_N`` = 32.
     Cells are eligible when the projected-system prediction is decisive
     at that scale: for U cells the predicted growth clears
     the detection threshold with margin, for S cells it is numerically
@@ -512,7 +512,7 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     """
     if n_cells < 0:
         raise ValueError(f"spot check cell count must be >= 0, got {n_cells}")
-    a, xi, N = 0.01, 1e-3, floquet_hill.DEFAULT_N
+    a, xi, N = floquet_hill.DESK_A, floquet_hill.DESK_XI, floquet_hill.DEFAULT_N
     p = params_from_alpha(diag.alpha)
     window = floquet_hill.default_window(p)
     rng = np.random.default_rng(seed)

@@ -5,6 +5,8 @@ These mark conditions where the mathematics itself rules out an answer
 DomainError to exit code 1 and argument problems to exit code 2.
 """
 
+__all__ = ["DomainError", "ResonanceError", "InconclusiveError", "NoRootError", "BracketError", "SolveError"]
+
 
 class DomainError(Exception):
     """A computation failed for a mathematical reason, not a usage one."""

@@ -73,6 +73,8 @@ __all__ = [
 ]
 
 DEFAULT_N = 32
+# the desk scale: the amplitude and sideband offset of a check at DEFAULT_N modes
+DESK_A, DESK_XI = 0.01, 1e-3
 
 
 def default_window(p) -> float:

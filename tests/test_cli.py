@@ -14,7 +14,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ostwave import critical
+import ostwave as ow
+from ostwave import critical, floquet_hill
 from ostwave.cli import _csv_cell, emit, main
 from ostwave.svg import FILL, HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 
@@ -103,11 +104,29 @@ def test_usage_errors_exit_2(capsys):
     code, _, _ = run_cli(capsys, ["index", *KDV])  # no --k and no sweep
     assert code == 2
 
+    code, out, err = run_cli(capsys, ["kc", "--symbol", "kdv", "--beta", "1"])
+    assert code == 2
+    assert out == ""
+    assert "provide both --beta and --gamma, or --alpha" in err
+
     code, _, _ = run_cli(
         capsys, ["index", "--symbol", "nope", "--beta", "1", "--gamma", "1",
                  "--k", "1"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [["--k-min", "0.1", "--k-max", "2", "--nk", "5"], ["--k-min", "0.1"], ["--k-max", "2"], ["--nk", "100"]],
+    ids=["all", "k-min", "k-max", "nk"],
+)
+def test_index_refuses_k_with_a_sweep_flag(capsys, sweep):
+    # one k and a sweep contradict each other: neither is silently dropped
+    code, out, err = run_cli(capsys, ["index", *KDV, "--k", "1", *sweep])
+    assert code == 2
+    assert out == ""
+    assert "--k is exclusive with --k-min/--k-max/--nk" in err
 
 
 @pytest.mark.parametrize(
@@ -265,6 +284,13 @@ def test_emit_matches_per_cell_writer(capsys, records, fieldnames, fmt):
         assert out == {"csv": "k,T\n", "json": "[]\n"}[fmt]
 
 
+def test_emit_refusals():
+    with pytest.raises(ValueError, match="fieldnames required"):
+        emit([], "csv")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit([{"k": 1.0}], "xml")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["index", *KDV, "--k-min", "0.2", "--k-max", "2.0", "--nk", "25"]
     _, out1, _ = run_cli(capsys, argv)
@@ -273,16 +299,26 @@ def test_determinism_byte_identical(capsys):
 
 
 def test_spectrum_rows_and_summary(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["spectrum", *KDV, "--k", "1", "--a", "0.01", "--xi", "0.001"],
-    )
+    # a, xi and N default to the desk scale: a = 0.01, xi = 1e-3, N = 32
+    code, out, err = run_cli(capsys, ["spectrum", *KDV, "--k", "1"])
     assert code == 0
     rows = parse_csv(out)
     assert rows and set(rows[0]) == {"re", "im"}
     summary = json.loads(err)
     assert summary["max_real_in_window"] > 1e-8
-    assert summary["N"] == 32
+    assert (summary["a"], summary["xi"], summary["N"]) == (0.01, 1e-3, 32)
+    assert (floquet_hill.DESK_A, floquet_hill.DESK_XI, floquet_hill.DEFAULT_N) == (0.01, 1e-3, 32)
+
+
+def test_stokes_row(capsys):
+    argv = ["stokes", "--symbol", "whitham", "--beta", "1", "--gamma", "1", "--k", "0.7", "--a", "0.02"]
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    [row] = json.loads(out)
+    wave = ow.expand(ow.make_symbol("whitham"), ow.ModelParams(1.0, 1.0), 0.7)
+    assert list(row) == ["k", "beta", "gamma", "c0", "c2", "A2", "A3", "residual_norm"]
+    assert repr(row["c2"]) == repr(row["A2"]) == repr(wave.A2)
+    assert repr(row["residual_norm"]) == repr(ow.residual_norm(wave, 0.02))
 
 
 def test_symbols_report(capsys):
@@ -397,6 +433,15 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
     target = tmp_path / "row.csv"
     assert target.exists()
     assert parse_csv(target.read_text())[0]["class"] == "unstable"
+
+
+def test_out_into_a_missing_directory_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "row.csv"
+    code, out, err = run_cli(capsys, ["index", *KDV, "--k", "1", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not target.parent.exists()
 
 
 def test_absolute_out_ignores_env_dir(tmp_path, monkeypatch, capsys):

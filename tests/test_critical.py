@@ -233,6 +233,25 @@ def test_classify_intervals_whitham_st_above_threshold():
     assert ivs[0][0][1] == pytest.approx(0.8403, abs=2e-3)
 
 
+def test_classify_intervals_merges_equal_labels_across_a_loci_crossing():
+    # at the crossing tension of the alpha = -0.1 diagram both loci pass k = 2.0079
+    # within 1.2e-13: one boundary, and U on both sides of it
+    p = cr.params_from_alpha(-0.1)
+    s = ow.make_symbol("whitham_st", {"T": 0.0970275958082918})
+    kcs = sorted(r.kc for r in cr.kc_numeric(s, p))
+    assert len(kcs) == 3 and kcs[2] - kcs[1] < 1.2e-13
+    ivs = cr.classify_intervals(s, p, (0.05, 10.0))
+    assert [label for _, label in ivs] == ["S", "U"]
+    assert ivs[0][0] == (0.05, ivs[1][0][0]) and ivs[1][0][1] == 10.0
+    assert ivs[0][0][1] == pytest.approx(0.88965, abs=1e-5)
+
+
+def test_classify_intervals_refuses_an_empty_range():
+    for k_range in ((2.0, 2.0), (3.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            cr.classify_intervals(ow.make_symbol("kdv"), P11, k_range)
+
+
 # --------------------------------------------------------------- threshold
 
 
@@ -257,6 +276,8 @@ def test_tc_validation():
         cr.tc_of_alpha("whitham_st", 0.0)
     with pytest.raises(ValueError):
         cr.tc_of_alpha("ilw", 0.1)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        cr.tc_of_alpha("whitham_st", 0.1, tol=0)
 
 
 def _owner_double_root(alpha, k0, T0):
@@ -350,6 +371,13 @@ def test_diagram_grid_and_labels():
         assert type(r["label"]) is str
         assert (r["k"], r["T"]) == (d.ks[i], d.Ts[j])
         assert r["k_sqrtT"] == d.ks[i] * math.sqrt(d.Ts[j])
+
+
+def test_diagram_refusals():
+    with pytest.raises(ValueError, match="unsupported diagram family 'kdv'"):
+        cr.diagram("kdv", 1.0, nk=4, nt=4)
+    with pytest.raises(ValueError, match="resolutions >= 2"):
+        cr.diagram("kdv_st", 1.0, nk=1, nt=4)
 
 
 def test_diagram_labels_match_index_at_cell_centers():

@@ -177,6 +177,11 @@ def test_convergence_study_table():
     assert diffs[-1] < noise
 
 
+def test_convergence_study_refuses_descending_sizes():
+    with pytest.raises(ValueError, match="ascending"):
+        fh.convergence_study(_kdv_wave(1.0), 0.01, 0.001, [32, 16])
+
+
 def test_convergence_study_zero_amplitude_all_zero():
     rows = fh.convergence_study(_kdv_wave(1.0), 0.0, 0.001, [8, 16, 32])
     assert all(r["max_growth"] == 0.0 for r in rows)
@@ -204,6 +209,13 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="integer"):
             fh.FloquetProblem(w, 0.01, 0.1, bad_N)
     assert fh.FloquetProblem(w, 0.01, 0.1, np.int64(32)).N == 32
+
+
+def test_spectrum_refuses_a_non_positive_window():
+    prob = fh.FloquetProblem(_kdv_wave(), 0.01, 0.001)
+    for window in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="window_radius must be positive"):
+            fh.spectrum(prob, window)
 
 
 def test_default_window():

@@ -81,6 +81,11 @@ def test_non_finite_amplitude_rejected(a):
 # ------------------------------------------------------------ resonance
 
 
+def test_harmonic_denominator_refuses_the_fundamental():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        ow.harmonic_denominator(ow.make_symbol("kdv"), ow.ModelParams(1.0, 1.0), 1.0, 1)
+
+
 def test_kdv_positive_beta_never_resonant():
     s = ow.make_symbol("kdv")
     for k in np.geomspace(0.05, 20.0, 50):

@@ -323,6 +323,8 @@ def test_parse_symbol_spec():
         ow.parse_symbol_spec("nope")
     with pytest.raises(ValueError):
         ow.parse_symbol_spec("kdv:T")
+    with pytest.raises(ValueError, match="non-numeric symbol parameter 'delta=x'"):
+        ow.parse_symbol_spec("fkdv:delta=x")
 
 
 def test_make_symbol_validation():
@@ -332,6 +334,8 @@ def test_make_symbol_validation():
         ow.make_symbol("whitham_st", {"T": -0.1})
     with pytest.raises(ValueError):
         ow.make_symbol("unknown")
+    with pytest.raises(ValueError, match="fkdv requires parameter 'delta'"):
+        ow.make_symbol("fkdv")
 
 
 @pytest.mark.parametrize(
