@@ -236,6 +236,15 @@ def cmd_diagram(args) -> None:
     diag = critical.diagram(
         family, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
     )
+    summary = {"region_counts": diag.region_counts, "t_s": diag.t_s}
+    if args.spot_check != 0:
+        # before the first write: a refused or failed check leaves no output behind
+        checks = critical.spot_check(diag, n_cells=args.spot_check, seed=args.seed)
+        summary["spot_check"] = {
+            "n": len(checks),
+            "ok": sum(1 for c in checks if c["ok"]),
+            "cells": checks,
+        }
     emit(diag.to_records(), args.format, args.out)
     if args.curves_out:
         # the curve table can be empty, so it names its columns
@@ -247,14 +256,6 @@ def cmd_diagram(args) -> None:
         )
     if args.svg:
         svg.write_svg(diag, args.svg)
-    summary = {"region_counts": diag.region_counts, "t_s": diag.t_s}
-    if args.spot_check != 0:
-        checks = critical.spot_check(diag, n_cells=args.spot_check, seed=args.seed)
-        summary["spot_check"] = {
-            "n": len(checks),
-            "ok": sum(1 for c in checks if c["ok"]),
-            "cells": checks,
-        }
     _summary(summary)
 
 

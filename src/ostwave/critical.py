@@ -246,7 +246,8 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
     slope; for alpha < 0 to the phase-velocity coincidence factor.  The
     pair exists while g(T), the owner's numerator minimised over k in
     [1e-2, 1e2], is negative: T_c is the ``brentq`` root of g on T in
-    [0.01, 0.9], accurate to tol/2 (plus the resolution of the minimum).
+    [0.01, 0.9], accurate to tol/2 (plus the resolution of the minimum);
+    tol must lie in (0, 0.89), below the bracket's width.
 
     ``kdv_st`` is handled in closed form: both formula branches blow up
     at T = 1/3 from either side, so the threshold is exactly 1/3 for any
@@ -261,8 +262,8 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 0.89:
+        raise ValueError(f"tol must be positive and below 0.89, the T bracket's width, got {tol}")
     if variant == "kdv_st":
         return 1.0 / 3.0
     if variant != "whitham_st":
@@ -499,13 +500,13 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     singular) are skipped as ill-posed rather than forced.
 
     The S and U cells are screened in a seeded random order, in batches
-    that start at 4 n_cells and double: each test is one array
-    evaluation over the batch (the expansion, the pencil, the detuning
-    ratio, the unperturbed eigenvalues), and the Hill oracle runs only on
-    the first n_cells cells that pass.  The picks are those of a loop
-    over the same order applying the tests to one cell at a time.  They
-    become one batch wave, one expansion over their (k, T), and one Hill
-    problem, which ``floquet_hill.spectrum`` solves as a batch, in numpy.
+    that start at 4 n_cells and double.  One screen builds a batch's wave,
+    one expansion over the cells' (k, T), and runs each test as one array
+    evaluation over it (the pencil, the detuning ratio, the unperturbed
+    eigenvalues); the loop keeps the first n_cells cells that pass.  The
+    same screen then builds the picks' wave, labels and pencil growth,
+    and their wave is one Hill problem, which ``floquet_hill.spectrum``
+    solves as a batch, in numpy.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
     hill, ok}.  n_cells must be >= 0 (ValueError).
@@ -523,45 +524,37 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     # the sideband pair first, then every other mode of the truncation
     modes = np.arange(-N, N + 1)
     modes = np.concatenate(([-1, 1], modes[np.abs(modes) != 1]))
-
-    out = []
     threshold = 1e-8
-    start, size = 0, 4 * n_cells
-    while len(out) < n_cells and start < order.size:
-        j, i = np.divmod(order[start : start + size], diag.nk)
-        start, size = start + size, 2 * size
-        T, k = diag.Ts[j][:, None], diag.ks[i][:, None]
-        unstable = diag.labels[j, i] == "U"
-        s = make_symbol(diag.family, {"T": T})
+
+    def screen(cells):
+        """The batch wave of flat cell indices, with their labels, pencil growth and eligibility."""
+        j, i = np.divmod(cells, diag.nk)
+        labels = diag.labels[j, i]
+        s = make_symbol(diag.family, {"T": diag.Ts[j][:, None]})
         # resonant cells carry non-finite coefficients; the mask drops them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            wave, resonant = _stokes(s, p, k)
+            wave, resonant = _stokes(s, p, diag.ks[i][:, None])
             predicted = mi_index.growth_rate_leading(wave, a, xi).ravel()
             ratio = mi_index.detuning_ratio(wave, a, xi).ravel()
         lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
         # too near a boundary for the desk-scale test
-        decisive = np.where(
-            unstable, ~(predicted <= 10.0 * threshold), ~(predicted >= 0.1 * threshold)
-        )
+        decisive = np.where(labels == "U", ~(predicted <= 10.0 * threshold), ~(predicted >= 0.1 * threshold))
         # the window must isolate the two sideband branches
         crowded = (lam[:, :2].max(axis=1) > 0.5 * window) | (lam[:, 2:].min(axis=1) <= 2.0 * window)
-        picks = np.flatnonzero(~resonant.ravel() & decisive & ~(ratio > 0.05) & ~crowded)
-        for r in picks[: n_cells - len(out)]:
-            out.append(
-                {
-                    "i": int(i[r]),
-                    "j": int(j[r]),
-                    "k": float(k[r, 0]),
-                    "T": float(T[r, 0]),
-                    "label": "U" if unstable[r] else "S",
-                    "predicted": float(predicted[r]),
-                }
-            )
-    j, i = (np.array([row[key] for row in out], dtype=int) for key in ("j", "i"))
-    T, k = diag.Ts[j][:, None], diag.ks[i][:, None]
-    wave = _stokes(make_symbol(diag.family, {"T": T}), p, k)[0]
-    for row, spec in zip(out, floquet_hill.spectrum(floquet_hill.FloquetProblem(wave, a, xi, N), window)):
-        hill = spec.max_real_in_window
-        row["hill"] = hill
+        return wave, labels, predicted, ~resonant.ravel() & decisive & ~(ratio > 0.05) & ~crowded
+
+    picks, start, size = order[:0], 0, 4 * n_cells
+    while picks.size < n_cells and start < order.size:
+        cells = order[start : start + size]
+        start, size = start + size, 2 * size
+        picks = np.concatenate([picks, cells[screen(cells)[3]]])[:n_cells]
+    wave, labels, predicted, _ = screen(picks)
+    spectra = floquet_hill.spectrum(floquet_hill.FloquetProblem(wave, a, xi, N), window)
+    j, i = np.divmod(picks, diag.nk)
+    names = ("i", "j", "k", "T", "label", "predicted")
+    columns = (i, j, diag.ks[i], diag.Ts[j], labels, predicted)
+    out = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
+    for row, spec in zip(out, spectra):
+        row["hill"] = hill = spec.max_real_in_window
         row["ok"] = hill > threshold if row["label"] == "U" else hill <= threshold
     return out

@@ -30,17 +30,18 @@ that max |Re lambda| measures sideband growth alone.  ``spectrum`` finds
 them as mu = 1/theta, theta the eigenvalues of B^-1, and picks its path
 from the problem:
 
-- one wave goes through one banded LU of B (scipy): Arnoldi on B^-1
-  returns the few theta largest in magnitude, which are the mu nearest
-  the origin, and their number doubles until the farthest mu returned
-  lies outside the window, which certifies that every eigenvalue inside
-  it was found.  The factorisation and each solve cost O(N), so this
-  path serves one problem at any N;
+- one wave goes through one banded LU of B (scipy) and one Arnoldi
+  call on B^-1 for the few theta largest in magnitude, the mu nearest
+  the origin.  Their number is read off B's main diagonal, the a = 0
+  eigenvalues, which the wave moves by O(a^2); the farthest mu returned
+  must lie outside the window, which certifies that every eigenvalue
+  inside it was found.  The factorisation and each solve cost O(N), so
+  this path serves one problem at any N;
 - a batch of waves, or one wave whose window needs nearly every
-  eigenvalue, takes every theta of each dense B^-1 in one stacked numpy
-  inverse and eigen-solve, O(N^3) each and no scipy.  It serves
-  ``critical.spot_check``'s few picks at the desk truncation, where the
-  import of scipy costs more than the solves.
+  eigenvalue or fails the certificate, takes every theta of each dense
+  B^-1 in one stacked numpy inverse and eigen-solve, O(N^3) each and no
+  scipy.  It serves ``critical.spot_check``'s few picks at the desk
+  truncation, where the import of scipy costs more than the solves.
 
 Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
 k t, with t the equation's time.  Every growth rate this module reports
@@ -171,13 +172,14 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     """Eigenvalues of -D^{-1} L filtered to |lambda| <= window_radius.
 
     The eigenvalues are lambda = -i mu, mu = 1/theta, with theta those of
-    B^-1.  For one wave, through one banded LU of B: Arnoldi on B^-1 (a
-    fixed start vector, so the result is deterministic) returns the count
-    theta largest in magnitude, the mu nearest the origin; count starts at
-    4 and doubles until the farthest of them lies outside the window, so
-    none inside is missed.  A batch problem (k a column), or a window that
-    would need count >= 2N - 1, takes every theta densely instead, in one
-    stacked numpy solve.
+    B^-1.  For one wave, through one banded LU of B: one Arnoldi call on
+    B^-1 (a fixed start vector, so the result is deterministic) returns
+    the count theta largest in magnitude, the mu nearest the origin, with
+    count = max(4, the smallest power of two above the number of |B_ii|
+    <= window_radius, the a = 0 eigenvalues in the window); the farthest
+    returned must lie outside the window, so none inside is missed.  A
+    batch problem (k a column), count >= 2N - 1 or a failed certificate
+    takes every theta densely instead, in one stacked numpy solve.
 
     Returns a ``FloquetSpectrum`` for one wave, and a list of one per wave
     for a batch, each the floats of that wave's batch of one.
@@ -189,13 +191,18 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
+    ab = _bands(problem)[1]
     if np.ndim(problem.wave.k):
-        return _dense_spectra(problem, window_radius)
+        return _dense_spectra(ab, window_radius)
+    M, size = ab.shape[0] // 2, ab.shape[1]
+    # |B_ii| are the a = 0 eigenvalues' |lambda_n|, moved O(a^2) by the wave: ask for
+    # the next power of two above their count in the window, to return one outside it
+    count = max(4, 1 << int(np.count_nonzero(np.abs(ab[M]) <= window_radius)).bit_length())
+    if count >= size - 2:
+        return _dense_spectra(ab, window_radius)[0]
     from scipy.linalg import lapack
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-    _, ab = _bands(problem)
-    M, size = ab.shape[0] // 2, ab.shape[1]
     # dgbtrf wants M more rows on top for the fill-in of row pivoting
     lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros((M, size)), ab]), M, M)
     if info > 0:  # exactly singular
@@ -203,22 +210,19 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     B_inv = LinearOperator(
         (size, size), matvec=lambda x: lapack.dgbtrs(lu, M, M, x, piv)[0], dtype=float
     )
-    count = 4
-    while count < size - 2:
-        try:
-            theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
-        except (ArpackError, np.linalg.LinAlgError) as exc:
-            raise SolveError(_SOLVE_FAILED) from exc
-        eig = -1j * (1.0 / theta)
-        if np.max(np.abs(eig)) > window_radius:
-            return _in_window(eig, window_radius)
-        count *= 2
-    return _dense_spectra(problem, window_radius)[0]
+    try:
+        theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
+    except (ArpackError, np.linalg.LinAlgError) as exc:
+        raise SolveError(_SOLVE_FAILED) from exc
+    eig = -1j * (1.0 / theta)
+    if np.max(np.abs(eig)) > window_radius:  # the certificate: none inside was missed
+        return _in_window(eig, window_radius)
+    return _dense_spectra(ab, window_radius)[0]
 
 
-def _dense_spectra(problem: FloquetProblem, window_radius: float) -> list:
-    """One spectrum per wave: every theta of each dense B^-1, inverted and solved as one stack."""
-    dense = _dense(_bands(problem)[1])
+def _dense_spectra(ab, window_radius: float) -> list:
+    """One spectrum per wave of the bands ab: every theta of each dense B^-1, solved as one stack."""
+    dense = _dense(ab)
     try:
         theta = np.linalg.eigvals(np.linalg.inv(dense))
     except np.linalg.LinAlgError as exc:

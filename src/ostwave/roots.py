@@ -20,7 +20,7 @@ import numpy as np
 
 __all__ = ["brentq", "brentq_lanes", "cells", "scan", "minimize_scalar"]
 
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = 4.0 * float(np.finfo(float).eps)  # a float, so a Brent step keeps x a float
 _MAXITER = 100
 _ZOOMS, _ZOOM_POINTS = 6, 33
 

@@ -548,14 +548,21 @@ def test_diagram_outputs_match_per_cell_writers(tmp_path, capsys, family, alpha,
     assert cells_block(out["cells.svg"].read_text()).split("\n") == rects
 
 
-def test_diagram_negative_spot_check_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "4", "--nt", "4",
-         "--spot-check", "-2"],
-    )
-    assert code == 2
-    assert "spot check cell count must be >= 0" in err
+def test_diagram_negative_spot_check_exits_2(capsys, tmp_path):
+    # a refused spot check or seed exits 2 before the grid, the curves or the SVG is written
+    diagram = ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", "4", "--nt", "4"]
+    files = [tmp_path / name for name in ("g.csv", "c.csv", "d.svg")]
+    to_files = ["--out", str(files[0]), "--curves-out", str(files[1]), "--svg", str(files[2])]
+    for argv, message in (
+        ([*diagram, "--spot-check", "-2"], "spot check cell count must be >= 0"),
+        ([*diagram, *to_files, "--spot-check", "-2"], "spot check cell count must be >= 0"),
+        ([*diagram, *to_files, "--spot-check", "2", "--seed", "-1"], "usage error"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not any(path.exists() for path in files)
 
 
 def test_installed_entry_point_smoke():

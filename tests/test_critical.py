@@ -173,6 +173,15 @@ def test_kc_closed_form_matches_numeric(model, sign, log_beta, log_gamma, delta,
     assert numeric.kc == pytest.approx(closed.kc, rel=1e-9, abs=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ilw", "whitham"])
+def test_unique_critical_wavenumber_claim_holds_on_a_parameter_grid(name):
+    # the claim behind kc_numeric's warning: one root for every (beta, gamma) of the grid
+    for beta in (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0):
+        for gamma in (0.1, 1.0, 10.0):
+            assert len(cr.kc_numeric(ow.make_symbol(name), ow.ModelParams(beta, gamma))) == 1, (beta, gamma)
+
+
 def test_numeric_no_root_raises():
     # kc = (gamma/3)^(1/4), about 240, lies outside the scanned (0.01, 100)
     with pytest.raises(ow.NoRootError, match=r"in \(0\.01, 100\)"):
@@ -276,8 +285,11 @@ def test_tc_validation():
         cr.tc_of_alpha("whitham_st", 0.0)
     with pytest.raises(ValueError):
         cr.tc_of_alpha("ilw", 0.1)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        cr.tc_of_alpha("whitham_st", 0.1, tol=0)
+    # tol must be positive and below 0.89, the width of the T bracket (0.01, 0.9)
+    for tol in (0, math.inf, 1e300, 0.89):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cr.tc_of_alpha("whitham_st", 0.1, tol=tol)
+    assert 0.01 < cr.tc_of_alpha("whitham_st", 0.1, tol=0.5) < 0.9
 
 
 def _owner_double_root(alpha, k0, T0):

@@ -281,8 +281,8 @@ def test_large_truncation_agrees_with_n64():
 
 
 def test_window_certification_and_whole_window_fallback():
-    # windows holding 5, 12, 30 and then all 65 eigenvalues make the
-    # solver double its count past 4, up to the dense solve of the whole window
+    # windows holding 5, 12, 30 and then all 65 eigenvalues size the one
+    # Arnoldi call past 4, up to the dense solve of the whole window
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, 0.1, 32)
     every, _ = _dense_reference(prob, np.inf)
     radii = np.sort(np.abs(every))
@@ -293,6 +293,31 @@ def test_window_certification_and_whole_window_fallback():
         scale = max(window, 1.0)
         for z in every[np.abs(every) <= window]:
             assert np.min(np.abs(spec.eigenvalues - z)) <= 1e-9 * scale
+
+
+def test_one_wave_makes_one_arnoldi_call_sized_from_the_diagonal(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    # the k of every eigs call; spectrum imports eigs at each call, so the patch takes effect
+    calls, eigs = [], spla.eigs
+
+    def counted(A, k=6, **kwargs):
+        calls.append(k)
+        return eigs(A, k=k, **kwargs)
+
+    monkeypatch.setattr(spla, "eigs", counted)
+    fh.spectrum(fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, DESK_N), fh.default_window(P11))
+    assert calls == [4]
+    # the windows of the certification test, holding 5, 12 and 30 eigenvalues
+    prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, 0.1, 32)
+    radii = np.sort(np.abs(_dense_reference(prob, np.inf)[0]))
+    for count, k in ((5, 8), (12, 16), (30, 32)):
+        calls.clear()
+        assert len(fh.spectrum(prob, 0.5 * (radii[count - 1] + radii[count])).eigenvalues) == count
+        assert calls == [k]
+    calls.clear()
+    assert len(fh.spectrum(prob, 1e9).eigenvalues) == 65
+    assert calls == []
 
 
 def test_empty_window_has_no_eigenvalues():

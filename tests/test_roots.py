@@ -97,6 +97,12 @@ def test_brentq_families_covered():
     assert names == {"kdv", "fkdv", "ilw", "whitham", "kdv_st", "whitham_st"}
 
 
+def test_brentq_returns_a_float_after_a_minimal_step():
+    # ilw's root is reached by a step of the tolerance, which a numpy scalar tolerance made a numpy float
+    kc = critical.kc_numeric(ow.make_symbol("ilw"), ow.ModelParams(0.1, 10.0))[0].kc
+    assert type(kc) is float
+
+
 def test_brentq_endpoint_root_and_errors():
     assert roots.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
     assert roots.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
