@@ -10,7 +10,8 @@ Subcommands mirror the library modules:
     spectrum  truncated sideband eigenvalues near the origin
     diagram   (k, T) stability diagram with zero-locus curves
 
-All tables emit as CSV (header row, floats to 17 significant digits as
+``tc`` and ``diagram`` take a bare family name and the model as
+``--alpha`` alone.  All tables emit as CSV (header row, floats to 17 significant digits as
 Python spells them: ``nan``, ``inf``, ``-0``) or JSON (an array of flat
 objects carrying the same floats); per-run scalar summaries go to stderr
 as a single JSON line.  The diagram grid has the columns
@@ -18,7 +19,8 @@ as a single JSON line.  The diagram grid has the columns
 and k ascending within a row; its SVG holds one rect per cell.  Exit
 codes: 0 success, 1 domain failure (resonance, inconclusive tension, no
 root, failed eigen-solve), 2 usage error, including a flag abbreviated
-to a prefix or ``index --k`` given with a sweep flag.  The desk scale is
+to a prefix, ``index --k`` given with a sweep flag, and ``--beta`` or
+``--gamma`` given to ``tc`` or ``diagram``.  The desk scale is
 ``floquet_hill``'s ``DESK_A`` = 0.01, ``DESK_XI`` = 1e-3 and ``DEFAULT_N``
 = 32: ``spectrum``'s ``--a``, ``--xi`` and ``--N`` default to it, and
 ``diagram --spot-check`` checks its cells at it.
@@ -119,9 +121,11 @@ def _params(args) -> ModelParams:
 
 
 def _family(args) -> str:
-    """The family named by --symbol, refusing a spec with parameters, which tc and diagram never read."""
+    """The family named by --symbol for tc and diagram, which read a bare name and --alpha alone."""
     if ":" in args.symbol:
         raise ValueError(f"{args.command} takes a family name, not the symbol spec {args.symbol!r}")
+    if args.alpha is None or args.beta is not None or args.gamma is not None:
+        raise ValueError(f"{args.command} takes the model as --alpha alone, not --beta/--gamma")
     return parse_symbol_spec(args.symbol).name
 
 
@@ -199,14 +203,8 @@ def cmd_kc(args) -> None:
 
 def cmd_tc(args) -> None:
     family = _family(args)
-    p = _params(args)
-    alpha = p.gamma / p.beta
-    tc = critical.tc_of_alpha(family, alpha, tol=args.tol)
-    emit(
-        [{"variant": family, "alpha": alpha, "tc": tc, "tol": args.tol}],
-        args.format,
-        args.out,
-    )
+    tc = critical.tc_of_alpha(family, args.alpha, tol=args.tol)
+    emit([{"variant": family, "alpha": args.alpha, "tc": tc, "tol": args.tol}], args.format, args.out)
 
 
 def cmd_spectrum(args) -> None:
@@ -231,10 +229,8 @@ def cmd_spectrum(args) -> None:
 
 def cmd_diagram(args) -> None:
     family = _family(args)
-    p = _params(args)
-    alpha = p.gamma / p.beta
     diag = critical.diagram(
-        family, alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
+        family, args.alpha, k_max=args.k_max, t_max=args.t_max, nk=args.nk, nt=args.nt
     )
     summary = {"region_counts": diag.region_counts, "t_s": diag.t_s}
     if args.spot_check != 0:
@@ -325,7 +321,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,7 @@ minimum over k.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
 plus the two zero-locus curves: it evaluates the whole lattice at once
 and refines the zero-locus points of each factor in one lockstep solve
 (``roots.brentq_lanes``); where the curves cross (T_s), one 2x2 Newton
-solve of both numerators in (k, T), seeded from the curves, finds the
+solve of both numerators in (k, T), seeded from f2's curve, finds the
 point.  ``spot_check`` re-validates random cells against the
 independent spectral oracle: it screens cells in batches, each
 eligibility test one array evaluation over a batch (the expansion
@@ -71,9 +71,10 @@ def params_from_alpha(alpha: float) -> ModelParams:
 
     The zero loci of f1 and f2 depend on (beta, gamma) only through the
     ratio, so this normalization loses nothing for diagrams/thresholds.
+    It is where the tension drivers check alpha: finite and nonzero.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    if not (math.isfinite(alpha) and alpha != 0):
+        raise ValueError(f"alpha must be finite and nonzero, got {alpha}")
     return ModelParams(beta=math.copysign(1.0, alpha), gamma=abs(alpha))
 
 
@@ -211,8 +212,8 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
     either factor's numerator on a 400-point log-spaced probe grid.
     """
     lo, hi = float(k_range[0]), float(k_range[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("k_range must satisfy 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("k_range must satisfy 0 < lo < hi < inf")
     zeros = [root for root, _ in _critical_roots(s, p, lo, hi)]
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
@@ -251,7 +252,7 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
 
     ``kdv_st`` is handled in closed form: both formula branches blow up
     at T = 1/3 from either side, so the threshold is exactly 1/3 for any
-    alpha.
+    alpha ``params_from_alpha`` takes; it refuses the others for every variant.
 
     Raises
     ------
@@ -260,8 +261,7 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
         T=0.01, absent at T=0.9), e.g. alpha outside the regime where the
         threshold exists.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    p = params_from_alpha(alpha)
     if not 0 < tol < 0.89:
         raise ValueError(f"tol must be positive and below 0.89, the T bracket's width, got {tol}")
     if variant == "kdv_st":
@@ -269,7 +269,6 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
     if variant != "whitham_st":
         raise ValueError(f"unsupported variant {variant!r}")
 
-    p = params_from_alpha(alpha)
     owner = 1 if alpha > 0 else 0  # position in _numerators: f2 for alpha > 0, else f1
     k_grid = np.geomspace(1e-2, 1e2, 600)
 
@@ -380,33 +379,29 @@ def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
     return None
 
 
-def _curve_intersection(family: str, p: ModelParams, Ts, curves):
+def _curve_intersection(family: str, p: ModelParams, Ts, rows, k):
     """(k, T) point where both factor loci cross, or None.
 
-    ``curves`` holds each locus as (rows, k), as ``diagram`` found it.
-    The followed curve, f2's and then f1's, gives its first root in each
-    row, and the other numerator is evaluated at those roots in one call.
-    Each sign change of it between adjacent rows, in ascending T, seeds
-    ``_crossing_newton`` at the linear interpolate; the root counts only if
-    its T lies between the two rows.  So T_s is resolved at the diagram's
-    grid: it is found only where the followed curve has points in two
-    adjacent rows.
+    (rows, k) is f2's locus as ``diagram`` found it; f1's numerator is
+    evaluated at its first root in each row, in one call.  Each sign change
+    of it between adjacent rows, in ascending T, seeds ``_crossing_newton``
+    at the linear interpolate; the root counts only if its T lies between
+    the two rows.  So T_s is resolved at the diagram's grid: it is found
+    only where f2's locus has points in two adjacent rows.
     """
-    for follow, other in ((1, 0), (0, 1)):
-        rows, k = curves[follow]
-        first = np.diff(rows, prepend=-1) != 0  # each row's first root
-        rows, k = rows[first], k[first]
-        row_k, vals = np.full((2, len(Ts)), math.nan)
-        row_k[rows] = k
-        vals[rows] = _numerators(make_symbol(family, {"T": Ts[rows]}), p)[other](k)
-        zero, start = roots.cells(vals)
-        for j in np.flatnonzero(start).tolist():
-            if zero[j]:
-                return float(row_k[j]), float(Ts[j])
-            w = vals[j] / (vals[j] - vals[j + 1])
-            hit = _crossing_newton(family, p, *(float(x[j] + w * (x[j + 1] - x[j])) for x in (row_k, Ts)))
-            if hit is not None and Ts[j] <= hit[1] <= Ts[j + 1]:
-                return hit
+    first = np.diff(rows, prepend=-1) != 0  # each row's first root
+    rows, k = rows[first], k[first]
+    row_k, vals = np.full((2, len(Ts)), math.nan)
+    row_k[rows] = k
+    vals[rows] = _numerators(make_symbol(family, {"T": Ts[rows]}), p)[0](k)
+    zero, start = roots.cells(vals)
+    for j in np.flatnonzero(start).tolist():
+        if zero[j]:
+            return float(row_k[j]), float(Ts[j])
+        w = vals[j] / (vals[j] - vals[j + 1])
+        hit = _crossing_newton(family, p, *(float(x[j] + w * (x[j + 1] - x[j])) for x in (row_k, Ts)))
+        if hit is not None and Ts[j] <= hit[1] <= Ts[j + 1]:
+            return hit
     return None
 
 
@@ -428,8 +423,9 @@ def diagram(
     values: the exact zeros and sign-change cells of f1 and f2 along each
     T row, each cell refined by Brent's method on the factor's numerator,
     all of one numerator solved together in lanes.  ``t_s`` is where they
-    cross, by a Newton solve seeded from them; it is None unless the
-    followed curve has points in two adjacent rows.
+    cross, by a Newton solve seeded from f2's curve; it is None unless
+    that curve has points in two adjacent rows.  ``params_from_alpha``
+    checks alpha.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -461,7 +457,7 @@ def diagram(
     curves = [list(zip(k.tolist(), Ts[rows].tolist())) for rows, k in points]
 
     crossing = s_family == "whitham_st" and alpha < 0
-    hit = _curve_intersection(s_family, p, Ts, points) if crossing else None
+    hit = _curve_intersection(s_family, p, Ts, *points[1]) if crossing else None
 
     return StabilityDiagram(
         family=s_family,

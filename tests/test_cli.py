@@ -182,17 +182,33 @@ def test_alpha_exclusive_with_beta(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", [["tc"], ["diagram", "--nk", "4", "--nt", "4"]])
+@pytest.mark.parametrize(
+    "command",
+    [["tc"], ["diagram", "--nk", "4", "--nt", "4", "--out", "g.csv", "--curves-out", "c.csv", "--svg", "d.svg"]],
+)
 @pytest.mark.parametrize(
     "model",
     [["--alpha", "0.1", "--beta", "1"], ["--alpha", "0.1", "--gamma", "1"],
-     ["--beta", "1", "--gamma", "-0.1"], ["--beta", "-1", "--gamma", "0"]],
+     ["--beta", "1", "--gamma", "-0.1"], ["--beta", "-1", "--gamma", "0"], ["--beta", "2", "--gamma", "0.2"]],
 )
-def test_tc_and_diagram_resolve_model_args_as_params(capsys, command, model):
+def test_tc_and_diagram_resolve_model_args_as_params(capsys, monkeypatch, tmp_path, command, model):
+    # tc and diagram read the model from --alpha alone: --beta/--gamma are refused, even a valid pair
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, [command[0], "--symbol", "whitham_st", *model, *command[1:]])
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_key_error_is_not_a_usage_error(monkeypatch):
+    # no input reaches a KeyError, so one is a fault of the program and propagates
+    def broken(*args, **kwargs):
+        raise KeyError("T")
+
+    monkeypatch.setattr(critical, "tc_of_alpha", broken)
+    with pytest.raises(KeyError):
+        main(["tc", "--symbol", "whitham_st", "--alpha", "0.1"])
 
 
 def test_alpha_mode_sets_sign_and_magnitude(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_classify_intervals_merges_equal_labels_across_a_loci_crossing():
 
 
 def test_classify_intervals_refuses_an_empty_range():
-    for k_range in ((2.0, 2.0), (3.0, 1.0), (0.0, 1.0)):
+    for k_range in ((2.0, 2.0), (3.0, 1.0), (0.0, 1.0), (1.0, math.inf)):
         with pytest.raises(ValueError, match="0 < lo < hi"):
             cr.classify_intervals(ow.make_symbol("kdv"), P11, k_range)
 
@@ -281,8 +282,11 @@ def test_tc_monotone_refinement():
 
 
 def test_tc_validation():
-    with pytest.raises(ValueError):
-        cr.tc_of_alpha("whitham_st", 0.0)
+    # alpha is checked for every variant, before kdv_st's closed form
+    for variant in ("kdv_st", "whitham_st"):
+        for alpha in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+                cr.tc_of_alpha(variant, alpha)
     with pytest.raises(ValueError):
         cr.tc_of_alpha("ilw", 0.1)
     # tol must be positive and below 0.89, the width of the T bracket (0.01, 0.9)
@@ -358,8 +362,11 @@ def test_params_from_alpha():
     assert p.beta == -1.0 and p.gamma == 0.4
     p = cr.params_from_alpha(2.5)
     assert p.beta == 1.0 and p.gamma == 2.5
-    with pytest.raises(ValueError):
-        cr.params_from_alpha(0.0)
+    for alpha in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+            cr.params_from_alpha(alpha)
+        with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+            cr.diagram("whitham_st", alpha, nk=4, nt=4)
 
 
 # ----------------------------------------------------------------- diagram
@@ -475,14 +482,14 @@ def test_diagram_curve_intersection_reported_for_negative_alpha():
 
 @pytest.fixture(scope="module")
 def whitham_st_crossing():
-    """(k*, T*) where both numerators of whitham_st at beta = -1, gamma = 0.1 vanish, to 40 digits.
+    """gamma -> (k*, T*) where both numerators of whitham_st at beta = -1 vanish, to 40 digits.
 
     m = sqrt(g), g = u v with u = tanh(k)/k and v = 1 + T k^2; the
     numerators are 3 gamma + 4 beta k^2 (m(k) - m(2k)) and
-    2 gamma + beta k^3 (k m'' + 2 m').
+    2 gamma + beta k^3 (k m'' + 2 m').  Newton starts from (2, 0.1) for
+    every gamma in 0.05-0.5.
     """
     mp = pytest.importorskip("mpmath")
-    beta, gamma = -1, mp.mpf("0.1")
 
     def jet(k, T):
         t, sech2 = mp.tanh(k), mp.sech(k) ** 2
@@ -493,22 +500,36 @@ def whitham_st_crossing():
         m = mp.sqrt(g)
         return m, g1 / (2 * m), g2 / (2 * m) - g1**2 / (4 * m**3)
 
-    def numerators(k, T):
-        m, m1, m2 = jet(k, T)
-        return (
-            3 * gamma + 4 * beta * k**2 * (m - jet(2 * k, T)[0]),
-            2 * gamma + beta * k**3 * (k * m2 + 2 * m1),
-        )
+    @functools.cache
+    def crossing(gamma):
+        beta, gamma = -1, mp.mpf(gamma)
 
-    with mp.workdps(40):
-        k, T = mp.findroot(numerators, (mp.mpf(2), mp.mpf("0.1")))
-        return float(k), float(T)
+        def numerators(k, T):
+            m, m1, m2 = jet(k, T)
+            return (
+                3 * gamma + 4 * beta * k**2 * (m - jet(2 * k, T)[0]),
+                2 * gamma + beta * k**3 * (k * m2 + 2 * m1),
+            )
+
+        with mp.workdps(40):
+            k, T = mp.findroot(numerators, (mp.mpf(2), mp.mpf("0.1")))
+            return float(k), float(T)
+
+    return crossing
 
 
 @pytest.mark.parametrize("n", [20, 40, 50, 100])
 def test_diagram_t_s_matches_mpmath_crossing(whitham_st_crossing, n):
     d = cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.4, nk=n, nt=n)
-    assert abs(d.t_s - whitham_st_crossing[1]) <= 1e-12
+    assert abs(d.t_s - whitham_st_crossing("0.1")[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 40, 50, 100])
+@pytest.mark.parametrize("gamma", ["0.05", "0.2", "0.5"])
+def test_diagram_t_s_matches_mpmath_crossing_at_more_alphas(whitham_st_crossing, gamma, n):
+    # alpha = -gamma; T_s = 0.1237, 0.0683 and 0.0338, found by the one pass along f2's locus
+    d = cr.diagram("whitham_st", -float(gamma), k_max=5.0, t_max=0.4, nk=n, nt=n)
+    assert abs(d.t_s - whitham_st_crossing(gamma)[1]) <= 1e-12
 
 
 def test_diagram_t_s_needs_no_brent_solve(monkeypatch, whitham_st_crossing):
@@ -518,7 +539,7 @@ def test_diagram_t_s_needs_no_brent_solve(monkeypatch, whitham_st_crossing):
     monkeypatch.setattr(cr, "brentq", refuse)
     monkeypatch.setattr(roots, "brentq", refuse)
     d = cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.4, nk=50, nt=50)
-    assert abs(d.t_s - whitham_st_crossing[1]) <= 1e-12
+    assert abs(d.t_s - whitham_st_crossing("0.1")[1]) <= 1e-12
 
 
 def test_diagram_t_s_none_without_crossing():
