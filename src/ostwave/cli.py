@@ -203,8 +203,8 @@ def cmd_kc(args) -> None:
 
 def cmd_tc(args) -> None:
     family = _family(args)
-    tc = critical.tc_of_alpha(family, args.alpha, tol=args.tol)
-    emit([{"variant": family, "alpha": args.alpha, "tc": tc, "tol": args.tol}], args.format, args.out)
+    tc = critical.tc_of_alpha(family, args.alpha)
+    emit([{"variant": family, "alpha": args.alpha, "tc": tc}], args.format, args.out)
 
 
 def cmd_spectrum(args) -> None:
@@ -291,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("kc", cmd_kc, "critical wavenumbers")
     sp.add_argument("--numeric", action="store_true", help="force the Brent scan even for kdv/fkdv/kdv_st")
 
-    sp = command("tc", cmd_tc, "surface-tension threshold T_c(alpha)")
-    sp.add_argument("--tol", type=float, default=5e-3)
+    command("tc", cmd_tc, "surface-tension threshold T_c(alpha)")
 
     sp = command("spectrum", cmd_spectrum, "sideband eigenvalues near the origin")
     sp.add_argument("--k", type=float, required=True)

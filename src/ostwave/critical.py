@@ -12,8 +12,9 @@ have closed forms; for the nonlocal models they are bracketed on a log
 grid and refined with Brent's method (``roots.brentq``).  The surface-tension families
 additionally exhibit a threshold T_c at which a pair of critical
 wavenumbers merges and disappears, dropping the count from three to
-one; ``tc_of_alpha`` locates it by Brent's method on the pair owner's
-minimum over k.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
+one; ``tc_of_alpha`` solves for it as the fold of the pair owner's
+numerator (it and its k-slope vanish), by Newton in (k, T) seeded from
+one (T, k) lattice.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
 plus the two zero-locus curves: it evaluates the whole lattice at once
 and refines the zero-locus points of each factor in one lockstep solve
 (``roots.brentq_lanes``); where the curves cross (T_s), one 2x2 Newton
@@ -147,8 +148,9 @@ def _numerators(s: DispersionSymbol, p: ModelParams) -> tuple:
     )
 
 
-# Roots and minima are found through this module's ``brentq`` and
-# ``minimize_scalar`` names, which benchmark/tracer.py wraps to count them.
+# Roots are found through this module's ``brentq`` name, which benchmark/tracer.py
+# wraps to count them.  The tracer binds ``minimize_scalar`` here too, which no
+# code in this module calls, so that import stays until the tracer drops it.
 
 
 def _finite_ends(vals) -> np.ndarray:
@@ -240,15 +242,51 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
 # surface-tension thresholds
 
 
-def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
+_NEWTON_RTOL = 16.0 * float(np.finfo(float).eps)  # a Newton step this small has converged
+
+
+def _newton_kT(jet, k: float, T: float, k_rtol: float = _NEWTON_RTOL):
+    """Newton's method in (k, T) on a pair of residuals: their common root, or None.
+
+    ``jet(k, T)`` gives the residuals (f, g) and their Jacobian
+    (f_k, f_T, g_k, g_T).  It stops at a step of at most k_rtol of k and
+    16 ulps of T; None if an iterate leaves k, T > 0, the Jacobian is
+    singular, or 20 steps do not converge.
+    """
+    for _ in range(20):
+        if not (0 < k < math.inf and 0 < T < math.inf):
+            return None
+        f, g, a, b, c, d = jet(k, T)
+        det = a * d - b * c
+        if det == 0:
+            return None
+        dk, dT = (f * d - b * g) / det, (a * g - c * f) / det
+        k, T = k - dk, T - dT
+        if abs(dk) <= k_rtol * k and abs(dT) <= _NEWTON_RTOL * T:
+            return k, T
+    return None
+
+
+# the fold's seed lattice: T rows geometric over the bracket, so that thresholds
+# near T = 0.01 get rows of their own, against the 600-point k grid
+_TC_ROWS = np.geomspace(0.01, 0.9, 20)
+_TC_K = np.geomspace(1e-2, 1e2, 600)
+
+
+def tc_of_alpha(variant: str, alpha: float) -> float:
     """Tension threshold where the critical-wavenumber count drops 3 -> 1.
 
     For alpha > 0 the disappearing pair belongs to the group-velocity
     slope; for alpha < 0 to the phase-velocity coincidence factor.  The
-    pair exists while g(T), the owner's numerator minimised over k in
-    [1e-2, 1e2], is negative: T_c is the ``brentq`` root of g on T in
-    [0.01, 0.9], accurate to tol/2 (plus the resolution of the minimum);
-    tol must lie in (0, 0.89), below the bracket's width.
+    pair exists while the owner's numerator F(k, T) dips below zero on k
+    in [1e-2, 1e2]; T_c is the fold where the pair merges, F = dF/dk = 0.
+    One lattice evaluation of F, on 20 geometric T rows in [0.01, 0.9]
+    against a 600-point log k grid, brackets it between the first two
+    rows whose minima over k change sign, and seeds ``_newton_kT`` at
+    the lower row's argmin and the minima's linear interpolate in T.
+    Each Newton step takes F's derivatives from central differences on a
+    3x3 (k, T) stencil, in one call, and the solve stops at a T step of
+    16 ulps: T_c is the fold to rounding.
 
     ``kdv_st`` is handled in closed form: both formula branches blow up
     at T = 1/3 from either side, so the threshold is exactly 1/3 for any
@@ -257,31 +295,46 @@ def tc_of_alpha(variant: str, alpha: float, tol: float = 5e-3) -> float:
     Raises
     ------
     BracketError
-        g does not change sign on T in [0.01, 0.9] (pair present at
-        T=0.01, absent at T=0.9), e.g. alpha outside the regime where the
-        threshold exists.
+        The minimum is not negative on the first row (T = 0.01) and
+        positive on the last (T = 0.9), e.g. alpha outside the regime
+        where the threshold exists.
+    InconclusiveError
+        Newton leaves k, T > 0 or does not converge, or its root lies
+        outside the two seed rows.
     """
     p = params_from_alpha(alpha)
-    if not 0 < tol < 0.89:
-        raise ValueError(f"tol must be positive and below 0.89, the T bracket's width, got {tol}")
     if variant == "kdv_st":
         return 1.0 / 3.0
     if variant != "whitham_st":
         raise ValueError(f"unsupported variant {variant!r}")
 
     owner = 1 if alpha > 0 else 0  # position in _numerators: f2 for alpha > 0, else f1
-    k_grid = np.geomspace(1e-2, 1e2, 600)
-
-    def g(T: float) -> float:
-        # the pair exists while the owner's numerator dips below zero on the window
-        return minimize_scalar(_numerators(make_symbol("whitham_st", {"T": T}), p)[owner], k_grid)
-
-    try:
-        return brentq(g, 0.01, 0.9, xtol=tol / 2)
-    except ValueError as exc:
+    vals = _numerators(make_symbol("whitham_st", {"T": _TC_ROWS[:, None]}), p)[owner](_TC_K)
+    low = vals.min(axis=1)
+    if not low[0] < 0 < low[-1]:
         raise BracketError(
             f"pair-existence predicate does not straddle on T in (0.01, 0.9) for alpha={alpha}"
-        ) from exc
+        ) from ValueError(f"owner minima {low[0]:.3g} at T=0.01 and {low[-1]:.3g} at T=0.9")
+    j = int(np.argmax(low >= 0)) - 1  # the last row of the first sign change
+    T0 = _TC_ROWS[j] + low[j] / (low[j] - low[j + 1]) * (_TC_ROWS[j + 1] - _TC_ROWS[j])
+    stencil = np.array([-1.0, 0.0, 1.0])
+    h = float(np.finfo(float).eps) ** 0.25
+
+    def jet(k, T):
+        hk, hT = (k + h * k) - k, (T + h * T) - T
+        s = make_symbol("whitham_st", {"T": T + hT * stencil[:, None]})
+        F = _numerators(s, p)[owner](k + hk * stencil).tolist()  # rows T, columns k
+        Fk = (F[1][2] - F[1][0]) / (2 * hk)
+        Fkk = (F[1][2] - 2 * F[1][1] + F[1][0]) / (hk * hk)
+        FT = (F[2][1] - F[0][1]) / (2 * hT)
+        FkT = (F[2][2] - F[2][0] - F[0][2] + F[0][0]) / (4 * hk * hT)
+        return F[1][1], Fk, Fk, FT, Fkk, FkT
+
+    # difference noise keeps k's steps near 1e-12 relative; F_k = 0 there, so T feels them squared
+    fold = _newton_kT(jet, float(_TC_K[np.argmin(vals[j])]), float(T0), k_rtol=1e-9)
+    if fold is None or not _TC_ROWS[j] <= fold[1] <= _TC_ROWS[j + 1]:
+        raise InconclusiveError(f"the fold solve for T_c did not converge between its seed rows for alpha={alpha}")
+    return fold[1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +408,21 @@ def _region_counts(labels: np.ndarray) -> dict:
 
 
 def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
-    """Newton's method from (k, T) on both factor numerators: their common root, or None.
+    """Both factor numerators' common root by ``_newton_kT`` from (k, T), or None.
 
     Each step evaluates each numerator at (k, T), (k + hk, T) and (k, T + hT)
     in one call, for a forward-difference Jacobian, and stops at a step of
-    16 ulps of k and T; None if an iterate leaves k, T > 0 or 20 steps do not.
+    16 ulps of k and T.
     """
-    h, rtol = math.sqrt(np.finfo(float).eps), 16.0 * np.finfo(float).eps
-    for _ in range(20):
-        if not (0 < k < math.inf and 0 < T < math.inf):
-            return None
+    h = math.sqrt(np.finfo(float).eps)
+
+    def jet(k, T):
         hk, hT = (k + h * k) - k, (T + h * T) - T
         nums = _numerators(make_symbol(family, {"T": np.array([T, T, T + hT])}), p)
         (f, fk, fT), (g, gk, gT) = (num(np.array([k, k + hk, k])).tolist() for num in nums)
-        a, b, c, d = (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
-        det = a * d - b * c
-        if det == 0:
-            return None
-        dk, dT = (f * d - b * g) / det, (a * g - c * f) / det
-        k, T = k - dk, T - dT
-        if abs(dk) <= rtol * k and abs(dT) <= rtol * T:
-            return k, T
-    return None
+        return f, g, (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
+
+    return _newton_kT(jet, k, T)
 
 
 def _curve_intersection(family: str, p: ModelParams, Ts, rows, k):

@@ -115,6 +115,12 @@ def test_usage_errors_exit_2(capsys):
     )
     assert code == 2
 
+    # T_c is the fold to rounding, so tc takes no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["tc", "--symbol", "whitham_st", "--alpha", "0.1", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "sweep",
@@ -353,6 +359,7 @@ def test_tc_row(capsys):
     )
     assert code == 0
     row = parse_csv(out)[0]
+    assert list(row) == ["variant", "alpha", "tc"]
     assert float(row["tc"]) == pytest.approx(0.132, abs=5e-3)
 
 

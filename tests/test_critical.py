@@ -275,12 +275,6 @@ def test_tc_kdv_st_is_one_third():
     assert cr.tc_of_alpha("kdv_st", -2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def test_tc_monotone_refinement():
-    coarse = cr.tc_of_alpha("whitham_st", 0.1, tol=0.01)
-    fine = cr.tc_of_alpha("whitham_st", 0.1, tol=0.001)
-    assert abs(coarse - fine) <= 0.01
-
-
 def test_tc_validation():
     # alpha is checked for every variant, before kdv_st's closed form
     for variant in ("kdv_st", "whitham_st"):
@@ -289,11 +283,6 @@ def test_tc_validation():
                 cr.tc_of_alpha(variant, alpha)
     with pytest.raises(ValueError):
         cr.tc_of_alpha("ilw", 0.1)
-    # tol must be positive and below 0.89, the width of the T bracket (0.01, 0.9)
-    for tol in (0, math.inf, 1e300, 0.89):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            cr.tc_of_alpha("whitham_st", 0.1, tol=tol)
-    assert 0.01 < cr.tc_of_alpha("whitham_st", 0.1, tol=0.5) < 0.9
 
 
 def _owner_double_root(alpha, k0, T0):
@@ -324,31 +313,66 @@ def _owner_double_root(alpha, k0, T0):
         return mp.findroot([F, G], (mp.mpf(k0), mp.mpf(T0)))
 
 
-@pytest.mark.parametrize("alpha, k0, T0", [(0.1, 1.2, 0.13), (-0.1, 1.23, 0.14)])
+@pytest.mark.parametrize(
+    "alpha, k0, T0",
+    [
+        (0.1, 1.2, 0.13),
+        (-0.1, 1.23, 0.14),
+        (0.02, 0.87, 0.227),
+        (-0.02, 0.84, 0.222),
+        (0.3, 1.62, 0.047),
+        (-0.3, 1.72, 0.075),
+        (0.5, 2.05, 0.015),
+        (-0.5, 2.1, 0.048),
+    ],
+)
 def test_tc_matches_mpmath_double_root(alpha, k0, T0):
-    # at T_c the owner's pair of zeros merges into a double root in k
+    # at T_c the owner's pair of zeros merges into a double root in k: the fold solve lands on it
     k, T = _owner_double_root(alpha, k0, T0)
-    assert 1.0 < float(k) < 1.5
-    assert cr.tc_of_alpha("whitham_st", alpha, tol=1e-10) == pytest.approx(float(T), abs=1e-9)
+    assert float(k) == pytest.approx(k0, abs=0.01)
+    assert cr.tc_of_alpha("whitham_st", alpha) == pytest.approx(float(T), abs=1e-13)
 
 
-@pytest.mark.parametrize("tol", [1e-2, 5e-3, 1e-3])
-def test_tc_evaluation_count(monkeypatch, tol):
+def test_tc_evaluation_count(monkeypatch):
     # the alphas of the benchmark's threshold searches
     alphas = (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.5, -0.5)
     calls = []
-    minimize = cr.minimize_scalar
-    monkeypatch.setattr(cr, "minimize_scalar", lambda f, grid: calls.append(1) or minimize(f, grid))
+    make = cr.make_symbol
+    monkeypatch.setattr(cr, "make_symbol", lambda *args: calls.append(1) or make(*args))
+    for name in ("brentq", "minimize_scalar"):
+        monkeypatch.setattr(cr, name, lambda *args, name=name, **kwargs: pytest.fail(f"tc called {name}"))
     counts = []
     for alpha in alphas:
         calls.clear()
-        cr.tc_of_alpha("whitham_st", alpha, tol=tol)
+        cr.tc_of_alpha("whitham_st", alpha)
         counts.append(len(calls))
-    # a bisection of [0.01, 0.9] down to a bracket of width tol: both ends, then the halvings
-    bisection = 2 + math.ceil(math.log2(0.89 / tol))
-    assert sum(counts) <= len(alphas) * bisection, counts
-    # Brent stops at a bracket of width tol/2, one halving further
-    assert max(counts) <= bisection + 1, counts
+    # one seed lattice, then one 3x3 stencil per Newton step
+    assert max(counts) <= 1 + 8, counts
+
+
+def test_tc_refuses_an_unverified_fold(monkeypatch):
+    # a Newton solve that fails, or lands outside its two seed rows (0.107 and 0.135 at alpha = 0.1), is no T_c
+    for fold in (None, (1.2, 0.5), (1.2, 0.05)):
+        monkeypatch.setattr(cr, "_newton_kT", lambda *args, fold=fold, **kwargs: fold)
+        with pytest.raises(ow.InconclusiveError, match="did not converge between its seed rows"):
+            cr.tc_of_alpha("whitham_st", 0.1)
+
+
+def test_tc_brackets_the_owner_minimum_sign_change():
+    # either no threshold in the T bracket, or T_c sits where the owner's minimum over k changes
+    # sign; the minimum is zoomed in on, since the bare grid's is 2.5e-6 high at alpha = 0.005
+    k_grid = np.geomspace(1e-2, 1e2, 600)
+    mags = np.geomspace(0.005, 5, 20)
+    for alpha in np.concatenate([mags, -mags]).tolist():
+        try:
+            tc = cr.tc_of_alpha("whitham_st", alpha)
+        except ow.BracketError:
+            continue
+        assert 0.01 < tc < 0.9, alpha
+        p, owner = cr.params_from_alpha(alpha), 1 if alpha > 0 else 0
+        for T, sign in ((tc - 1e-6, -1), (tc + 1e-6, 1)):
+            low = roots.minimize_scalar(cr._numerators(ow.make_symbol("whitham_st", {"T": T}), p)[owner], k_grid)
+            assert sign * low > 0, (alpha, T, low)
 
 
 def test_tc_without_threshold_raises_bracket_error():
