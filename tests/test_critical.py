@@ -333,7 +333,21 @@ def test_tc_matches_mpmath_double_root(alpha, k0, T0):
     assert cr.tc_of_alpha("whitham_st", alpha) == pytest.approx(float(T), abs=1e-13)
 
 
-def test_tc_evaluation_count(monkeypatch):
+def _owner_sign_bisection(alpha, tol):
+    """Bracket of width <= tol on T in (0.01, 0.9) where the owner's zoomed minimum over k turns positive."""
+    k_grid = np.geomspace(1e-2, 1e2, 600)
+    p, owner = cr.params_from_alpha(alpha), 1 if alpha > 0 else 0
+    lo, hi, steps = 0.01, 0.9, 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        low = roots.minimize_scalar(cr._numerators(ow.make_symbol("whitham_st", {"T": mid}), p)[owner], k_grid)
+        lo, hi = (mid, hi) if low < 0 else (lo, mid)
+        steps += 1
+    return lo, hi, steps
+
+
+@pytest.mark.parametrize("tol", [1e-2, 5e-3, 1e-3])
+def test_tc_evaluation_count(monkeypatch, tol):
     # the alphas of the benchmark's threshold searches
     alphas = (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.5, -0.5)
     calls = []
@@ -344,8 +358,12 @@ def test_tc_evaluation_count(monkeypatch):
     counts = []
     for alpha in alphas:
         calls.clear()
-        cr.tc_of_alpha("whitham_st", alpha)
+        tc = cr.tc_of_alpha("whitham_st", alpha)
         counts.append(len(calls))
+        # a bisection on the owner minimum's sign down to width tol brackets the fold, at more symbols
+        lo, hi, steps = _owner_sign_bisection(alpha, tol)
+        assert lo <= tc <= hi, (alpha, lo, tc, hi)
+        assert len(calls) <= 2 + steps, (alpha, counts)
     # one seed lattice, then one 3x3 stencil per Newton step
     assert max(counts) <= 1 + 8, counts
 
