@@ -17,8 +17,8 @@ numerator (it and its k-slope vanish), by Newton in (k, T) seeded from
 one (T, k) lattice.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
 plus the two zero-locus curves: it evaluates the whole lattice at once
 and refines the zero-locus points of each factor in one lockstep solve
-(``roots.brentq_lanes``); where the curves cross (T_s), one 2x2 Newton
-solve of both numerators in (k, T), seeded from f2's curve, finds the
+(``roots.brentq_lanes``); where the curves cross (T_s), read off the
+same lattice, a 2x2 Newton solve of both numerators in (k, T) finds the
 point.  ``spot_check`` re-validates random cells against the
 independent spectral oracle: it screens cells in batches, each
 eligibility test one array evaluation over a batch (the expansion
@@ -425,28 +425,30 @@ def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
     return _newton_kT(jet, k, T)
 
 
-def _curve_intersection(family: str, p: ModelParams, Ts, rows, k):
-    """(k, T) point where both factor loci cross, or None.
+def _lattice_crossing(family: str, p: ModelParams, ks, Ts, f1, f2):
+    """(k, T) point inside the lattice where both factor loci cross, or None.
 
-    (rows, k) is f2's locus as ``diagram`` found it; f1's numerator is
-    evaluated at its first root in each row, in one call.  Each sign change
-    of it between adjacent rows, in ascending T, seeds ``_crossing_newton``
-    at the linear interpolate; the root counts only if its T lies between
-    the two rows.  So T_s is resolved at the diagram's grid: it is found
-    only where f2's locus has points in two adjacent rows.
+    Each square of four neighbouring cell centres at whose corners both f1
+    and f2 change sign or vanish seeds ``_crossing_newton`` where the
+    least-squares planes through the factors' corner values meet, clipped
+    to the square.  Seeds go in order of how far that meeting point lies
+    from its square; the first root inside the lattice is the crossing.
     """
-    first = np.diff(rows, prepend=-1) != 0  # each row's first root
-    rows, k = rows[first], k[first]
-    row_k, vals = np.full((2, len(Ts)), math.nan)
-    row_k[rows] = k
-    vals[rows] = _numerators(make_symbol(family, {"T": Ts[rows]}), p)[0](k)
-    zero, start = roots.cells(vals)
-    for j in np.flatnonzero(start).tolist():
-        if zero[j]:
-            return float(row_k[j]), float(Ts[j])
-        w = vals[j] / (vals[j] - vals[j + 1])
-        hit = _crossing_newton(family, p, *(float(x[j] + w * (x[j + 1] - x[j])) for x in (row_k, Ts)))
-        if hit is not None and Ts[j] <= hit[1] <= Ts[j + 1]:
+    # corners (j, i), (j, i + 1), (j + 1, i), (j + 1, i + 1) of each square: k along i, T along j
+    corners = [np.stack([f[:-1, :-1], f[:-1, 1:], f[1:, :-1], f[1:, 1:]]) for f in (f1, f2)]
+    j, i = np.nonzero(np.logical_and(*((c.min(axis=0) <= 0) & (c.max(axis=0) >= 0) for c in corners)))
+    # each plane, over the square's (x, y) in [0, 1]^2: mean + slope_k (x - 1/2) + slope_T (y - 1/2)
+    (m1, a1, b1), (m2, a2, b2) = (
+        (c.mean(axis=0), (c[1] - c[0] + c[3] - c[2]) / 2, (c[2] - c[0] + c[3] - c[1]) / 2)
+        for c in (c[:, j, i] for c in corners)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel planes meet nowhere: tried last
+        meet = 0.5 + np.array([b1 * m2 - m1 * b2, a2 * m1 - a1 * m2]) / (a1 * b2 - b1 * a2)
+    x, y = seed = np.clip(meet, 0.0, 1.0)
+    k, T = ks[i] + x * (ks[i + 1] - ks[i]), Ts[j] + y * (Ts[j + 1] - Ts[j])
+    for n in np.argsort(np.hypot(*(meet - seed)), kind="stable").tolist():
+        hit = _crossing_newton(family, p, float(k[n]), float(T[n]))
+        if hit is not None and ks[0] <= hit[0] <= ks[-1] and Ts[0] <= hit[1] <= Ts[-1]:
             return hit
     return None
 
@@ -469,9 +471,8 @@ def diagram(
     values: the exact zeros and sign-change cells of f1 and f2 along each
     T row, each cell refined by Brent's method on the factor's numerator,
     all of one numerator solved together in lanes.  ``t_s`` is where they
-    cross, by a Newton solve seeded from f2's curve; it is None unless
-    that curve has points in two adjacent rows.  ``params_from_alpha``
-    checks alpha.
+    cross inside the lattice, sought from the same f1 and f2 values
+    (``_lattice_crossing``), else None.  ``params_from_alpha`` checks alpha.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -486,7 +487,7 @@ def diagram(
     for code, label in _LABELS.items():
         labels[r.classification == code] = label
 
-    points = []  # (rows, k) of each zero locus
+    curves = []  # (k, T) points of each zero locus
     # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells
     for which, vals in enumerate((r.f1, r.f2)):
         zero, start = roots.cells(_finite_ends(vals))
@@ -499,11 +500,10 @@ def diagram(
             return _numerators(make_symbol(s_family, {"T": lane_t[lanes]}), p)[which](x)
 
         k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12)
-        points.append((rows, k))
-    curves = [list(zip(k.tolist(), Ts[rows].tolist())) for rows, k in points]
+        curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
 
     crossing = s_family == "whitham_st" and alpha < 0
-    hit = _curve_intersection(s_family, p, Ts, *points[1]) if crossing else None
+    hit = _lattice_crossing(s_family, p, ks, Ts, r.f1, r.f2) if crossing else None
 
     return StabilityDiagram(
         family=s_family,

@@ -59,7 +59,7 @@ XI_BOUND = 0.05
 class IndexResult:
     """Classification of wavenumber k: both factor values and both forms.
 
-    Floats and a str for a scalar k; arrays of k's shape for an array k.
+    Floats and a str for a 0-d result; otherwise arrays (k as given).
     """
 
     k: float
@@ -85,14 +85,14 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
     f2, num2 = group_velocity_derivative(s, p, k)
     delta = f1 * f2
     # a 0-d delta is a float, tested as one: np.isnan(...).any() costs more
-    if math.isnan(delta) if k.ndim == 0 else np.isnan(delta).any():
-        bad = k if k.ndim == 0 else np.broadcast_to(k, delta.shape)[np.isnan(delta)][0]
+    if math.isnan(delta) if delta.ndim == 0 else np.isnan(delta).any():
+        bad = k if delta.ndim == 0 else np.broadcast_to(k, delta.shape)[np.isnan(delta)][0]
         raise ValueError(f"{s.name}: the index is NaN at the finite wavenumber k={float(bad)!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(num2, num1)  # +-inf where num1 = 0, nan where both are
     floor = 1e-10 * (1.0 + np.abs(f1)) * (1.0 + np.abs(f2))
     label = np.where(delta < -floor, "unstable", np.where(delta > floor, "stable", "degenerate"))
-    if k.ndim == 0:
+    if delta.ndim == 0:
         return IndexResult(float(k), float(f1), f2, float(delta), float(ratio), str(label))
     return IndexResult(k, f1, f2, delta, ratio, label)
 

@@ -56,7 +56,7 @@ def harmonic_denominator(s: DispersionSymbol, p: ModelParams, k, n: int):
         raise ValueError("harmonic index n must be >= 2")
     k = _check_k(k)
     out = p.gamma * (n * n - 1.0) + p.beta * n * n * k * k * (s.m(k) - s.m(n * k))
-    return float(out) if k.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def denominator_floor(p: ModelParams) -> float:

@@ -442,7 +442,7 @@ def phase_velocity(s: DispersionSymbol, p: ModelParams, k):
     """c_p(k) = beta m(k) + gamma / k^2 for k > 0."""
     arr = _check_k(k)
     out = p.beta * s.m(arr) + p.gamma / (arr * arr)
-    return float(out) if np.isscalar(k) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def group_velocity(s: DispersionSymbol, p: ModelParams, k):
@@ -450,7 +450,7 @@ def group_velocity(s: DispersionSymbol, p: ModelParams, k):
     arr = _check_k(k)
     m, m1 = s.jet(arr, 1)
     out = p.beta * (m + arr * m1) - p.gamma / (arr * arr)
-    return float(out) if np.isscalar(k) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 class GroupVelocitySlope(NamedTuple):
@@ -472,6 +472,6 @@ def group_velocity_derivative(s: DispersionSymbol, p: ModelParams, k) -> GroupVe
     k3 = arr ** 3
     numerator = 2.0 * p.gamma + p.beta * k3 * (arr * m2 + 2.0 * m1)
     value = numerator / k3
-    if arr.ndim == 0:
+    if value.ndim == 0:
         return GroupVelocitySlope(float(value), float(numerator))
     return GroupVelocitySlope(value, numerator)

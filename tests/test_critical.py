@@ -529,7 +529,8 @@ def whitham_st_crossing():
     m = sqrt(g), g = u v with u = tanh(k)/k and v = 1 + T k^2; the
     numerators are 3 gamma + 4 beta k^2 (m(k) - m(2k)) and
     2 gamma + beta k^3 (k m'' + 2 m').  Newton starts from (2, 0.1) for
-    every gamma in 0.05-0.5.
+    every gamma; at the gammas tested, 0.05 to 1, it reaches the crossing
+    the diagrams find.
     """
     mp = pytest.importorskip("mpmath")
 
@@ -569,9 +570,28 @@ def test_diagram_t_s_matches_mpmath_crossing(whitham_st_crossing, n):
 @pytest.mark.parametrize("n", [20, 40, 50, 100])
 @pytest.mark.parametrize("gamma", ["0.05", "0.2", "0.5"])
 def test_diagram_t_s_matches_mpmath_crossing_at_more_alphas(whitham_st_crossing, gamma, n):
-    # alpha = -gamma; T_s = 0.1237, 0.0683 and 0.0338, found by the one pass along f2's locus
+    # alpha = -gamma; T_s = 0.1237, 0.0683 and 0.0338, read off the lattice both factors fill
     d = cr.diagram("whitham_st", -float(gamma), k_max=5.0, t_max=0.4, nk=n, nt=n)
     assert abs(d.t_s - whitham_st_crossing(gamma)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma,n", [("1", n) for n in (20, 30, 40, 50, 64, 100)] + [("0.7", 20)])
+def test_diagram_t_s_near_the_lowest_rows(whitham_st_crossing, gamma, n):
+    # T_s = 0.0157 and 0.0239 lie within a row or two of the lattice's bottom edge, where
+    # f2's locus need not have points in the two rows around the crossing
+    d = cr.diagram("whitham_st", -float(gamma), k_max=5.0, t_max=0.4, nk=n, nt=n)
+    assert abs(d.t_s - whitham_st_crossing(gamma)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_diagram_symbol_count(monkeypatch, n):
+    # the benchmark's crossing diagram: one lattice, the lanes of both loci and one crossing solve
+    calls = []
+    make = cr.make_symbol
+    monkeypatch.setattr(cr, "make_symbol", lambda *args: calls.append(1) or make(*args))
+    d = cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.4, nk=n, nt=n)
+    assert d.t_s is not None
+    assert len(calls) <= 23, len(calls)
 
 
 def test_diagram_t_s_needs_no_brent_solve(monkeypatch, whitham_st_crossing):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,29 @@ def test_tension_lattice_matches_symbol_per_tension(name):
         for row, T in zip(got, Ts):
             assert row.tobytes() == getattr(ow.make_symbol(name, {"T": float(T)}), ev)(ks).tobytes()
     assert lattice.growth_exponent.ravel().tolist() == [ow.make_symbol(name, {"T": float(T)}).growth_exponent for T in Ts]
+
+
+_KINEMATICS = {
+    "phase_velocity": ow.phase_velocity,
+    "group_velocity": ow.group_velocity,
+    "group_velocity_derivative": ow.group_velocity_derivative,
+    "harmonic_denominator": lambda s, p, k: ow.harmonic_denominator(s, p, k, 2),
+    "index": lambda s, p, k: dataclasses.astuple(ow.index(s, p, k))[1:],  # every field but k itself
+}
+
+
+@pytest.mark.parametrize("fn", list(_KINEMATICS))
+@pytest.mark.parametrize("name", ["kdv_st", "whitham_st"])
+def test_lattice_symbol_at_scalar_k_matches_one_element_k(name, fn):
+    # a lattice symbol makes the result an array even at a scalar k, the same bits as at k = [k]
+    s = ow.make_symbol(name, {"T": np.array([[0.05], [0.2], [0.6]])})
+    p = ow.ModelParams(beta=-1.0, gamma=0.3)
+    got, want = (_KINEMATICS[fn](s, p, k) for k in (1.3, [1.3]))
+    got, want = (x if isinstance(x, tuple) else (x,) for x in (got, want))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b) == (3, 1)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("name,params", ALL_BUILTINS)
