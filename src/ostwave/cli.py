@@ -13,10 +13,12 @@ Subcommands mirror the library modules:
 ``tc`` and ``diagram`` take a bare family name and the model as
 ``--alpha`` alone.  All tables emit as CSV (header row, floats to 17 significant digits as
 Python spells them: ``nan``, ``inf``, ``-0``) or JSON (an array of flat
-objects carrying the same floats); per-run scalar summaries go to stderr
-as a single JSON line.  The diagram grid has the columns
-``k,T,k_sqrtT,label,f1,f2,delta``, one row per cell, T rows ascending
-and k ascending within a row; its SVG holds one rect per cell.  Exit
+objects carrying the same floats, as ``json.dumps(rows, indent=1)``
+writes them); per-run scalar summaries go to stderr as a single JSON
+line.  The diagram grid has the columns ``k,T,k_sqrtT,label,f1,f2,delta``,
+one row per cell, T rows ascending and k ascending within a row; it is
+written a T row at a time, the same bytes a cell-by-cell writer gives,
+so no per-cell object is held.  Its SVG holds one rect per cell.  Exit
 codes: 0 success, 1 domain failure (resonance, inconclusive tension, no
 root, failed eigen-solve), 2 usage error, including a flag abbreviated
 to a prefix, ``index --k`` given with a sweep flag, and ``--beta`` or
@@ -29,6 +31,8 @@ to a prefix, ``index --k`` given with a sweep flag, and ``--beta`` or
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -54,35 +58,59 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit(records, fmt: str = "csv", path=None, fieldnames=None) -> None:
-    """Write records as CSV (17 significant digits) or a JSON array."""
-    records = list(records)
-    if fieldnames is None:
-        if not records:
-            raise ValueError("fieldnames required for an empty record list")
-        fieldnames = list(records[0].keys())
+def _spell(values: list, fmt: str) -> list:
+    """One column's cells as text; a column of exact floats is one %-format of the whole column."""
+    types = set(map(type, values))
+    if types == {float}:
+        # "%.17g" spells _csv_cell's format(value, ".17g"), "%r" json's float.__repr__ bar nan and inf
+        text = "\n".join(["%.17g" if fmt == "csv" else "%r"] * len(values)) % tuple(values)
+        return (text if fmt == "csv" else text.replace("nan", "NaN").replace("inf", "Infinity")).split("\n")
+    spell = _csv_cell if fmt == "csv" else json.dumps
+    if types == {str}:  # a label column: each distinct string is spelled once
+        return list(map({v: spell(v) for v in set(values)}.__getitem__, values))
+    return list(map(spell, values))
 
-    if fmt == "json":
-        text = json.dumps(records, indent=1) + "\n"
-    elif fmt == "csv":
-        # one formatter per column: a column of exact floats is written by one "%.17g"
-        # %-format of the whole column, the digits of _csv_cell's format(value, ".17g")
-        columns = []
-        for name in fieldnames:
-            values = [rec.get(name) for rec in records]
-            if set(map(type, values)) == {float}:
-                columns.append(("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n"))
-            else:
-                columns.append(map(_csv_cell, values))
-        text = "\n".join([",".join(fieldnames), *map(",".join, zip(*columns))]) + "\n"
-    else:
+
+def emit(blocks, fmt: str = "csv", path=None, fieldnames=None) -> None:
+    """Write a table, an iterable of column blocks, as CSV (17 significant digits) or a JSON array.
+
+    A block maps each field to a list of cells or to one value for all its rows (values alone are
+    one row).  Each block is written once spelled; a column repeating the last block's is spelled once.
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-
-    if path is None:
-        sys.stdout.write(text)
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if fieldnames is None:
+        if first is None:
+            raise ValueError("fieldnames required for an empty table")
+        fieldnames = list(first)
+    if fmt == "csv":
+        row, sep = ",".join, "\n"
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        keys = [json.dumps(name).replace("%", "%%") for name in fieldnames]
+        row, sep = (" {\n" + ",\n".join(f"  {key}: %s" for key in keys) + "\n }").__mod__, ",\n"
+    spelled = {}  # field -> (the column last seen, its cells as text)
+    written = False
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(fieldnames) + "\n")
+        for block in itertools.chain([] if first is None else [first], blocks):
+            columns = [block.get(name) for name in fieldnames]
+            n = next((len(col) for col in columns if isinstance(col, list)), 1)
+            if n == 0:
+                continue
+            cells = []
+            for name, col in zip(fieldnames, columns):
+                hit = spelled.get(name)
+                if hit is None or hit[0] is not col:
+                    hit = spelled[name] = (col, _spell(col if isinstance(col, list) else [col], fmt))
+                cells.append(hit[1] if isinstance(col, list) else itertools.repeat(hit[1][0], n))
+            text = sep.join(map(row, zip(*cells)))
+            fh.write(text + "\n" if fmt == "csv" else (sep if written else "[\n") + text)
+            written = True
+        if fmt == "json":
+            fh.write("\n]\n" if written else "[]\n")
 
 
 def _summary(payload: dict) -> None:
@@ -182,8 +210,7 @@ def cmd_index(args) -> None:
     r = mi_index.index(s, p, ks)
     names = ("k", "f1", "f2", "delta", "ratio", "class")
     values = (r.k, r.f1, r.f2, r.delta, r.ratio, r.classification)
-    rows = [dict(zip(names, row)) for row in zip(*(v.tolist() for v in values))]
-    emit(rows, args.format, args.out, fieldnames=names)
+    emit([dict(zip(names, (v.tolist() for v in values)))], args.format, args.out, fieldnames=names)
 
 
 def cmd_kc(args) -> None:
@@ -214,8 +241,8 @@ def cmd_spectrum(args) -> None:
     problem = floquet_hill.FloquetProblem(wave, args.a, args.xi, args.N)
     window = floquet_hill.default_window(p)
     result = floquet_hill.spectrum(problem, window)
-    rows = [{"re": float(ev.real), "im": float(ev.imag)} for ev in result.eigenvalues]
-    emit(rows, args.format, args.out, fieldnames=["re", "im"])
+    ev = result.eigenvalues
+    emit([{"re": ev.real.tolist(), "im": ev.imag.tolist()}], args.format, args.out, fieldnames=["re", "im"])
     _summary(
         {
             "max_real_in_window": result.max_real_in_window,
@@ -241,15 +268,14 @@ def cmd_diagram(args) -> None:
             "ok": sum(1 for c in checks if c["ok"]),
             "cells": checks,
         }
-    emit(diag.to_records(), args.format, args.out)
+    emit(diag.row_blocks(), args.format, args.out)
     if args.curves_out:
-        # the curve table can be empty, so it names its columns
-        emit(
-            diag.curve_records(),
-            args.format,
-            args.curves_out,
-            fieldnames=["curve", "k", "T", "k_sqrtT"],
-        )
+        # one block per curve; the table can be empty, so it names its columns
+        blocks = []
+        for name, pts in (("f1", diag.f1_curve), ("f2", diag.f2_curve)):
+            k, T = np.reshape(pts, (-1, 2)).T
+            blocks.append({"curve": name, "k": k.tolist(), "T": T.tolist(), "k_sqrtT": (k * np.sqrt(T)).tolist()})
+        emit(blocks, args.format, args.curves_out, fieldnames=["curve", "k", "T", "k_sqrtT"])
     if args.svg:
         svg.write_svg(diag, args.svg)
     _summary(summary)

@@ -362,19 +362,13 @@ class StabilityDiagram:
     t_s: float | None
     region_counts: dict
 
-    def to_records(self) -> list:
-        """One row per cell, T rows ascending and k ascending within a row."""
-        k, T = np.meshgrid(self.ks, self.Ts)
-        names = ("k", "T", "k_sqrtT", "label", "f1", "f2", "delta")
-        columns = (k, T, k * np.sqrt(T), self.labels, self.f1, self.f2, self.delta)
-        return [dict(zip(names, row)) for row in zip(*(c.ravel().tolist() for c in columns))]
-
-    def curve_records(self) -> list:
-        return [
-            {"curve": name, "k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T))}
-            for name, pts in (("f1", self.f1_curve), ("f2", self.f2_curve))
-            for k, T in pts
-        ]
+    def row_blocks(self):
+        """The cell table as ``cli.emit`` column blocks, one per T row, T ascending and k ascending within a row."""
+        ks = self.ks.tolist()  # one list for every row, so the writer spells it once
+        for T, *row in zip(self.Ts.tolist(), self.labels, self.f1, self.f2, self.delta):
+            label, f1, f2, delta = (v.tolist() for v in row)
+            k_sqrtT = (self.ks * math.sqrt(T)).tolist()
+            yield {"k": ks, "T": T, "k_sqrtT": k_sqrtT, "label": label, "f1": f1, "f2": f2, "delta": delta}
 
 
 def _count_regions(mask: np.ndarray) -> int:

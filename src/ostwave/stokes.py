@@ -67,12 +67,12 @@ def denominator_floor(p: ModelParams) -> float:
 def check_resonance(s: DispersionSymbol, p: ModelParams, k: float) -> list:
     """List the harmonics n = 2, 3 whose denominator (nearly) vanishes.
 
-    These are the two harmonics the expansion carries.  Returns an empty
-    list at non-resonant wavenumbers; ``expand`` raises exactly when this
-    list is nonempty.
+    These are the two harmonics the expansion carries (at any T of a lattice
+    symbol).  Returns an empty list at non-resonant wavenumbers; ``expand``
+    raises exactly when this list is nonempty.
     """
     floor = denominator_floor(p)
-    return [n for n in (2, 3) if abs(harmonic_denominator(s, p, k, n)) < floor]
+    return [n for n in (2, 3) if np.any(np.abs(harmonic_denominator(s, p, k, n)) < floor)]
 
 
 def find_resonances(s: DispersionSymbol, p: ModelParams):
@@ -135,7 +135,7 @@ def _stokes(s: DispersionSymbol, p: ModelParams, k):
     with np.errstate(divide="ignore", invalid="ignore"):
         A2 = 2.0 * k * k / D2
         A3 = 9.0 * k * k * A2 / D3
-    if k.ndim == 0:
+    if A2.ndim == 0:
         k, A2, A3 = float(k), float(A2), float(A3)
     return StokesWave(symbol=s, params=p, k=k, c0=c0, A2=A2, A3=A3), resonant
 
@@ -152,7 +152,7 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     """
     k = float(k)
     wave, resonant = _stokes(s, p, k)
-    if resonant:
+    if resonant.any():
         harmonics = check_resonance(s, p, k)
         raise ResonanceError(
             f"harmonic resonance at k={k:.12g} for n in {harmonics}; "

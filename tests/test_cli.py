@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import ostwave as ow
-from ostwave import critical, floquet_hill
+from ostwave import cli, critical, floquet_hill
 from ostwave.cli import _csv_cell, emit, main
 from ostwave.svg import FILL, HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 
@@ -283,6 +285,13 @@ RANDOM_BITS_TABLE = [
 ]
 
 
+def as_blocks(records, fieldnames, shape):
+    """A record table as emit's column blocks: one block of lists, or one block of values per row."""
+    if shape == "columns":
+        return [{n: [rec.get(n) for rec in records] for n in fieldnames}]
+    return [{n: rec.get(n) for n in fieldnames} for rec in records]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "records,fieldnames",
@@ -296,14 +305,31 @@ RANDOM_BITS_TABLE = [
     ids=["mixed", "float-column-with-none", "random-bits", "empty"],
 )
 def test_emit_matches_per_cell_writer(capsys, records, fieldnames, fmt):
-    emit(records, fmt, None, fieldnames)
-    out = capsys.readouterr().out
-    if fmt == "csv":
-        assert out == per_cell_csv(records, fieldnames)
-    else:
-        assert out == json.dumps(records, indent=1) + "\n"
+    # a table has every field in every row: a record's missing key is a null cell
+    want = {
+        "csv": per_cell_csv(records, fieldnames),
+        "json": json.dumps([{n: rec.get(n) for n in fieldnames} for rec in records], indent=1) + "\n",
+    }[fmt]
+    for shape in ("columns", "rows"):
+        emit(as_blocks(records, fieldnames, shape), fmt, None, fieldnames)
+        assert capsys.readouterr().out == want, shape
     if not records:
-        assert out == {"csv": "k,T\n", "json": "[]\n"}[fmt]
+        assert want == {"csv": "k,T\n", "json": "[]\n"}[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_spells_a_repeated_column_once_and_skips_empty_blocks(capsys, monkeypatch, fmt):
+    spelled = []
+    monkeypatch.setattr(cli, "_spell", lambda values, fmt, spell=cli._spell: spelled.append(values) or spell(values, fmt))
+    ks = [0.5, 1.5]
+    blocks = [{"k": ks, "T": 0.1}, {"k": [], "T": 0.2}, {"k": ks, "T": 0.3}, {"k": [2.5], "T": 0.4}]
+    emit(blocks, fmt, None)
+    records = [{"k": k, "T": T} for k, T in ((0.5, 0.1), (1.5, 0.1), (0.5, 0.3), (1.5, 0.3), (2.5, 0.4))]
+    assert capsys.readouterr().out == (
+        per_cell_csv(records, ["k", "T"]) if fmt == "csv" else json.dumps(records, indent=1) + "\n"
+    )
+    # the ks once, though an empty block (written as nothing) lies between their blocks; each T once
+    assert spelled == [ks, [0.1], [0.3], [2.5], [0.4]]
 
 
 def test_emit_refusals():
@@ -569,6 +595,48 @@ def test_diagram_outputs_match_per_cell_writers(tmp_path, capsys, family, alpha,
     assert out["curves.csv"].read_text().split("\n") == [*curves, ""]
     assert out["grid.json"].read_text().split("\n") == (json.dumps(cells, indent=1) + "\n").split("\n")
     assert cells_block(out["cells.svg"].read_text()).split("\n") == rects
+
+
+AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e300, 1 / 3]
+
+
+def test_diagram_awkward_values_match_per_cell_writers(capsys, monkeypatch):
+    # every T row block carries nan, +-inf, -0, subnormals and 17-digit floats in f1, f2 and delta
+    nk, nt = 7, 3
+    d = critical.diagram("kdv_st", 1.0, nk=nk, nt=nt)
+    values = np.resize(AWKWARD, nk * nt).reshape(nt, nk)
+    d = dataclasses.replace(d, f1=values, f2=-values[:, ::-1], delta=np.roll(values, 3))
+    monkeypatch.setattr(critical, "diagram", lambda *args, **kwargs: d)
+    cells = [
+        {"k": float(k), "T": float(T), "k_sqrtT": float(k * math.sqrt(T)), "label": str(d.labels[j, i]),
+         "f1": float(d.f1[j, i]), "f2": float(d.f2[j, i]), "delta": float(d.delta[j, i])}
+        for j, T in enumerate(d.Ts)
+        for i, k in enumerate(d.ks)
+    ]
+    argv = ["diagram", "--symbol", "kdv_st", "--alpha", "1", "--nk", str(nk), "--nt", str(nt)]
+    spellings = {
+        "csv": (per_cell_csv(cells, list(cells[0])), ",nan,", ",inf,", ",-inf,", ",-0,", ",4.9406564584124654e-324,"),
+        "json": (json.dumps(cells, indent=1) + "\n", " NaN,", " Infinity,", " -Infinity,", " -0.0,", " 5e-324,"),
+    }
+    for fmt, (want, *awkward) in spellings.items():
+        code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+        assert code == 0, err
+        assert out.split("\n") == want.split("\n")
+        assert all(text in out for text in awkward)
+
+
+def test_diagram_grid_streams_in_bounded_memory(tmp_path):
+    # written a T row at a time, a 200x200 grid peaks at about 0.25 MB (CSV) and 0.3 MB (JSON) of
+    # Python allocations; one dict per cell built before writing peaks at 47 MB and 74 MB. 4 MB lies between.
+    d = critical.diagram("whitham_st", 0.1, nk=200, nt=200)
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            emit(d.row_blocks(), fmt, tmp_path / f"grid.{fmt}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"{fmt}: {peak / 1e6:.1f} MB"
 
 
 def test_diagram_negative_spot_check_exits_2(capsys, tmp_path):

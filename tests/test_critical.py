@@ -419,19 +419,26 @@ def test_diagram_grid_and_labels():
     assert d.labels.shape == (40, 40)
     assert d.region_counts == {"S": 1, "U": 2}
     assert d.t_s is None
-    rec = d.to_records()
-    assert len(rec) == 1600
+    blocks = list(d.row_blocks())
+    assert len(blocks) == 40  # one block per T row, T ascending
+    assert all(list(b) == ["k", "T", "k_sqrtT", "label", "f1", "f2", "delta"] for b in blocks)
     # cell centers and the auxiliary coordinate
-    assert rec[0]["k"] == pytest.approx(0.025)
-    assert rec[0]["T"] == pytest.approx(0.01)
-    assert all(r["label"] in ("S", "U", "degenerate") for r in rec)
+    assert blocks[0]["k"][0] == pytest.approx(0.025)
+    assert blocks[0]["T"] == pytest.approx(0.01)
+    assert all(label in ("S", "U", "degenerate") for b in blocks for label in b["label"])
     # exactly float, T-major, and k*sqrt(T) rounded as the scalar product rounds it
-    for n, r in enumerate(rec):
-        j, i = divmod(n, 40)
-        assert all(type(r[name]) is float for name in ("k", "T", "k_sqrtT", "f1", "f2", "delta"))
-        assert type(r["label"]) is str
-        assert (r["k"], r["T"]) == (d.ks[i], d.Ts[j])
-        assert r["k_sqrtT"] == d.ks[i] * math.sqrt(d.Ts[j])
+    for j, b in enumerate(blocks):
+        assert type(b["T"]) is float and b["T"] == d.Ts[j]
+        assert all(len(b[name]) == 40 for name in ("k", "k_sqrtT", "label", "f1", "f2", "delta"))
+        for i in range(40):
+            assert all(type(b[name][i]) is float for name in ("k", "k_sqrtT", "f1", "f2", "delta"))
+            assert type(b["label"][i]) is str
+            assert b["k"][i] == d.ks[i]
+            assert b["k_sqrtT"][i] == d.ks[i] * math.sqrt(d.Ts[j])
+            assert (b["f1"][i], b["f2"][i], b["delta"][i]) == (d.f1[j, i], d.f2[j, i], d.delta[j, i])
+            assert b["label"][i] == d.labels[j, i]
+    # the ks are one list for every row, so the writer spells them once
+    assert all(b["k"] is blocks[0]["k"] for b in blocks)
 
 
 def test_diagram_refusals():

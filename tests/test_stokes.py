@@ -142,6 +142,27 @@ def test_check_resonance_matches_denominator_floor():
             assert (n in flagged) == below
 
 
+@pytest.mark.parametrize("family", ["kdv_st", "whitham_st"])
+def test_lattice_symbol_at_scalar_k_matches_one_point_array(family):
+    # the float-or-array choice follows A2's shape, not k's: a lattice symbol at a scalar k is a batch wave
+    s = ow.make_symbol(family, {"T": np.array([[0.05], [0.2], [0.6]])})
+    p = ow.ModelParams(1.0, 0.3)
+    wave, resonant = stokes._stokes(s, p, 1.3)
+    want, want_resonant = stokes._stokes(s, p, [1.3])
+    assert float(wave.k) == 1.3
+    for name in ("c0", "A2", "A3"):
+        got, ref = getattr(wave, name), getattr(want, name)
+        assert got.shape == ref.shape == (3, 1) and got.tobytes() == ref.tobytes()
+    assert resonant.shape == (3, 1) and np.array_equal(resonant, want_resonant)
+    # expand is the same call, and names the harmonic when one row of the lattice is resonant
+    assert ow.expand(s, p, 1.3).A2.tobytes() == want.A2.tobytes()
+    # (kdv_st at T = 0.05, beta = -1, gamma = 0.3 has its second-harmonic resonance at this k)
+    resonant_rows = ow.make_symbol("kdv_st", {"T": np.array([[0.05], [0.6]])})
+    with pytest.raises(ow.ResonanceError) as exc:
+        ow.expand(resonant_rows, ow.ModelParams(-1.0, 0.3), 0.5450176720923848)
+    assert list(exc.value.harmonics) == [2]
+
+
 # -------------------------------------------------------------- residual
 
 
