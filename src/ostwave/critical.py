@@ -542,7 +542,8 @@ def spot_check(diag: StabilityDiagram, n_cells: int = 10, seed: int = 0) -> list
     eigenvalues); the loop keeps the first n_cells cells that pass.  The
     same screen then builds the picks' wave, labels and pencil growth,
     and their wave is one Hill problem, which ``floquet_hill.spectrum``
-    solves as a batch, in numpy.
+    solves as a batch, in numpy: for each pick only the few eigenvalues
+    nearest the origin, by block subspace iteration on its B^-1.
 
     Returns one dict per validated cell: {i, j, k, T, label, predicted,
     hill, ok}.  n_cells must be >= 0 (ValueError).

@@ -27,21 +27,26 @@ pairs and the lambda in pairs (lambda, -conj lambda).
 Eigenvalues are reported inside a window |lambda| <= R around the
 origin; the window deliberately excludes fast oscillatory branches so
 that max |Re lambda| measures sideband growth alone.  ``spectrum`` finds
-them as mu = 1/theta, theta the eigenvalues of B^-1, and picks its path
-from the problem:
+them as mu = 1/theta, theta the eigenvalues of B^-1, and asks each wave
+for only the b theta largest in magnitude, the mu nearest the origin.
+b is read off B's main diagonal, the a = 0 eigenvalues, which the wave
+moves by O(a^2): the next power of two (at least 4) above their count
+in the window.  The farthest mu found must lie outside the window,
+which certifies that every eigenvalue inside it was found.  The path
+follows the problem:
 
 - one wave goes through one banded LU of B (scipy) and one Arnoldi
-  call on B^-1 for the few theta largest in magnitude, the mu nearest
-  the origin.  Their number is read off B's main diagonal, the a = 0
-  eigenvalues, which the wave moves by O(a^2); the farthest mu returned
-  must lie outside the window, which certifies that every eigenvalue
-  inside it was found.  The factorisation and each solve cost O(N), so
-  this path serves one problem at any N;
-- a batch of waves, or one wave whose window needs nearly every
-  eigenvalue or fails the certificate, takes every theta of each dense
-  B^-1 in one stacked numpy inverse and eigen-solve, O(N^3) each and no
-  scipy.  It serves ``critical.spot_check``'s few picks at the desk
-  truncation, where the import of scipy costs more than the solves.
+  call on B^-1.  The factorisation and each solve cost O(N), so this
+  path serves one problem at any N;
+- a batch of waves takes one stacked numpy inverse of the dense B and
+  runs block subspace iteration on each B^-1, from the a = 0
+  eigenvectors, until every Ritz pair of the b x b projection has
+  converged; no scipy.  It serves ``critical.spot_check``'s picks at
+  the desk truncation, where the import of scipy costs more than the
+  solves;
+- a wave whose window needs nearly every eigenvalue (b >= 2N - 1), whose
+  certificate fails or whose iteration does not converge takes every
+  theta of its dense B^-1 instead, O(N^3).
 
 Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
 k t, with t the equation's time.  Every growth rate this module reports
@@ -145,8 +150,12 @@ def _bands(problem: FloquetProblem):
 def _dense(ab) -> np.ndarray:
     """The dense matrices held in band storage ab (offsets -M..M on axis -2), over any leading axes."""
     M, n = ab.shape[-2] // 2, ab.shape[-1]
-    i, j = np.indices((n, n))
-    return np.where(np.abs(i - j) <= M, ab[..., np.clip(M + i - j, 0, 2 * M), j], 0.0)
+    dense = np.zeros((*ab.shape[:-2], n * n))
+    # B[i, i + d] = ab[M - d, i + d]: n - |d| entries, n + 1 apart in the flat matrix, from (0, d) or (-d, 0)
+    for d in range(-M, M + 1):
+        start = max(d, -d * n)
+        dense[..., start : start + (n - abs(d)) * (n + 1) : n + 1] = ab[..., M - d, max(d, 0) : n + min(d, 0)]
+    return dense.reshape(*ab.shape[:-2], n, n)
 
 
 def assemble(problem: FloquetProblem):
@@ -172,17 +181,23 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     """Eigenvalues of -D^{-1} L filtered to |lambda| <= window_radius.
 
     The eigenvalues are lambda = -i mu, mu = 1/theta, with theta those of
-    B^-1.  For one wave, through one banded LU of B: one Arnoldi call on
-    B^-1 (a fixed start vector, so the result is deterministic) returns
-    the count theta largest in magnitude, the mu nearest the origin, with
-    count = max(4, the smallest power of two above the number of |B_ii|
-    <= window_radius, the a = 0 eigenvalues in the window); the farthest
-    returned must lie outside the window, so none inside is missed.  A
-    batch problem (k a column), count >= 2N - 1 or a failed certificate
-    takes every theta densely instead, in one stacked numpy solve.
+    B^-1.  Each wave asks for the b theta largest in magnitude, the mu
+    nearest the origin, with b = max(4, the smallest power of two above
+    the number of |B_ii| <= window_radius, the a = 0 eigenvalues in the
+    window); the farthest returned must lie outside the window, so none
+    inside is missed.  One wave takes them from one Arnoldi call on B^-1
+    through one banded LU of B (a fixed start vector, so the result is
+    deterministic).  A batch takes them from block subspace iteration on
+    each dense B^-1 of one stacked numpy inverse, started from the a = 0
+    eigenvectors of the b smallest |B_ii| and done when every Ritz pair's
+    residual is within 1e-10 of its |theta|.  A wave with b >= 2N - 1, a
+    failed certificate or an iteration that does not converge in 64 steps
+    takes every theta of its dense B^-1 instead.
 
-    Returns a ``FloquetSpectrum`` for one wave, and a list of one per wave
-    for a batch, each the floats of that wave's batch of one.
+    The bands decide: a problem whose bands have leading axes (k a
+    column, or a lattice symbol's T) is a batch, and ``spectrum`` returns
+    a list of one ``FloquetSpectrum`` per wave, each the floats of that
+    wave's batch of one; one wave returns one ``FloquetSpectrum``.
 
     Raises
     ------
@@ -192,12 +207,10 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
     ab = _bands(problem)[1]
-    if np.ndim(problem.wave.k):
-        return _dense_spectra(ab, window_radius)
+    if ab.ndim > 2:
+        return _batch_spectra(ab.reshape(-1, *ab.shape[-2:]), window_radius)
     M, size = ab.shape[0] // 2, ab.shape[1]
-    # |B_ii| are the a = 0 eigenvalues' |lambda_n|, moved O(a^2) by the wave: ask for
-    # the next power of two above their count in the window, to return one outside it
-    count = max(4, 1 << int(np.count_nonzero(np.abs(ab[M]) <= window_radius)).bit_length())
+    count = _block_size(ab[M], window_radius)
     if count >= size - 2:
         return _dense_spectra(ab, window_radius)[0]
     from scipy.linalg import lapack
@@ -214,10 +227,80 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
         theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
     except (ArpackError, np.linalg.LinAlgError) as exc:
         raise SolveError(_SOLVE_FAILED) from exc
+    return _certified(theta, window_radius) or _dense_spectra(ab, window_radius)[0]
+
+
+def _block_size(diagonal, window_radius: float) -> int:
+    """How many theta to ask for: max(4, the next power of two above the number of |B_ii| <= window_radius).
+
+    |B_ii| are the a = 0 eigenvalues' |lambda_n|, moved O(a^2) by the wave,
+    so the next power of two above their count asks for one outside the window.
+    """
+    return max(4, 1 << int(np.count_nonzero(np.abs(diagonal) <= window_radius)).bit_length())
+
+
+def _certified(theta, window_radius: float) -> FloquetSpectrum | None:
+    """The window spectrum of the theta found; None if the farthest mu = 1/theta lies inside the window."""
     eig = -1j * (1.0 / theta)
-    if np.max(np.abs(eig)) > window_radius:  # the certificate: none inside was missed
-        return _in_window(eig, window_radius)
-    return _dense_spectra(ab, window_radius)[0]
+    return _in_window(eig, window_radius) if np.max(np.abs(eig)) > window_radius else None
+
+
+# block subspace iteration: at most _STEPS steps, a Rayleigh-Ritz check every _CHECK of them,
+# converged when every Ritz pair's residual |B^-1 x - theta x| <= _TOL |theta| (|x| = 1)
+_STEPS, _CHECK, _TOL = 64, 4, 1e-10
+
+
+def _batch_spectra(ab, window_radius: float) -> list:
+    """One window spectrum per wave of the stacked bands ab (waves on axis 0).
+
+    Waves of one block size b iterate together, each frozen when it
+    converges, so every wave's floats are those of its batch of one.
+    """
+    M, size = ab.shape[1] // 2, ab.shape[2]
+    blocks = np.array([_block_size(diagonal, window_radius) for diagonal in ab[:, M]])
+    out = [None] * len(ab)
+    for b in np.unique(blocks[blocks < size - 2]):
+        waves = np.flatnonzero(blocks == b)
+        # the a = 0 eigenvectors of the b smallest |B_ii|
+        start = np.argsort(np.abs(ab[waves, M]), axis=-1, kind="stable")[:, :b]
+        try:
+            B_inv = np.linalg.inv(_dense(ab[waves]))
+            for w, theta in _subspace_iteration(B_inv, start):
+                out[waves[w]] = _certified(theta, window_radius)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(_SOLVE_FAILED) from exc
+    dense = [w for w, spec in enumerate(out) if spec is None]
+    if dense:
+        for w, spec in zip(dense, _dense_spectra(ab[dense], window_radius)):
+            out[w] = spec
+    return out
+
+
+def _subspace_iteration(B_inv, start):
+    """Yield (wave, theta) for each wave of the stack B_inv whose b Ritz values converge.
+
+    Q starts from the unit vectors at start (one row of b indices per
+    wave) and steps Q <- qr(B^-1 Q); every _CHECK steps the b x b
+    projection Q^T B^-1 Q gives the Ritz pairs.
+    """
+    waves = np.arange(len(B_inv))
+    b = start.shape[1]
+    Q = np.zeros((len(B_inv), B_inv.shape[1], b))
+    Q[waves[:, None], start, np.arange(b)] = 1.0
+    for step in range(1, _STEPS + 1):
+        Z = B_inv @ Q
+        if step % _CHECK == 0:
+            # numpy returns real arrays when every Ritz value of the stack is real: complex
+            # always, so that no wave's floats depend on the rest of its stack
+            theta, Y = (x.astype(complex) for x in np.linalg.eig(np.swapaxes(Q, 1, 2) @ Z))
+            residual = np.linalg.norm(Z @ Y - (Q @ Y) * theta[:, None, :], axis=1)
+            done = np.all(residual <= _TOL * np.abs(theta), axis=1)
+            if done.any():
+                yield from zip(waves[done], theta[done])
+                waves, B_inv, Z = waves[~done], B_inv[~done], Z[~done]
+                if not waves.size:
+                    return
+        Q = np.linalg.qr(Z)[0]
 
 
 def _dense_spectra(ab, window_radius: float) -> list:
@@ -238,11 +321,12 @@ def max_growth(
     window: float | None = None,
 ) -> float:
     """Largest |Re lambda| inside the sideband window (0 if none), for one wave."""
-    if np.ndim(wave.k):
-        raise ValueError("max_growth takes one wave; spectrum solves a batch")
     if window is None:
         window = default_window(wave.params)
-    return spectrum(FloquetProblem(wave, a, xi, N), window).max_real_in_window
+    spec = spectrum(FloquetProblem(wave, a, xi, N), window)
+    if isinstance(spec, list):  # the wave's bands have leading axes
+        raise ValueError("max_growth takes one wave; spectrum solves a batch")
+    return spec.max_real_in_window
 
 
 def unperturbed_eigenvalue(wave: StokesWave, n, xi: float):

@@ -733,7 +733,7 @@ def _reference_spot_check(diag, n_cells, a=0.01, xi=1e-3, N=32, seed=0):
         lam = np.abs(floquet_hill.unperturbed_eigenvalue(wave, modes, xi))
         if lam[:2].max() > 0.5 * window or lam[2:].min() <= 2.0 * window:
             continue
-        # a batch of one wave: the dense solve that spot_check's batch takes
+        # a batch of one wave: the windowed solve that spot_check's batch takes
         one = stokes._stokes(s, p, np.array([[k]]))[0]
         (spec,) = floquet_hill.spectrum(floquet_hill.FloquetProblem(one, a, xi, N), window)
         hill = spec.max_real_in_window
@@ -777,6 +777,23 @@ def test_spot_check_dense_growth_matches_banded_solve(family, alpha, k_max, t_ma
                 assert abs(row["hill"] - banded) <= 1e-9 * banded
             else:
                 assert row["hill"] <= 1e-8 and banded <= 1e-8
+
+
+@pytest.mark.parametrize("family,alpha,k_max,t_max", BENCH_DIAGRAMS)
+def test_spot_check_solves_its_picks_without_the_dense_fallback(family, alpha, k_max, t_max, monkeypatch):
+    # every pick's block iteration converges and certifies its window: no wave of the
+    # 50x50 spot checks takes every eigenvalue of its dense B^-1
+    d = cr.diagram(family, alpha, k_max=k_max, t_max=t_max, nk=50, nt=50)
+    waves, dense_spectra = [], floquet_hill._dense_spectra
+
+    def counted(ab, window_radius):
+        waves.append(len(ab))
+        return dense_spectra(ab, window_radius)
+
+    monkeypatch.setattr(floquet_hill, "_dense_spectra", counted)
+    for seed in range(3):
+        assert len(cr.spot_check(d, n_cells=20, seed=seed)) == 20
+    assert waves == []
 
 
 @pytest.mark.parametrize("family,alpha,k_max,t_max", BENCH_DIAGRAMS)

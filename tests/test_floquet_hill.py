@@ -64,6 +64,23 @@ def test_entries_real_and_band_symmetric():
             assert L[i, i + j] == pytest.approx(L[i, i - j], rel=1e-15)
 
 
+def test_dense_matrix_from_bands_matches_gather_reference():
+    # the diagonal assignment against a gather of ab[M + i - j, j] inside the band, bit for bit
+    def gathered(ab):
+        M, n = ab.shape[-2] // 2, ab.shape[-1]
+        i, j = np.indices((n, n))
+        return np.where(np.abs(i - j) <= M, ab[..., np.clip(M + i - j, 0, 2 * M), j], 0.0)
+
+    rng = np.random.default_rng(5)
+    for shape in [(7, 17), (7, 65), (20, 7, 65), (2, 3, 7, 9), (0, 7, 17), (3, 9), (5, 3)]:
+        ab = rng.standard_normal(shape)
+        got, want = fh._dense(ab), gathered(ab)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+    prob = fh.FloquetProblem(_kdv_wave(), DESK_A, DESK_XI, DESK_N)
+    ab = fh._bands(prob)[1]
+    assert fh._dense(ab).tobytes() == gathered(ab).tobytes()
+
+
 def test_zero_amplitude_diagonal_and_closed_form():
     w = _kdv_wave()
     prob = fh.FloquetProblem(w, 0.0, 0.1, 32)
@@ -436,6 +453,118 @@ def test_batch_of_one_matches_banded_solve_on_every_family():
         families.add(s.name)
     assert len(families) == 6
     assert n_unstable >= 20
+
+
+def _draw_batch(rng, N):
+    """A batch wave of four k of one seeded model, none resonant or near it, with its bands."""
+    while True:
+        s, p, _ = draw_model(rng)
+        ks = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, 1)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            wave, resonant = stokes._stokes(s, p, ks)
+        if resonant.any() or not (np.all(np.abs(wave.A2) <= 5.0) and np.all(np.abs(wave.A3) <= 50.0)):
+            continue
+        prob = fh.FloquetProblem(wave, DESK_A, DESK_XI, N)
+        return s, prob, fh._bands(prob)[1]
+
+
+def _counted_dense_spectra(monkeypatch):
+    """Patch fh._dense_spectra to record the number of waves of each call."""
+    calls, dense_spectra = [], fh._dense_spectra
+
+    def counted(ab, window_radius):
+        calls.append(len(ab) if ab.ndim > 2 else 1)
+        return dense_spectra(ab, window_radius)
+
+    monkeypatch.setattr(fh, "_dense_spectra", counted)
+    return calls
+
+
+def test_windowed_batch_solve_matches_dense_spectra(monkeypatch):
+    # seeded draws of all six families at N = 8, 16 and 32, each a batch of
+    # four waves in a window holding 2 to 30 of the first wave's eigenvalues:
+    # every wave's window eigenvalues are the dense solve's, count for count
+    dense_spectra = fh._dense_spectra
+    calls = _counted_dense_spectra(monkeypatch)
+    rng = np.random.default_rng(2828)
+    families, counts, n_waves = set(), set(), 0
+    for trial in range(60):
+        N = (8, 16, 32)[trial % 3]
+        s, prob, ab = _draw_batch(rng, N)
+        radii = np.sort(np.abs(dense_spectra(ab[0], np.inf)[0].eigenvalues))
+        count = int(rng.integers(2, min(30, 2 * N - 2) + 1))
+        if not radii[count] > radii[count - 1] * (1 + 1e-6):
+            continue  # no window edge between them
+        window = 0.5 * (radii[count - 1] + radii[count])
+        got = fh.spectrum(prob, window)
+        want = dense_spectra(ab, window)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert len(g.eigenvalues) == len(w.eigenvalues), (s.name, N, count)
+            for z in w.eigenvalues:
+                assert np.min(np.abs(g.eigenvalues - z)) <= 1e-9 * max(window, 1.0), (s.name, N, count)
+        assert len(got[0].eigenvalues) == count
+        families.add(s.name)
+        counts.add(count)
+        n_waves += 4
+    assert len(families) == 6
+    assert min(counts) <= 4 and max(counts) >= 24
+    # most of the large windows go dense (b >= 2N - 1, or Ritz pairs too far below
+    # the largest theta to reach 1e-10), but many waves are solved by the iteration
+    assert n_waves - sum(calls) >= 0.3 * n_waves
+
+
+def test_windowed_batch_solve_falls_back_to_the_dense_answer(monkeypatch):
+    # a wave whose iteration does not converge, or whose farthest Ritz value
+    # lies inside the window, takes every eigenvalue of its dense B^-1: the
+    # floats of _dense_spectra, bit for bit
+    def check(prob, window):
+        want = fh._dense_spectra(fh._bands(prob)[1], window)
+        calls.clear()
+        got = fh.spectrum(prob, window)
+        assert calls == [len(want)]
+        for g, w in zip(got, want, strict=True):
+            assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
+            assert g.max_real_in_window == w.max_real_in_window
+
+    calls = _counted_dense_spectra(monkeypatch)
+    rng = np.random.default_rng(6)
+    _, prob, _ = _draw_batch(rng, 16)
+    with monkeypatch.context() as m:
+        m.setattr(fh, "_STEPS", 0)
+        check(prob, 0.25)
+    # kdv at a = 0.05: the wave moves the modes n = +-2 inward by about 1e-4, so a
+    # window edge between the second one's eigenvalue and its |B_ii| holds three
+    # |B_ii| (a block of 4) and four eigenvalues, the farthest Ritz value among them
+    wave = stokes._stokes(ow.make_symbol("kdv"), P11, np.array([[1.0]]))[0]
+    prob = fh.FloquetProblem(wave, 0.05, DESK_XI, 16)
+    ab = fh._bands(prob)[1]
+    diagonal = np.sort(np.abs(ab[0, 3]))
+    radii = np.sort(np.abs(fh._dense_spectra(ab, np.inf)[0].eigenvalues))
+    assert radii[3] < diagonal[3]
+    window = 0.5 * (radii[3] + diagonal[3])
+    assert np.count_nonzero(diagonal <= window) == 3 and np.count_nonzero(radii <= window) == 4
+    check(prob, window)
+    calls.clear()
+    fh.spectrum(prob, 0.5 * (radii[3] + radii[4]))  # four |B_ii| and a block of 8: certified
+    assert calls == []
+
+
+def test_lattice_wave_at_one_k_is_a_batch():
+    # a lattice symbol over three T at one k: the bands have a leading axis of 3,
+    # so spectrum solves three waves, each its batch of one, and max_growth refuses them
+    p, k = ow.ModelParams(1.0, 0.3), 1.3
+    Ts = np.array([[0.05], [0.2], [0.6]])
+    wave = ow.expand(ow.make_symbol("kdv_st", {"T": Ts}), p, k)
+    specs = fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, 8), 0.25)
+    assert isinstance(specs, list) and len(specs) == 3
+    for T, spec in zip(Ts.ravel(), specs):
+        one = stokes._stokes(ow.make_symbol("kdv_st", {"T": float(T)}), p, np.array([[k]]))[0]
+        (want,) = fh.spectrum(fh.FloquetProblem(one, DESK_A, DESK_XI, 8), 0.25)
+        assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert spec.max_real_in_window == want.max_real_in_window
+    with pytest.raises(ValueError, match="batch"):
+        fh.max_growth(wave, DESK_A, DESK_XI, N=8)
 
 
 def test_batch_problem_refuses_a_row_of_k():
