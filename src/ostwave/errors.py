@@ -33,4 +33,4 @@ class BracketError(DomainError):
 
 
 class SolveError(DomainError, RuntimeError):
-    """The Hill eigen-solve failed: its matrix is singular or Arnoldi did not converge."""
+    """The Hill eigen-solve failed: its matrix is singular or a dense eigen-solve did not converge."""

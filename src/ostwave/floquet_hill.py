@@ -31,22 +31,18 @@ them as mu = 1/theta, theta the eigenvalues of B^-1, and asks each wave
 for only the b theta largest in magnitude, the mu nearest the origin.
 b is read off B's main diagonal, the a = 0 eigenvalues, which the wave
 moves by O(a^2): the next power of two (at least 4) above their count
-in the window.  The farthest mu found must lie outside the window,
-which certifies that every eigenvalue inside it was found.  The path
-follows the problem:
-
-- one wave goes through one banded LU of B (scipy) and one Arnoldi
-  call on B^-1.  The factorisation and each solve cost O(N), so this
-  path serves one problem at any N;
-- a batch of waves takes one stacked numpy inverse of the dense B and
-  runs block subspace iteration on each B^-1, from the a = 0
-  eigenvectors, until every Ritz pair of the b x b projection has
-  converged; no scipy.  It serves ``critical.spot_check``'s picks at
-  the desk truncation, where the import of scipy costs more than the
-  solves;
-- a wave whose window needs nearly every eigenvalue (b >= 2N - 1), whose
-  certificate fails or whose iteration does not converge takes every
-  theta of its dense B^-1 instead, O(N^3).
+in the window.  Every wave takes them from one block subspace iteration
+on B^-1 from the a = 0 eigenvectors of the 3b smallest |B_ii| (all
+2N + 1 if fewer): b wanted and 2b guards (Stewart, Numer. Math. 25
+(1976)), so the wanted pairs converge at |theta_{3b+1} / theta_b| a
+step.  The farthest mu of the b must lie outside the window, which
+certifies that every eigenvalue inside it was found.  One wave applies B^-1 through one banded LU of B (scipy.linalg),
+O(N) at any N.  A batch applies each B^-1 of one stacked numpy inverse,
+each wave frozen when it converges, so its floats are those of its
+batch of one; it serves ``critical.spot_check``'s picks without scipy.
+A wave whose window needs nearly every eigenvalue (b >= 2N - 1), whose
+certificate fails or whose iteration does not converge takes every
+theta of its dense B^-1 instead, O(N^3).
 
 Time unit: the phase is z = k(x - ct), so lambda is a rate per unit of
 k t, with t the equation's time.  Every growth rate this module reports
@@ -185,14 +181,12 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     nearest the origin, with b = max(4, the smallest power of two above
     the number of |B_ii| <= window_radius, the a = 0 eigenvalues in the
     window); the farthest returned must lie outside the window, so none
-    inside is missed.  One wave takes them from one Arnoldi call on B^-1
-    through one banded LU of B (a fixed start vector, so the result is
-    deterministic).  A batch takes them from block subspace iteration on
-    each dense B^-1 of one stacked numpy inverse, started from the a = 0
-    eigenvectors of the b smallest |B_ii| and done when every Ritz pair's
-    residual is within 1e-10 of its |theta|.  A wave with b >= 2N - 1, a
-    failed certificate or an iteration that does not converge in 64 steps
-    takes every theta of its dense B^-1 instead.
+    inside is missed.  They come from subspace iteration on B^-1 (one
+    wave through its banded LU, a batch through one stacked inverse) with
+    3b vectors, done when the b largest Ritz pairs each have a residual
+    within 1e-10 of their |theta|.  A wave with b >= 2N - 1, a failed
+    certificate or an iteration that does not converge in 64 steps takes
+    every theta of its dense B^-1 instead.
 
     The bands decide: a problem whose bands have leading axes (k a
     column, or a lattice symbol's T) is a batch, and ``spectrum`` returns
@@ -202,32 +196,14 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
     Raises
     ------
     SolveError
-        Some B is singular, or the eigen-solve does not converge.
+        Some B is singular, or an eigen-solve fails.
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
     ab = _bands(problem)[1]
     if ab.ndim > 2:
-        return _batch_spectra(ab.reshape(-1, *ab.shape[-2:]), window_radius)
-    M, size = ab.shape[0] // 2, ab.shape[1]
-    count = _block_size(ab[M], window_radius)
-    if count >= size - 2:
-        return _dense_spectra(ab, window_radius)[0]
-    from scipy.linalg import lapack
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
-
-    # dgbtrf wants M more rows on top for the fill-in of row pivoting
-    lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros((M, size)), ab]), M, M)
-    if info > 0:  # exactly singular
-        raise SolveError(_SOLVE_FAILED)
-    B_inv = LinearOperator(
-        (size, size), matvec=lambda x: lapack.dgbtrs(lu, M, M, x, piv)[0], dtype=float
-    )
-    try:
-        theta = eigs(B_inv, k=count, v0=np.ones(size), return_eigenvectors=False)
-    except (ArpackError, np.linalg.LinAlgError) as exc:
-        raise SolveError(_SOLVE_FAILED) from exc
-    return _certified(theta, window_radius) or _dense_spectra(ab, window_radius)[0]
+        return _windowed_spectra(ab.reshape(-1, *ab.shape[-2:]), window_radius, _stacked_inverse)
+    return _windowed_spectra(ab[None], window_radius, _banded_inverse)[0]
 
 
 def _block_size(diagonal, window_radius: float) -> int:
@@ -245,27 +221,38 @@ def _certified(theta, window_radius: float) -> FloquetSpectrum | None:
     return _in_window(eig, window_radius) if np.max(np.abs(eig)) > window_radius else None
 
 
-# block subspace iteration: at most _STEPS steps, a Rayleigh-Ritz check every _CHECK of them,
-# converged when every Ritz pair's residual |B^-1 x - theta x| <= _TOL |theta| (|x| = 1)
-_STEPS, _CHECK, _TOL = 64, 4, 1e-10
+def _banded_inverse(ab):
+    """B^-1 Q for the one wave of the stacked bands ab, by one banded LU of B (scipy), O(N) per column."""
+    from scipy.linalg import lapack
+
+    M, size = ab.shape[1] // 2, ab.shape[2]
+    # dgbtrf wants M more rows on top for the fill-in of row pivoting
+    lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros((M, size)), ab[0]]), M, M)
+    if info > 0:  # exactly singular
+        raise SolveError(_SOLVE_FAILED)
+    return lambda waves, Q: lapack.dgbtrs(lu, M, M, Q[0], piv)[0][None]
 
 
-def _batch_spectra(ab, window_radius: float) -> list:
+def _stacked_inverse(ab):
+    """B^-1 Q for the waves of the stacked bands ab, by one stacked numpy inverse of the dense B."""
+    B_inv = np.linalg.inv(_dense(ab))
+    return lambda waves, Q: (B_inv if len(waves) == len(B_inv) else B_inv[waves]) @ Q
+
+
+def _windowed_spectra(ab, window_radius: float, inverse) -> list:
     """One window spectrum per wave of the stacked bands ab (waves on axis 0).
 
-    Waves of one block size b iterate together, each frozen when it
-    converges, so every wave's floats are those of its batch of one.
+    Waves of one block size b iterate together on inverse(their bands),
+    each frozen when it converges, so every wave's floats are those of
+    its batch of one.
     """
     M, size = ab.shape[1] // 2, ab.shape[2]
     blocks = np.array([_block_size(diagonal, window_radius) for diagonal in ab[:, M]])
     out = [None] * len(ab)
     for b in np.unique(blocks[blocks < size - 2]):
         waves = np.flatnonzero(blocks == b)
-        # the a = 0 eigenvectors of the b smallest |B_ii|
-        start = np.argsort(np.abs(ab[waves, M]), axis=-1, kind="stable")[:, :b]
         try:
-            B_inv = np.linalg.inv(_dense(ab[waves]))
-            for w, theta in _subspace_iteration(B_inv, start):
+            for w, theta in _subspace_iteration(inverse(ab[waves]), np.abs(ab[waves, M]), b):
                 out[waves[w]] = _certified(theta, window_radius)
         except np.linalg.LinAlgError as exc:
             raise SolveError(_SOLVE_FAILED) from exc
@@ -276,28 +263,36 @@ def _batch_spectra(ab, window_radius: float) -> list:
     return out
 
 
-def _subspace_iteration(B_inv, start):
-    """Yield (wave, theta) for each wave of the stack B_inv whose b Ritz values converge.
+# subspace iteration: step cap, steps between Rayleigh-Ritz checks, residual |B^-1 x - theta x| / |theta|
+_STEPS, _CHECK, _TOL = 64, 2, 1e-10
 
-    Q starts from the unit vectors at start (one row of b indices per
-    wave) and steps Q <- qr(B^-1 Q); every _CHECK steps the b x b
-    projection Q^T B^-1 Q gives the Ritz pairs.
+
+def _subspace_iteration(solve, diagonal, b):
+    """Yield (wave, theta) for each wave of the stack whose b largest Ritz values converge.
+
+    Q starts from the unit vectors of each wave's p = min(3b, n) smallest
+    |B_ii| in diagonal (b wanted, the rest guards) and steps Q <- qr(B^-1 Q),
+    B^-1 Q = solve(waves, Q) for the waves still iterating; every _CHECK
+    steps the p x p projection Q^T B^-1 Q gives the Ritz pairs.
     """
-    waves = np.arange(len(B_inv))
-    b = start.shape[1]
-    Q = np.zeros((len(B_inv), B_inv.shape[1], b))
-    Q[waves[:, None], start, np.arange(b)] = 1.0
+    waves = np.arange(len(diagonal))
+    p = min(3 * b, diagonal.shape[1])
+    start = np.argsort(diagonal, axis=-1, kind="stable")[:, :p]
+    Q = np.zeros((*diagonal.shape, p))
+    Q[waves[:, None], start, np.arange(p)] = 1.0
     for step in range(1, _STEPS + 1):
-        Z = B_inv @ Q
+        Z = solve(waves, Q)
         if step % _CHECK == 0:
             # numpy returns real arrays when every Ritz value of the stack is real: complex
             # always, so that no wave's floats depend on the rest of its stack
             theta, Y = (x.astype(complex) for x in np.linalg.eig(np.swapaxes(Q, 1, 2) @ Z))
+            wanted = np.argsort(-np.abs(theta), axis=-1, kind="stable")[:, :b]
+            theta, Y = np.take_along_axis(theta, wanted, 1), np.take_along_axis(Y, wanted[:, None], 2)
             residual = np.linalg.norm(Z @ Y - (Q @ Y) * theta[:, None, :], axis=1)
             done = np.all(residual <= _TOL * np.abs(theta), axis=1)
             if done.any():
                 yield from zip(waves[done], theta[done])
-                waves, B_inv, Z = waves[~done], B_inv[~done], Z[~done]
+                waves, Z = waves[~done], Z[~done]
                 if not waves.size:
                     return
         Q = np.linalg.qr(Z)[0]

@@ -273,10 +273,11 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
     params : dict, optional
         The family's parameters, finite and no others: ``fkdv`` needs
         ``delta`` (> 1/2); ``kdv_st`` and ``whitham_st`` take ``T`` (>= 0,
-        default 0), a float or an array broadcasting against k: the symbol
-        at every (T, k) pair at once, each the float a symbol built at that
-        T alone gives.  ``custom`` needs callables ``m``, ``m1``, ``m2``
-        and takes a ``growth_exponent`` (default 0).
+        default 0), a float or an array (a list or tuple is taken as one)
+        broadcasting against k: the symbol at every (T, k) pair at once,
+        each the float a symbol built at that T alone gives.  ``custom``
+        needs callables ``m``, ``m1``, ``m2`` and takes a
+        ``growth_exponent`` (default 0).
 
     Returns
     -------
@@ -285,8 +286,8 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
     Raises
     ------
     ValueError
-        Unknown name, a parameter missing, not taken by the family, or
-        non-finite or out of range.
+        Unknown name, a parameter missing, not taken by the family, not
+        a number or an array of numbers, or non-finite or out of range.
     """
     params = dict(params or {})
     if name == "custom":
@@ -311,12 +312,15 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         value = params.get(key, default)
         if value is None:
             raise ValueError(f"{name} requires parameter {key!r}")
-        if not isinstance(value, np.ndarray):
-            value = lo = hi = float(value)
-        else:  # two reductions, the cheapest test: the diagram builds a symbol per solver step
-            value = value.astype(float, copy=False)
-            lo = np.minimum.reduce(value, axis=None, initial=math.inf)
-            hi = np.maximum.reduce(value, axis=None, initial=-math.inf)
+        try:
+            if not isinstance(value, (np.ndarray, list, tuple)):
+                value = lo = hi = float(value)
+            else:  # two reductions, the cheapest test: the diagram builds a symbol per solver step
+                value = np.asarray(value, dtype=float)
+                lo = np.minimum.reduce(value, axis=None, initial=math.inf)
+                hi = np.maximum.reduce(value, axis=None, initial=-math.inf)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} requires {key} a number or an array of numbers, got {value!r}") from exc
         if not allowed(lo, hi):
             raise ValueError(f"{name} requires finite {key} {bound}, got {value}")
         values[key] = value

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -299,7 +303,7 @@ def test_large_truncation_agrees_with_n64():
 
 def test_window_certification_and_whole_window_fallback():
     # windows holding 5, 12, 30 and then all 65 eigenvalues size the one
-    # Arnoldi call past 4, up to the dense solve of the whole window
+    # iterated block past 4, up to the dense solve of the whole window
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, 0.1, 32)
     every, _ = _dense_reference(prob, np.inf)
     radii = np.sort(np.abs(every))
@@ -312,29 +316,36 @@ def test_window_certification_and_whole_window_fallback():
             assert np.min(np.abs(spec.eigenvalues - z)) <= 1e-9 * scale
 
 
-def test_one_wave_makes_one_arnoldi_call_sized_from_the_diagonal(monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    # the k of every eigs call; spectrum imports eigs at each call, so the patch takes effect
-    calls, eigs = [], spla.eigs
-
-    def counted(A, k=6, **kwargs):
-        calls.append(k)
-        return eigs(A, k=k, **kwargs)
-
-    monkeypatch.setattr(spla, "eigs", counted)
+def test_one_wave_iterates_one_block_sized_from_the_diagonal(monkeypatch):
+    # one wave is one iteration of b wanted vectors and 2b guards on its banded LU:
+    # b = 4 at the default window, and 8, 16 and 32 for the windows of the
+    # certification test holding 5, 12 and 30 eigenvalues (32 wanted and 33 guards
+    # fill the 65 modes); the whole window of 65 goes dense without iterating
+    calls, dense = _counted_iteration(monkeypatch), _counted_dense_spectra(monkeypatch)
     fh.spectrum(fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, DESK_N), fh.default_window(P11))
-    assert calls == [4]
-    # the windows of the certification test, holding 5, 12 and 30 eigenvalues
+    assert calls == [{"waves": 1, "b": 4, "widths": {12}, "converged": 1}] and dense == []
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, 0.1, 32)
     radii = np.sort(np.abs(_dense_reference(prob, np.inf)[0]))
-    for count, k in ((5, 8), (12, 16), (30, 32)):
+    for count, b in ((5, 8), (12, 16), (30, 32)):
         calls.clear()
         assert len(fh.spectrum(prob, 0.5 * (radii[count - 1] + radii[count])).eigenvalues) == count
-        assert calls == [k]
+        assert calls == [{"waves": 1, "b": b, "widths": {min(3 * b, 65)}, "converged": 1}] and dense == []
     calls.clear()
     assert len(fh.spectrum(prob, 1e9).eigenvalues) == 65
-    assert calls == []
+    assert calls == [] and dense == [1]
+
+
+def test_max_growth_loads_no_scipy_sparse():
+    # the one-wave solve applies B^-1 through scipy.linalg's banded LU alone
+    code = (
+        "import sys, ostwave\n"
+        "wave = ostwave.expand(ostwave.make_symbol('kdv'), ostwave.ModelParams(1.0, 1.0), 1.0)\n"
+        "assert ostwave.max_growth(wave, 0.01, 1e-3, N=128) > 1e-8\n"
+        "print('scipy.linalg' in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "True []"
 
 
 def test_empty_window_has_no_eigenvalues():
@@ -345,7 +356,7 @@ def test_empty_window_has_no_eigenvalues():
 
 
 def test_whole_window_growth_matches_default_window():
-    # the whole-window solve takes every theta of the dense B^-1, the Arnoldi
+    # the whole-window solve takes every theta of the dense B^-1, the iterated
     # solve a few of the banded one; the small sideband growth does not
     # depend on which
     prob = fh.FloquetProblem(_kdv_wave(1.0), DESK_A, DESK_XI, 8)
@@ -480,12 +491,33 @@ def _counted_dense_spectra(monkeypatch):
     return calls
 
 
+def _counted_iteration(monkeypatch):
+    """Patch fh._subspace_iteration to record, per call, its waves, b, the width of every
+    block it solves, and how many waves converge."""
+    calls, iterate = [], fh._subspace_iteration
+
+    def counted(solve, diagonal, b):
+        call = {"waves": len(diagonal), "b": b, "widths": set(), "converged": 0}
+        calls.append(call)
+
+        def recorded(waves, Q):
+            call["widths"].add(Q.shape[-1])
+            return solve(waves, Q)
+
+        for wave, theta in iterate(recorded, diagonal, b):
+            call["converged"] += 1
+            yield wave, theta
+
+    monkeypatch.setattr(fh, "_subspace_iteration", counted)
+    return calls
+
+
 def test_windowed_batch_solve_matches_dense_spectra(monkeypatch):
     # seeded draws of all six families at N = 8, 16 and 32, each a batch of
     # four waves in a window holding 2 to 30 of the first wave's eigenvalues:
     # every wave's window eigenvalues are the dense solve's, count for count
     dense_spectra = fh._dense_spectra
-    calls = _counted_dense_spectra(monkeypatch)
+    calls, iterations = _counted_dense_spectra(monkeypatch), _counted_iteration(monkeypatch)
     rng = np.random.default_rng(2828)
     families, counts, n_waves = set(), set(), 0
     for trial in range(60):
@@ -509,9 +541,11 @@ def test_windowed_batch_solve_matches_dense_spectra(monkeypatch):
         n_waves += 4
     assert len(families) == 6
     assert min(counts) <= 4 and max(counts) >= 24
-    # most of the large windows go dense (b >= 2N - 1, or Ritz pairs too far below
-    # the largest theta to reach 1e-10), but many waves are solved by the iteration
+    # most of the large windows go dense (b >= 2N - 1), but many waves are solved
+    # by the iteration, and every wave it iterates converges before the step cap
     assert n_waves - sum(calls) >= 0.3 * n_waves
+    assert sum(c["waves"] for c in iterations) >= 0.3 * n_waves
+    assert [c["converged"] for c in iterations] == [c["waves"] for c in iterations]
 
 
 def test_windowed_batch_solve_falls_back_to_the_dense_answer(monkeypatch):

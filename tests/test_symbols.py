@@ -388,6 +388,22 @@ def test_make_symbol_refuses_a_lattice_entry_out_of_range():
         ow.make_symbol("kdv_st", {"T": np.array([0.1, -1e-300, 0.3])})
 
 
+@pytest.mark.parametrize("name", ["kdv_st", "whitham_st"])
+def test_make_symbol_takes_a_list_or_tuple_as_an_array(name):
+    # nested lists and tuples of T build the lattice their np.array builds, bit for bit
+    ks = np.geomspace(0.1, 5.0, 7)
+    want = ow.make_symbol(name, {"T": np.array([[0.05], [0.2], [0.6]])}).jet(ks, 2)
+    for T in ([[0.05], [0.2], [0.6]], ((0.05,), (0.2,), (0.6,))):
+        got = ow.make_symbol(name, {"T": T}).jet(ks, 2)
+        assert all(g.shape == (3, 7) and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("T", [[[0.05], [0.2, 0.6]], ["0.2", "x"], (0.1, "x", 0.3), [[0.1], {}]])
+def test_make_symbol_refuses_a_sequence_that_is_no_array_of_numbers(T):
+    with pytest.raises(ValueError, match="kdv_st requires T a number or an array of numbers"):
+        ow.make_symbol("kdv_st", {"T": T})
+
+
 def test_parse_symbol_spec_refuses_a_repeated_key():
     with pytest.raises(ValueError, match="repeated"):
         ow.parse_symbol_spec("kdv_st:T=0.2,T=0.5")
