@@ -9,19 +9,19 @@ point is owned by exactly one mechanism:
 
 For the power-law symbols m = 1 - c k^d (kdv, kdv_st, fkdv) the zeros
 have closed forms; for the nonlocal models they are bracketed on a log
-grid and refined with Brent's method (``roots.brentq``).  The surface-tension families
-additionally exhibit a threshold T_c at which a pair of critical
-wavenumbers merges and disappears, dropping the count from three to
-one; ``tc_of_alpha`` solves for it as the fold of the pair owner's
-numerator (it and its k-slope vanish), by Newton in (k, T) seeded from
-one (T, k) lattice.  ``diagram`` sweeps a (k, T) lattice into stable/unstable cells
-plus the two zero-locus curves: it evaluates the whole lattice at once
-and refines the zero-locus points of each factor in one lockstep solve
-(``roots.brentq_lanes``); where the curves cross (T_s), read off the
-same lattice, a 2x2 Newton solve of both numerators in (k, T) finds the
-point.  ``spot_check`` re-validates random cells against the
-independent spectral oracle: it screens cells in batches, each
-eligibility test one array evaluation over a batch (the expansion
+grid and refined with Brent's method (``roots.brentq``).  ``diagram``
+sweeps a (k, T) lattice into stable/unstable cells plus the two
+zero-locus curves: it evaluates the whole lattice at once and refines
+the zero-locus points of each factor in one lockstep solve
+(``roots.brentq_lanes``).  Both surface-tension thresholds are points
+where two zero loci meet: T_s where the f1 and f2 loci cross, T_c where
+a pair of critical wavenumbers merges (three become one), the fold where
+the owner's numerator F and dF/dk vanish.  ``_lattice_crossing`` finds
+both by a 2x2 Newton solve in (k, T) seeded where both residuals change
+sign on a lattice: ``diagram``'s for T_s, the two rows that bracket T_c
+for ``tc_of_alpha``.  ``spot_check`` re-validates random cells
+against the independent spectral oracle: it screens cells in batches,
+each eligibility test one array evaluation over a batch (the expansion
 ``stokes._stokes``, the pencil growth, the detuning ratio and the
 unperturbed eigenvalues), and solves only its picks, all of them as one
 batch wave in one ``floquet_hill.spectrum`` call.
@@ -115,7 +115,8 @@ def kc_closed_form(s: DispersionSymbol, p: ModelParams) -> CriticalResult:
         |c| <= 3 T_DEGENERATE_TOL (kdv_st near T = 1/3): the dispersive
         term vanishes and no verdict exists.
     ValueError
-        A symbol with no closed form.
+        A symbol with no closed form, or a kc the arithmetic overflowed
+        or underflowed (not positive and finite).
     """
     if s.power_law is None:
         raise ValueError(f"no closed-form critical wavenumber for model {s.name!r}")
@@ -129,6 +130,8 @@ def kc_closed_form(s: DispersionSymbol, p: ModelParams) -> CriticalResult:
     else:
         kc = (gamma / (4.0 * abs(beta_c) * ((2.0 ** d - 1.0) / 3.0))) ** (1.0 / (2.0 + d))
         mech = "phase_velocity_coincidence"
+    if not 0 < kc < math.inf:
+        raise ValueError(f"{s.name}: the closed-form critical wavenumber is kc={kc} at beta={p.beta}, gamma={gamma}")
     return CriticalResult(s.name, _result_params(s, p), mech, kc, "closed_form")
 
 
@@ -242,16 +245,17 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
 # surface-tension thresholds
 
 
-_NEWTON_RTOL = 16.0 * float(np.finfo(float).eps)  # a Newton step this small has converged
+_NEWTON_RTOL = 16.0 * float(np.finfo(float).eps)  # a T step this small has converged
 
 
-def _newton_kT(jet, k: float, T: float, k_rtol: float = _NEWTON_RTOL):
+def _newton_kT(jet, k: float, T: float):
     """Newton's method in (k, T) on a pair of residuals: their common root, or None.
 
     ``jet(k, T)`` gives the residuals (f, g) and their Jacobian
-    (f_k, f_T, g_k, g_T).  It stops at a step of at most k_rtol of k and
-    16 ulps of T; None if an iterate leaves k, T > 0, the Jacobian is
-    singular, or 20 steps do not converge.
+    (f_k, f_T, g_k, g_T).  It stops at a step of at most 16 ulps of T and
+    1e-9 of k (difference noise can hold k's steps near 1e-12; at a fold,
+    f_k = 0, T feels them squared).  None if an iterate leaves k, T > 0,
+    the Jacobian is singular, or 20 steps do not converge.
     """
     for _ in range(20):
         if not (0 < k < math.inf and 0 < T < math.inf):
@@ -262,8 +266,40 @@ def _newton_kT(jet, k: float, T: float, k_rtol: float = _NEWTON_RTOL):
             return None
         dk, dT = (f * d - b * g) / det, (a * g - c * f) / det
         k, T = k - dk, T - dT
-        if abs(dk) <= k_rtol * k and abs(dT) <= _NEWTON_RTOL * T:
+        if abs(dk) <= 1e-9 * k and abs(dT) <= _NEWTON_RTOL * T:
             return k, T
+    return None
+
+
+def _lattice_crossing(jet, ks, Ts, a, b):
+    """T where the zero loci of residuals a and b meet, from their values on a lattice (rows Ts, columns ks).
+
+    Each square of four neighbouring lattice points at whose corners both
+    change sign or vanish seeds ``_newton_kT`` on ``jet`` where the
+    least-squares planes through their corner values meet, clipped to the
+    square, nearest that meeting point first (ties in lattice order).  The
+    first converged root decides: its T if it lies inside the lattice,
+    else None.
+    """
+    f = np.stack([a, b])
+    # corners (j, i), (j, i + 1), (j + 1, i), (j + 1, i + 1) of each square, on axis 1: k along i, T along j
+    c = np.stack([f[:, :-1, :-1], f[:, :-1, 1:], f[:, 1:, :-1], f[:, 1:, 1:]], axis=1)
+    j, i = np.nonzero(((c.min(axis=1) <= 0) & (c.max(axis=1) >= 0)).all(axis=0))
+    seeds = []
+    for n, corners in enumerate(c[:, :, j, i].transpose(2, 0, 1).tolist()):
+        # each plane, over the square's (x, y) in [0, 1]^2: mean + slope_k (x - 1/2) + slope_T (y - 1/2)
+        (m1, a1, b1), (m2, a2, b2) = (
+            ((p + q + r + s) / 4, (q - p + s - r) / 2, (r - p + s - q) / 2) for p, q, r, s in corners
+        )
+        det = a1 * b2 - b1 * a2  # 0 for parallel planes, which meet nowhere: seeded at the far corner, tried last
+        x, y = (0.5 + (b1 * m2 - m1 * b2) / det, 0.5 + (a2 * m1 - a1 * m2) / det) if det else (math.inf, math.inf)
+        x0, y0 = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)
+        seeds.append((math.hypot(x - x0, y - y0), n, x0, y0))
+    for _, n, x, y in sorted(seeds):  # nearest first, ties in lattice order
+        k, T = ks[i[n]] + x * (ks[i[n] + 1] - ks[i[n]]), Ts[j[n]] + y * (Ts[j[n] + 1] - Ts[j[n]])
+        hit = _newton_kT(jet, float(k), float(T))
+        if hit is not None:
+            return hit[1] if ks[0] <= hit[0] <= ks[-1] and Ts[0] <= hit[1] <= Ts[-1] else None
     return None
 
 
@@ -279,14 +315,15 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
     For alpha > 0 the disappearing pair belongs to the group-velocity
     slope; for alpha < 0 to the phase-velocity coincidence factor.  The
     pair exists while the owner's numerator F(k, T) dips below zero on k
-    in [1e-2, 1e2]; T_c is the fold where the pair merges, F = dF/dk = 0.
-    One lattice evaluation of F, on 20 geometric T rows in [0.01, 0.9]
-    against a 600-point log k grid, brackets it between the first two
-    rows whose minima over k change sign, and seeds ``_newton_kT`` at
-    the lower row's argmin and the minima's linear interpolate in T.
-    Each Newton step takes F's derivatives from central differences on a
-    3x3 (k, T) stencil, in one call, and the solve stops at a T step of
-    16 ulps: T_c is the fold to rounding.
+    in [1e-2, 1e2]; T_c is the fold where the pair merges, where the
+    loci F = 0 and dF/dk = 0 meet.  One lattice evaluation of F, on 20
+    geometric T rows in [0.01, 0.9] against a 600-point log k grid,
+    brackets it between the first two rows whose minima over k change
+    sign, and ``_lattice_crossing`` seeds the fold solve from F and its
+    slope along k on those two rows.  Each Newton step takes F's
+    derivatives from central differences on a 3x3 (k, T) stencil, in one
+    call, and the solve stops at a T step of 16 ulps: T_c is the fold to
+    rounding.
 
     ``kdv_st`` is handled in closed form: both formula branches blow up
     at T = 1/3 from either side, so the threshold is exactly 1/3 for any
@@ -299,8 +336,8 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
         positive on the last (T = 0.9), e.g. alpha outside the regime
         where the threshold exists.
     InconclusiveError
-        Newton leaves k, T > 0 or does not converge, or its root lies
-        outside the two seed rows.
+        No seed's Newton solve converges, or the first root found lies
+        outside the two seed rows or the k grid.
     """
     p = params_from_alpha(alpha)
     if variant == "kdv_st":
@@ -316,7 +353,6 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
             f"pair-existence predicate does not straddle on T in (0.01, 0.9) for alpha={alpha}"
         ) from ValueError(f"owner minima {low[0]:.3g} at T=0.01 and {low[-1]:.3g} at T=0.9")
     j = int(np.argmax(low >= 0)) - 1  # the last row of the first sign change
-    T0 = _TC_ROWS[j] + low[j] / (low[j] - low[j + 1]) * (_TC_ROWS[j + 1] - _TC_ROWS[j])
     stencil = np.array([-1.0, 0.0, 1.0])
     h = float(np.finfo(float).eps) ** 0.25
 
@@ -330,11 +366,11 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
         FkT = (F[2][2] - F[2][0] - F[0][2] + F[0][0]) / (4 * hk * hT)
         return F[1][1], Fk, Fk, FT, Fkk, FkT
 
-    # difference noise keeps k's steps near 1e-12 relative; F_k = 0 there, so T feels them squared
-    fold = _newton_kT(jet, float(_TC_K[np.argmin(vals[j])]), float(T0), k_rtol=1e-9)
-    if fold is None or not _TC_ROWS[j] <= fold[1] <= _TC_ROWS[j + 1]:
+    # the slope per grid step is k dF/dk times a constant on the log grid: dF/dk's zero locus, at half the cost
+    tc = _lattice_crossing(jet, _TC_K, _TC_ROWS[j : j + 2], vals[j : j + 2], np.gradient(vals[j : j + 2], axis=1))
+    if tc is None:
         raise InconclusiveError(f"the fold solve for T_c did not converge between its seed rows for alpha={alpha}")
-    return fold[1]
+    return tc
 
 
 # ---------------------------------------------------------------------------
@@ -401,52 +437,6 @@ def _region_counts(labels: np.ndarray) -> dict:
     return {lab: _count_regions(labels == lab) for lab in ("S", "U")}
 
 
-def _crossing_newton(family: str, p: ModelParams, k: float, T: float):
-    """Both factor numerators' common root by ``_newton_kT`` from (k, T), or None.
-
-    Each step evaluates each numerator at (k, T), (k + hk, T) and (k, T + hT)
-    in one call, for a forward-difference Jacobian, and stops at a step of
-    16 ulps of k and T.
-    """
-    h = math.sqrt(np.finfo(float).eps)
-
-    def jet(k, T):
-        hk, hT = (k + h * k) - k, (T + h * T) - T
-        nums = _numerators(make_symbol(family, {"T": np.array([T, T, T + hT])}), p)
-        (f, fk, fT), (g, gk, gT) = (num(np.array([k, k + hk, k])).tolist() for num in nums)
-        return f, g, (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
-
-    return _newton_kT(jet, k, T)
-
-
-def _lattice_crossing(family: str, p: ModelParams, ks, Ts, f1, f2):
-    """(k, T) point inside the lattice where both factor loci cross, or None.
-
-    Each square of four neighbouring cell centres at whose corners both f1
-    and f2 change sign or vanish seeds ``_crossing_newton`` where the
-    least-squares planes through the factors' corner values meet, clipped
-    to the square.  Seeds go in order of how far that meeting point lies
-    from its square; the first root inside the lattice is the crossing.
-    """
-    # corners (j, i), (j, i + 1), (j + 1, i), (j + 1, i + 1) of each square: k along i, T along j
-    corners = [np.stack([f[:-1, :-1], f[:-1, 1:], f[1:, :-1], f[1:, 1:]]) for f in (f1, f2)]
-    j, i = np.nonzero(np.logical_and(*((c.min(axis=0) <= 0) & (c.max(axis=0) >= 0) for c in corners)))
-    # each plane, over the square's (x, y) in [0, 1]^2: mean + slope_k (x - 1/2) + slope_T (y - 1/2)
-    (m1, a1, b1), (m2, a2, b2) = (
-        (c.mean(axis=0), (c[1] - c[0] + c[3] - c[2]) / 2, (c[2] - c[0] + c[3] - c[1]) / 2)
-        for c in (c[:, j, i] for c in corners)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):  # parallel planes meet nowhere: tried last
-        meet = 0.5 + np.array([b1 * m2 - m1 * b2, a2 * m1 - a1 * m2]) / (a1 * b2 - b1 * a2)
-    x, y = seed = np.clip(meet, 0.0, 1.0)
-    k, T = ks[i] + x * (ks[i + 1] - ks[i]), Ts[j] + y * (Ts[j + 1] - Ts[j])
-    for n in np.argsort(np.hypot(*(meet - seed)), kind="stable").tolist():
-        hit = _crossing_newton(family, p, float(k[n]), float(T[n]))
-        if hit is not None and ks[0] <= hit[0] <= ks[-1] and Ts[0] <= hit[1] <= Ts[-1]:
-            return hit
-    return None
-
-
 def diagram(
     s_family: str,
     alpha: float,
@@ -496,8 +486,17 @@ def diagram(
         k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12)
         curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
 
-    crossing = s_family == "whitham_st" and alpha < 0
-    hit = _lattice_crossing(s_family, p, ks, Ts, r.f1, r.f2) if crossing else None
+    t_s = None
+    if s_family == "whitham_st" and alpha < 0:
+        h = math.sqrt(np.finfo(float).eps)
+
+        def jet(k, T):  # each numerator at (k, T), (k + hk, T) and (k, T + hT) in one call: forward differences
+            hk, hT = (k + h * k) - k, (T + h * T) - T
+            nums = _numerators(make_symbol(s_family, {"T": np.array([T, T, T + hT])}), p)
+            (f, fk, fT), (g, gk, gT) = (num(np.array([k, k + hk, k])).tolist() for num in nums)
+            return f, g, (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
+
+        t_s = _lattice_crossing(jet, ks, Ts, r.f1, r.f2)
 
     return StabilityDiagram(
         family=s_family,
@@ -514,7 +513,7 @@ def diagram(
         delta=r.delta,
         f1_curve=curves[0],
         f2_curve=curves[1],
-        t_s=None if hit is None else hit[1],
+        t_s=t_s,
         region_counts=_region_counts(labels),
     )
 

@@ -36,10 +36,11 @@ on B^-1 from the a = 0 eigenvectors of the 3b smallest |B_ii| (all
 2N + 1 if fewer): b wanted and 2b guards (Stewart, Numer. Math. 25
 (1976)), so the wanted pairs converge at |theta_{3b+1} / theta_b| a
 step.  The farthest mu of the b must lie outside the window, which
-certifies that every eigenvalue inside it was found.  One wave applies B^-1 through one banded LU of B (scipy.linalg),
-O(N) at any N.  A batch applies each B^-1 of one stacked numpy inverse,
-each wave frozen when it converges, so its floats are those of its
-batch of one; it serves ``critical.spot_check``'s picks without scipy.
+certifies that every eigenvalue inside it was found.  One wave applies
+B^-1 through one banded LU of B (scipy.linalg), O(N) at any N.  A batch
+applies each B^-1 of one stacked numpy inverse, each wave frozen when
+it converges, so its floats are those of its batch of one; it serves
+``critical.spot_check``'s picks without scipy.
 A wave whose window needs nearly every eigenvalue (b >= 2N - 1), whose
 certificate fails or whose iteration does not converge takes every
 theta of its dense B^-1 instead, O(N^3).
@@ -195,12 +196,18 @@ def spectrum(problem: FloquetProblem, window_radius: float) -> FloquetSpectrum |
 
     Raises
     ------
+    ValueError
+        Some wave's bands are not finite (the arithmetic overflowed).
     SolveError
         Some B is singular, or an eigen-solve fails.
     """
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
     ab = _bands(problem)[1]
+    bad = ~np.isfinite(ab).all(axis=(-2, -1))
+    if bad.any():
+        k = float(np.broadcast_to(problem.wave.k, (*bad.shape, 1))[bad].flat[0])
+        raise ValueError(f"{problem.wave.symbol.name}: the Hill bands at k={k!r} are not finite")
     if ab.ndim > 2:
         return _windowed_spectra(ab.reshape(-1, *ab.shape[-2:]), window_radius, _stacked_inverse)
     return _windowed_spectra(ab[None], window_radius, _banded_inverse)[0]

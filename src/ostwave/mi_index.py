@@ -77,17 +77,20 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
     band between is reported as degenerate rather than forced to a side;
     floor = 1e-10 (1 + |f1|) (1 + |f2|).  Non-finite k raises ValueError,
     and so does a finite k where delta is NaN (the symbol gave NaN there,
-    or an infinite factor met a zero one): NaN has no sign to classify.
+    or an infinite factor met a zero one) or +-inf (the arithmetic
+    overflowed): neither has a floor to classify against.
     """
     k = _check_k(k)
     num1 = harmonic_denominator(s, p, k, 2)
     f1 = num1 / (4.0 * k * k)
     f2, num2 = group_velocity_derivative(s, p, k)
     delta = f1 * f2
-    # a 0-d delta is a float, tested as one: np.isnan(...).any() costs more
-    if math.isnan(delta) if delta.ndim == 0 else np.isnan(delta).any():
-        bad = k if delta.ndim == 0 else np.broadcast_to(k, delta.shape)[np.isnan(delta)][0]
-        raise ValueError(f"{s.name}: the index is NaN at the finite wavenumber k={float(bad)!r}")
+    # a 0-d delta is a float, tested as one: np.isfinite(...).all() costs more
+    if not (math.isfinite(delta) if delta.ndim == 0 else np.isfinite(delta).all()):
+        bad = ~np.isfinite(delta)
+        at, value = float(np.broadcast_to(k, delta.shape)[bad].flat[0]), float(delta[bad].flat[0])
+        value = "NaN" if math.isnan(value) else value
+        raise ValueError(f"{s.name}: the index is {value} at the finite wavenumber k={at!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(num2, num1)  # +-inf where num1 = 0, nan where both are
     floor = 1e-10 * (1.0 + np.abs(f1)) * (1.0 + np.abs(f2))

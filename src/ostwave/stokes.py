@@ -146,7 +146,8 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
     Raises
     ------
     ValueError
-        k is not positive and finite.
+        k is not positive and finite, or c0, A2 or A3 is not finite there
+        (the arithmetic overflowed).
     ResonanceError
         A second- or third-harmonic resonance collapses a denominator.
     """
@@ -159,6 +160,9 @@ def expand(s: DispersionSymbol, p: ModelParams, k: float) -> StokesWave:
             "the small-amplitude expansion is singular here",
             harmonics=harmonics,
         )
+    if not all(np.isfinite(c).all() for c in (wave.c0, wave.A2, wave.A3)):  # a lattice symbol's are arrays
+        coefficients = f"c0={wave.c0}, A2={wave.A2}, A3={wave.A3}"
+        raise ValueError(f"{s.name}: the expansion at k={k!r} is not finite: {coefficients}")
     return wave
 
 

@@ -181,6 +181,27 @@ def test_nan_index_at_finite_k_exits_2(capsys):
     assert "NaN" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", *KDV, "--k", "1e77"],
+        ["index", *KDV, "--k", "1e-160"],
+        ["stokes", *KDV, "--k", "1e200"],
+        ["spectrum", *KDV, "--k", "1e100"],
+        ["spectrum", *KDV, "--k", "1e-160"],
+        ["kc", "--symbol", "kdv", "--beta", "1e-300", "--gamma", "1e300"],
+    ],
+)
+def test_overflow_at_finite_input_exits_2(capsys, argv):
+    # finite inputs whose arithmetic overflows print nothing, rather than inf, NaN or a verdict read off them
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err or "kc=inf" in err
+
+
 def test_alpha_exclusive_with_beta(capsys):
     code, _, _ = run_cli(
         capsys,

@@ -97,6 +97,14 @@ def test_unsupported_model_rejected():
         cr.kc_closed_form(ow.make_symbol("ilw"), P11)
 
 
+def test_closed_form_refuses_an_overflowed_kc():
+    # kc = (gamma / (3 beta))^(1/4) overflows to inf at gamma / beta = 1e600 and underflows to 0 at 1e-600
+    s = ow.make_symbol("kdv")
+    for beta, gamma, kc in ((1e-300, 1e300, "inf"), (1e300, 1e-300, "0.0"), (-1e-300, 1e300, "inf")):
+        with pytest.raises(ValueError, match=f"critical wavenumber is kc={kc} "):
+            cr.kc_closed_form(s, ow.ModelParams(beta, gamma))
+
+
 @pytest.mark.parametrize(
     "s",
     [ow.make_symbol("ilw"), ow.make_symbol("whitham"), ow.make_symbol("whitham_st", {"T": 0.2}),
@@ -536,7 +544,7 @@ def whitham_st_crossing():
     m = sqrt(g), g = u v with u = tanh(k)/k and v = 1 + T k^2; the
     numerators are 3 gamma + 4 beta k^2 (m(k) - m(2k)) and
     2 gamma + beta k^3 (k m'' + 2 m').  Newton starts from (2, 0.1) for
-    every gamma; at the gammas tested, 0.05 to 1, it reaches the crossing
+    every gamma; at the gammas tested, 0.02 to 3, it reaches the crossing
     the diagrams find.
     """
     mp = pytest.importorskip("mpmath")
@@ -609,6 +617,56 @@ def test_diagram_t_s_needs_no_brent_solve(monkeypatch, whitham_st_crossing):
     monkeypatch.setattr(roots, "brentq", refuse)
     d = cr.diagram("whitham_st", -0.1, k_max=5.0, t_max=0.4, nk=50, nt=50)
     assert abs(d.t_s - whitham_st_crossing("0.1")[1]) <= 1e-12
+
+
+# the whitham_st scan: 12 alphas = -gamma, 5 (k_max, t_max) extents and 6 resolutions n, 360 diagrams
+SCAN_GAMMAS = ("0.02", "0.05", "0.1", "0.2", "0.3", "0.5", "0.7", "1", "1.5", "2", "2.5", "3")
+SCAN_EXTENTS = ((2.0, 0.8), (5.0, 0.4), (10.0, 1.0), (3.0, 0.2), (1.0, 0.8))
+SCAN_N = (20, 30, 40, 50, 64, 100)
+
+
+def _count_converged_solves(monkeypatch) -> list:
+    """Patch ``critical._newton_kT`` to log, per call, whether it returned a root."""
+    newton, converged = cr._newton_kT, []
+
+    def counted(*args):
+        hit = newton(*args)
+        converged.append(hit is not None)
+        return hit
+
+    monkeypatch.setattr(cr, "_newton_kT", counted)
+    return converged
+
+
+def test_diagram_t_s_is_the_crossing_inside_the_lattice(monkeypatch, whitham_st_crossing):
+    # t_s is the mpmath crossing (k*, T*) when the lattice's cell centres span it, else None,
+    # and no diagram solves past its first converged root
+    converged = _count_converged_solves(monkeypatch)
+    found = 0
+    for gamma in SCAN_GAMMAS:
+        k_star, t_star = whitham_st_crossing(gamma)
+        for k_max, t_max in SCAN_EXTENTS:
+            for n in SCAN_N:
+                converged.clear()
+                d = cr.diagram("whitham_st", -float(gamma), k_max=k_max, t_max=t_max, nk=n, nt=n)
+                where = (gamma, k_max, t_max, n, d.t_s)
+                if d.ks[0] <= k_star <= d.ks[-1] and d.Ts[0] <= t_star <= d.Ts[-1]:
+                    assert d.t_s is not None and abs(d.t_s - t_star) <= 1e-12, where
+                    found += 1
+                else:
+                    assert d.t_s is None, where
+                assert sum(converged) <= 1, where
+    assert found == 138
+
+
+def test_diagram_t_s_stops_at_a_crossing_outside_the_lattice(monkeypatch, whitham_st_crossing):
+    # the loci cross at (8.3122, 0.0047174), below this lattice's lowest row T = 0.005: the
+    # nearest seed's solve lands there, and the other candidate squares are not solved from
+    converged = _count_converged_solves(monkeypatch)
+    d = cr.diagram("whitham_st", -2.5, k_max=10.0, t_max=1.0, nk=100, nt=100)
+    assert whitham_st_crossing("2.5")[1] < d.Ts[0]
+    assert d.t_s is None
+    assert converged == [True]
 
 
 def test_diagram_t_s_none_without_crossing():

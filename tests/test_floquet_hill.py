@@ -396,6 +396,18 @@ def test_singular_band_matrix_raises():
         fh.spectrum(prob, 0.25)
 
 
+def test_spectrum_refuses_non_finite_bands():
+    # kdv at k = 1e100: the expansion is finite (A2 = A3 = 0), but m(k nu) ~ (k nu)^2 overflows in the bands
+    with np.errstate(over="ignore", invalid="ignore"):
+        wave = ow.expand(ow.make_symbol("kdv"), P11, 1e100)
+        with pytest.raises(ValueError, match="Hill bands at k=1e[+]100 are not finite"):
+            fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25)
+        # a batch names the wave whose bands overflow
+        batch = stokes._stokes(ow.make_symbol("kdv"), P11, np.array([[1.0], [1e100]]))[0]
+        with pytest.raises(ValueError, match="Hill bands at k=1e[+]100 are not finite"):
+            fh.spectrum(fh.FloquetProblem(batch, DESK_A, DESK_XI, DESK_N), 0.25)
+
+
 def test_dense_solve_of_singular_matrix_raises_solve_error():
     # the singular problem of the CLI's singular-solve test: numpy's
     # LinAlgError becomes the package's SolveError, for a batch of one wave

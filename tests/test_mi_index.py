@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ def test_index_rejects_nan_at_finite_k():
         assert ow.index(s, P11, 0.1).classification in ("stable", "unstable")
         for k in (2.0, [0.1, 2.0], np.array([[0.1], [2.0]])):
             with pytest.raises(ValueError, match="NaN at the finite wavenumber k=2.0"):
+                ow.index(s, P11, k)
+
+
+def test_index_rejects_overflow_at_finite_k():
+    # kdv at k = 1e77: f1's numerator ~ 12 k^4 overflows, so f1 = inf, delta = -inf and its floor is
+    # inf; at k = 1e-160, f1 = D2 / (4 k^2) divides by a subnormal and delta = +inf
+    s = ow.make_symbol("kdv")
+    assert ow.index(s, P11, 1e76).classification == "unstable"
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k, message in ((1e77, "-inf at the finite wavenumber k=1e+77"),
+                           ([1.0, 1e77], "-inf at the finite wavenumber k=1e+77"),
+                           (1e-160, "inf at the finite wavenumber k=1e-160")):
+            with pytest.raises(ValueError, match=re.escape(f"the index is {message}")):
                 ow.index(s, P11, k)
 
 

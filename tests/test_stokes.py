@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ def test_non_finite_amplitude_rejected(a):
     for evaluate in (ow.speed, ow.residual_norm, lambda w, a: ow.profile(w, a, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             evaluate(w, a)
+
+
+@pytest.mark.parametrize("k", [1e200, 1e-160])
+def test_expand_refuses_an_overflowed_expansion(k):
+    # kdv at k = 1e200: k^2 overflows, so c0 = -inf and A2, A3 are NaN; at 1e-160, gamma / k^2 = inf in c0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=re.escape(f"expansion at k={k!r} is not finite")):
+            ow.expand(ow.make_symbol("kdv"), P11, k)
 
 
 # ------------------------------------------------------------ resonance
