@@ -22,10 +22,13 @@ so no per-cell object is held.  Its SVG holds one rect per cell.  Exit
 codes: 0 success, 1 domain failure (resonance, inconclusive tension, no
 root, failed eigen-solve), 2 usage error, including a flag abbreviated
 to a prefix, ``index --k`` given with a sweep flag, and ``--beta`` or
-``--gamma`` given to ``tc`` or ``diagram``.  The desk scale is
-``floquet_hill``'s ``DESK_A`` = 0.01, ``DESK_XI`` = 1e-3 and ``DEFAULT_N``
-= 32: ``spectrum``'s ``--a``, ``--xi`` and ``--N`` default to it, and
-``diagram --spot-check`` checks its cells at it.
+``--gamma`` given to ``tc`` or ``diagram``.  ``main`` runs the
+subcommand with numpy's floating-point warnings off: a value the library
+refuses, an overflow included, prints its one error line and nothing
+else.  The desk scale is ``floquet_hill``'s ``DESK_A`` = 0.01,
+``DESK_XI`` = 1e-3 and ``DEFAULT_N`` = 32: ``spectrum``'s ``--a``,
+``--xi`` and ``--N`` default to it, and ``diagram --spot-check`` checks
+its cells at it.
 """
 
 from __future__ import annotations
@@ -341,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # no floating-point warnings: a non-finite result is refused with one error line instead
+        with np.errstate(all="ignore"):
+            args.func(args)
         return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ import numpy as np
 from . import floquet_hill, mi_index, roots
 from .errors import BracketError, InconclusiveError, NoRootError
 from .roots import brentq, minimize_scalar
-from .stokes import _stokes, harmonic_denominator
+from .stokes import _SCAN_GRID, _stokes, harmonic_denominator
 from .symbols import (
     DispersionSymbol,
     ModelParams,
@@ -169,9 +169,8 @@ def _scan_roots(f, grid):
     return roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq)
 
 
-def _critical_roots(s: DispersionSymbol, p: ModelParams, lo: float, hi: float) -> list:
-    """Ascending (root, mechanism) pairs of both factor numerators on a 400-point log grid."""
-    grid = np.geomspace(lo, hi, 400)
+def _critical_roots(s: DispersionSymbol, p: ModelParams, grid) -> list:
+    """Ascending (root, mechanism) pairs of both factor numerators on a probe grid."""
     mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
     pairs = [(root, mech) for mech, f in zip(mechanisms, _numerators(s, p)) for root in _scan_roots(f, grid)]
     return sorted(pairs, key=lambda pair: pair[0])
@@ -194,7 +193,7 @@ def kc_numeric(s: DispersionSymbol, p: ModelParams) -> list:
         Non-finite evaluations at the ends of the range.
     """
     params = _result_params(s, p)
-    pairs = _critical_roots(s, p, 1e-2, 1e2)
+    pairs = _critical_roots(s, p, _SCAN_GRID)
     results = [CriticalResult(s.name, params, mech, root, "bisection") for root, mech in pairs]
     if not results:
         raise NoRootError(f"no critical wavenumber of either mechanism in (0.01, 100) for {s.name}")
@@ -219,7 +218,7 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
     lo, hi = float(k_range[0]), float(k_range[1])
     if not (0.0 < lo < hi < math.inf):
         raise ValueError("k_range must satisfy 0 < lo < hi < inf")
-    zeros = [root for root, _ in _critical_roots(s, p, lo, hi)]
+    zeros = [root for root, _ in _critical_roots(s, p, np.geomspace(lo, hi, 400))]
     # collapse numerically coincident boundaries (curve intersections)
     bounds = [lo]
     for r in zeros:

@@ -346,7 +346,7 @@ def unperturbed_eigenvalue(wave: StokesWave, n, xi: float):
     if (nu == 0).any() if isinstance(nu, np.ndarray) else nu == 0:
         raise ValueError("n + xi must be nonzero")
     return 1j * (
-        p.gamma * (nu - 1.0 / nu) + p.beta * k * k * nu * (sym.m(k) - sym.m_even(k * nu))
+        p.gamma * (nu - 1.0 / nu) + p.beta * k * k * nu * (sym._value(k, 0) - sym.m_even(k * nu))
     )
 
 

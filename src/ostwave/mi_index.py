@@ -120,8 +120,8 @@ def _pencil(wave: StokesWave, a: float, xi: float):
     beta, gamma = p.beta, p.gamma
     # np.float_power rounds as the scalar `**` did, for every element of an array
     k2, k3, k4 = k * k, np.float_power(k, 3), np.float_power(k, 4)
-    _, m1k, m2k = sym.jet(k, 2)
-    _, m1k2, m2k2 = sym.jet(2.0 * k, 2)
+    _, m1k, m2k = sym.jet_fn(k, 2)
+    _, m1k2, m2k2 = sym.jet_fn(2.0 * k, 2)
     aA = a * a * A2 * A2
 
     y1 = (
@@ -205,7 +205,7 @@ def detuning_ratio(wave: StokesWave, a: float, xi: float):
     """
     p = wave.params
     k = np.asarray(wave.k, dtype=float)
-    q0 = -2.0 * p.gamma + p.beta * np.float_power(k, 3) * wave.symbol.m1(k)
+    q0 = -2.0 * p.gamma + p.beta * np.float_power(k, 3) * wave.symbol._value(k, 1)
     scale = abs(xi) * np.abs(q0)
     detuning = a * a * k * k * np.abs(wave.A2)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -55,7 +55,7 @@ def harmonic_denominator(s: DispersionSymbol, p: ModelParams, k, n: int):
     if n < 2:
         raise ValueError("harmonic index n must be >= 2")
     k = _check_k(k)
-    out = p.gamma * (n * n - 1.0) + p.beta * n * n * k * k * (s.m(k) - s.m(n * k))
+    out = p.gamma * (n * n - 1.0) + p.beta * n * n * k * k * (s._value(k, 0) - s._value(n * k, 0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,16 +75,21 @@ def check_resonance(s: DispersionSymbol, p: ModelParams, k: float) -> list:
     return [n for n in (2, 3) if np.any(np.abs(harmonic_denominator(s, p, k, n)) < floor)]
 
 
+# the probe grid of the scans over k in (1e-2, 1e2), find_resonances' and
+# critical.kc_numeric's: built once, read-only
+_SCAN_GRID = np.geomspace(1e-2, 1e2, 400)
+_SCAN_GRID.setflags(write=False)
+
+
 def find_resonances(s: DispersionSymbol, p: ModelParams):
     """Scan k in (1e-2, 1e2) for resonant wavenumbers D_n(k) = 0, n = 2 and 3.
 
     Returns a sorted list of (k, n) pairs, one per sign change of D_n on a
     400-point log-spaced probe grid, refined with Brent's method.
     """
-    grid = np.geomspace(1e-2, 1e2, 400)
     found = []
     for n in (2, 3):
-        found.extend((k, n) for k in scan(lambda k: harmonic_denominator(s, p, k, n), grid))
+        found.extend((k, n) for k in scan(lambda k: harmonic_denominator(s, p, k, n), _SCAN_GRID))
     return sorted(found)
 
 
@@ -219,7 +224,7 @@ def residual_norm(wave: StokesWave, a: float) -> float:
     total = 2.0 * np.pi * r0 * r0
     for j in range(1, 2 * n + 1):
         wj = w[j] if j <= n else 0.0
-        lin = (j * j * k * k * (c - p.beta * s.m(j * k)) - p.gamma) * wj
+        lin = (j * j * k * k * (c - p.beta * s._value(j * k, 0)) - p.gamma) * wj
         quad = j * j * k * k * (2.0 * sq[mid + j])
         r = lin - quad
         total += np.pi * r * r

@@ -33,6 +33,15 @@ nothing past ``order``.  ``m``, ``m1`` and ``m2`` are views of it, each
 value the same float whichever orders are asked for with it.  All accept
 scalars or numpy arrays of k >= 0 and are extended evenly through
 ``m_even`` for callers that need signed frequencies.
+
+k is checked once per public call: by the accessors (``m``, ``m1``,
+``m2``, ``jet``) for k >= 0, and by the kinematics (``phase_velocity``,
+``group_velocity``, ``group_velocity_derivative`` and
+``stokes.harmonic_denominator``) for positive and finite k, which then
+evaluate the unchecked jet directly.  ilw and whitham form their Taylor
+series, and the branch between series and closed form, only where some
+k of the call is below the cutoff 1e-2; otherwise the closed form runs
+alone, giving the same floats.
 """
 
 from __future__ import annotations
@@ -102,8 +111,9 @@ class DispersionSymbol:
     validates the sign of k and serves callers that need several orders
     at one k; ``m``, ``m1`` and ``m2`` are its single-order views, and
     ``m_even``, ``m1_odd`` and ``m2_even`` evaluate the even extension at
-    frequencies of any sign (m even, m' odd, m'' even).  ``power_law``
-    is (c, d) for a symbol m = 1 - c k^d, else None.
+    frequencies of any sign (m even, m' odd, m'' even).  ``jet_fn`` and
+    ``_value`` check nothing: callers that have checked k use them.
+    ``power_law`` is (c, d) for a symbol m = 1 - c k^d, else None.
     """
 
     name: str
@@ -175,53 +185,69 @@ def _power_law(c, d):
 #
 # ilw and whitham are 0/0 at k = 0 and lose digits shortly above it, so
 # below _SERIES_CUTOFF each order takes its Taylor series.  The closed form
-# is evaluated at x, which is k off the series branch and 1 on it, to
-# dodge 0/0 warnings.
+# is evaluated at x, which is k where no k is below the cutoff; otherwise
+# x is 1 on the series branch, to dodge 0/0 warnings, and only then are the
+# series formed and spliced in.
+
+
+def _series_x(k):
+    """The mask of k below _SERIES_CUTOFF (None if no k is) and the x the closed form takes."""
+    small = np.less(k, _SERIES_CUTOFF)
+    if not (small.any() if small.ndim else small):  # a scalar's test as a bool: .any() costs more
+        return None, k
+    return small, np.where(small, 1.0, k)
+
+
+def _splice(small, k, closed, series):
+    """The closed-form orders, each replaced by its Taylor series in (k, k^2) where small."""
+    if small is None:
+        return tuple(closed)
+    k2 = k * k
+    return tuple([np.where(small, f(k, k2), v) for f, v in zip(series, closed)])
+
+
+_ILW_SERIES = (
+    lambda k, k2: 1.0 + k2 / 3.0 - k2 * k2 / 45.0 + 2.0 * k2 * k2 * k2 / 945.0,
+    lambda k, k2: 2.0 * k / 3.0 - 4.0 * k * k2 / 45.0 + 4.0 * k * k2 * k2 / 315.0,
+    lambda k, k2: 2.0 / 3.0 - 4.0 * k2 / 15.0 + 4.0 * k2 * k2 / 63.0,
+)
+
+_WHITHAM_SERIES = (
+    lambda k, k2: 1.0 - k2 / 6.0 + 19.0 * k2 * k2 / 360.0 - 55.0 * k2 * k2 * k2 / 3024.0,
+    lambda k, k2: -k / 3.0 + 19.0 * k * k2 / 90.0 - 55.0 * k * k2 * k2 / 504.0,
+    lambda k, k2: -1.0 / 3.0 + 19.0 * k2 / 30.0 - 275.0 * k2 * k2 / 504.0,
+)
 
 
 def _ilw_jet(k, order):
-    small = k < _SERIES_CUTOFF
-    k2 = k * k
-    x = np.where(small, 1.0, k)
+    small, x = _series_x(k)
     t = np.tanh(x)
     x_t = x / t
-    m = np.where(small, 1.0 + k2 / 3.0 - k2 * k2 / 45.0 + 2.0 * k2 * k2 * k2 / 945.0, x_t)
-    if order == 0:
-        return (m,)
-    csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
-    m1 = np.where(
-        small,
-        2.0 * k / 3.0 - 4.0 * k * k2 / 45.0 + 4.0 * k * k2 * k2 / 315.0,
-        1.0 / t - x * csch2,
-    )
-    if order == 1:
-        return m, m1
-    series2 = 2.0 / 3.0 - 4.0 * k2 / 15.0 + 4.0 * k2 * k2 / 63.0
-    return m, m1, np.where(small, series2, 2.0 * csch2 * (x_t - 1.0))
+    jet = [x_t]
+    if order > 0:
+        csch2 = np.float_power(2.0 * np.exp(-x) / (1.0 - np.exp(-2.0 * x)), 2)
+        jet.append(1.0 / t - x * csch2)
+        if order > 1:
+            jet.append(2.0 * csch2 * (x_t - 1.0))
+    return _splice(small, k, jet, _ILW_SERIES)
 
 
 def _whitham_jet(k, order):
     # m = sqrt(g) with g = tanh(x) / x
-    small = k < _SERIES_CUTOFF
-    k2 = k * k
-    x = np.where(small, 1.0, k)
+    small, x = _series_x(k)
     t = np.tanh(x)
     g = t / x
     root = np.sqrt(g)
-    series0 = 1.0 - k2 / 6.0 + 19.0 * k2 * k2 / 360.0 - 55.0 * k2 * k2 * k2 / 3024.0
-    m = np.where(small, series0, root)
-    if order == 0:
-        return (m,)
-    sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
-    xx = x * x
-    g1 = sech2 / x - t / xx
-    series1 = -k / 3.0 + 19.0 * k * k2 / 90.0 - 55.0 * k * k2 * k2 / 504.0
-    m1 = np.where(small, series1, g1 / (2.0 * root))
-    if order == 1:
-        return m, m1
-    g2 = -2.0 * sech2 * t / x - 2.0 * sech2 / xx + 2.0 * t / (xx * x)
-    series2 = -1.0 / 3.0 + 19.0 * k2 / 30.0 - 275.0 * k2 * k2 / 504.0
-    return m, m1, np.where(small, series2, g2 / (2.0 * root) - g1 * g1 / (4.0 * np.float_power(g, 1.5)))
+    jet = [root]
+    if order > 0:
+        sech2 = np.float_power(2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)), 2)
+        xx = x * x
+        g1 = sech2 / x - t / xx
+        jet.append(g1 / (2.0 * root))
+        if order > 1:
+            g2 = -2.0 * sech2 * t / x - 2.0 * sech2 / xx + 2.0 * t / (xx * x)
+            jet.append(g2 / (2.0 * root) - g1 * g1 / (4.0 * np.float_power(g, 1.5)))
+    return _splice(small, k, jet, _WHITHAM_SERIES)
 
 
 def _whitham_st(T):
@@ -305,7 +331,11 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         except KeyError as exc:
             raise ValueError("custom symbol requires callables m, m1, m2") from exc
         alpha = float(params.get("growth_exponent", 0.0))
-        return DispersionSymbol("custom", params, alpha, lambda k, order: [f(k) for f in fns[: order + 1]])
+
+        def jet(k, order):  # the callables see a float array whether or not the caller checked k
+            return [f(np.asarray(k, dtype=float)) for f in fns[: order + 1]]
+
+        return DispersionSymbol("custom", params, alpha, jet)
     values = {}
     for key in keys:
         default, bound, allowed = _PARAMS[key]
@@ -384,6 +414,15 @@ class HypothesisReport:
         return min(self.h3_violations.values()) if self.h3_violations else None
 
 
+# check_hypotheses' fixed grids, built once and read-only: the upper half (k >= 50)
+# of the 400-point linear grid on (0, 100], and the harmonic scan
+_H2_TAIL = np.linspace(0.25, 100.0, 400)
+_H2_TAIL = _H2_TAIL[_H2_TAIL >= 50.0]
+_H3_SCAN = np.geomspace(1e-3, 100.0, 1600)
+_H2_TAIL.setflags(write=False)
+_H3_SCAN.setflags(write=False)
+
+
 def check_hypotheses(s: DispersionSymbol) -> HypothesisReport:
     """Scan a symbol for normalization, tail growth, and harmonic collisions.
 
@@ -395,8 +434,7 @@ def check_hypotheses(s: DispersionSymbol) -> HypothesisReport:
     """
     h1_ok = abs(s.m(1e-12) - 1.0) <= 1e-5 and s.m_even(-1.0) == s.m_even(1.0)
 
-    grid = np.linspace(0.25, 100.0, 400)
-    tail = grid[grid >= 50.0]
+    tail = _H2_TAIL
     vals = np.abs(s.m(tail))
     mask = vals > 1e-12
     alpha = s.growth_exponent
@@ -408,10 +446,9 @@ def check_hypotheses(s: DispersionSymbol) -> HypothesisReport:
         slope, c1, c2 = math.nan, math.nan, math.nan
     h2_ok = bool(abs(slope - alpha) <= 0.05)
 
-    kscan = np.geomspace(1e-3, 100.0, 1600)
     violations = {}
     for n in (2, 3):
-        kc = next(scan(lambda k: s.m(k) - s.m(n * k), kscan), None)
+        kc = next(scan(lambda k: s.m(k) - s.m(n * k), _H3_SCAN), None)
         if kc is not None:
             violations[n] = kc
 
@@ -445,14 +482,14 @@ def _check_k(k):
 def phase_velocity(s: DispersionSymbol, p: ModelParams, k):
     """c_p(k) = beta m(k) + gamma / k^2 for k > 0."""
     arr = _check_k(k)
-    out = p.beta * s.m(arr) + p.gamma / (arr * arr)
+    out = p.beta * s._value(arr, 0) + p.gamma / (arr * arr)
     return float(out) if out.ndim == 0 else out
 
 
 def group_velocity(s: DispersionSymbol, p: ModelParams, k):
     """c_g(k) = beta (m(k) + k m'(k)) - gamma / k^2 for k > 0."""
     arr = _check_k(k)
-    m, m1 = s.jet(arr, 1)
+    m, m1 = s.jet_fn(arr, 1)
     out = p.beta * (m + arr * m1) - p.gamma / (arr * arr)
     return float(out) if out.ndim == 0 else out
 
@@ -472,7 +509,7 @@ class GroupVelocitySlope(NamedTuple):
 def group_velocity_derivative(s: DispersionSymbol, p: ModelParams, k) -> GroupVelocitySlope:
     """Slope of the group velocity, dc_g/dk, for k > 0."""
     arr = _check_k(k)
-    _, m1, m2 = s.jet(arr, 2)
+    _, m1, m2 = s.jet_fn(arr, 2)
     k3 = arr ** 3
     numerator = 2.0 * p.gamma + p.beta * k3 * (arr * m2 + 2.0 * m1)
     value = numerator / k3

@@ -181,25 +181,38 @@ def test_nan_index_at_finite_k_exits_2(capsys):
     assert "NaN" in err
 
 
+OVERFLOW_CALLS = [
+    ["index", *KDV, "--k", "1e77"],
+    ["index", *KDV, "--k", "1e-160"],
+    ["stokes", *KDV, "--k", "1e200"],
+    ["spectrum", *KDV, "--k", "1e100"],
+    ["spectrum", *KDV, "--k", "1e-160"],
+    ["kc", "--symbol", "kdv", "--beta", "1e-300", "--gamma", "1e300"],
+]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning",
                             "ignore:divide by zero:RuntimeWarning")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["index", *KDV, "--k", "1e77"],
-        ["index", *KDV, "--k", "1e-160"],
-        ["stokes", *KDV, "--k", "1e200"],
-        ["spectrum", *KDV, "--k", "1e100"],
-        ["spectrum", *KDV, "--k", "1e-160"],
-        ["kc", "--symbol", "kdv", "--beta", "1e-300", "--gamma", "1e300"],
-    ],
-)
+@pytest.mark.parametrize("argv", OVERFLOW_CALLS)
 def test_overflow_at_finite_input_exits_2(capsys, argv):
     # finite inputs whose arithmetic overflows print nothing, rather than inf, NaN or a verdict read off them
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert "finite" in err or "kc=inf" in err
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_CALLS)
+def test_overflow_refusal_is_one_stderr_line(argv):
+    # main runs the subcommand with numpy's floating-point warnings off: with every warning
+    # shown (-W default), the refusal is still the whole of stderr
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ostwave.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("usage error: ")
 
 
 def test_alpha_exclusive_with_beta(capsys):

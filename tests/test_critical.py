@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import ostwave as ow
 from ostwave import critical as cr
-from ostwave import floquet_hill, mi_index, roots, stokes
+from ostwave import floquet_hill, mi_index, roots, stokes, symbols
+
+from conftest import draw_model
 
 P11 = ow.ModelParams(beta=1.0, gamma=1.0)
 PN1 = ow.ModelParams(beta=-1.0, gamma=1.0)
@@ -195,6 +198,32 @@ def test_numeric_no_root_raises():
     # kc = (gamma/3)^(1/4), about 240, lies outside the scanned (0.01, 100)
     with pytest.raises(ow.NoRootError, match=r"in \(0\.01, 100\)"):
         cr.kc_numeric(ow.make_symbol("kdv"), ow.ModelParams(beta=1.0, gamma=1e10))
+
+
+def test_second_harmonic_resonances_are_the_phase_velocity_coincidences():
+    # f1's numerator is D_2, so the n = 2 resonances and the phase-velocity
+    # coincidences are one scan of one function: the same grid and xtol, the same floats
+    rng = np.random.default_rng(31)
+    for _ in range(180):
+        s, p, _ = draw_model(rng)
+        resonant = [k for k, n in stokes.find_resonances(s, p) if n == 2]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # ilw/whitham models with several roots
+                found = cr.kc_numeric(s, p)
+        except ow.NoRootError:
+            found = []
+        assert [r.kc for r in found if r.mechanism == "phase_velocity_coincidence"] == resonant
+
+
+def test_scan_grid_is_one_read_only_array():
+    # kc_numeric and find_resonances probe the one grid built at import, which no caller can change
+    grid = stokes._SCAN_GRID
+    assert grid.tobytes() == np.geomspace(1e-2, 1e2, 400).tobytes()
+    for fixed in (grid, symbols._H2_TAIL, symbols._H3_SCAN):
+        assert not fixed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fixed[0] = 1.0
 
 
 def test_closed_form_sign_change():

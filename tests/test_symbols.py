@@ -215,6 +215,68 @@ def test_jet_refuses_negative_k_and_bad_order():
             s.jet(0.5, order)
 
 
+# k lists wholly below, wholly above and straddling the ilw/whitham series cutoff, in any order
+_BELOW, _ABOVE = st.floats(0.0, _CUT, exclude_max=True), st.floats(_CUT, 60.0)
+_K_SIDES = st.one_of(
+    st.lists(_BELOW, min_size=1, max_size=12),
+    st.lists(_ABOVE, min_size=1, max_size=12),
+    st.tuples(st.lists(_BELOW, min_size=1, max_size=6), st.lists(_ABOVE, min_size=1, max_size=6))
+    .map(lambda sides: sides[0] + sides[1])
+    .flatmap(st.permutations),
+)
+_SERIES_SYMBOLS = ("ilw", "whitham", "whitham_st", "whitham_st_lattice")
+_SERIES_KINEMATICS = (
+    ow.phase_velocity,
+    lambda s, p, k: tuple(ow.group_velocity_derivative(s, p, k)),
+    lambda s, p, k: (ow.harmonic_denominator(s, p, k, 2), ow.harmonic_denominator(s, p, k, 3)),
+)
+
+
+def _parts(x):
+    return [np.asarray(v) for v in (x if isinstance(x, tuple) else (x,))]
+
+
+def _each_k_alone(f, ks):
+    # f over ks at once, 1-D and as a row, gives each k the bits f gives it alone (0-d)
+    alone = [_parts(f(np.array(k))) for k in ks]
+    for k in (ks, ks[None, :]):
+        for j, part in enumerate(_parts(f(k))):
+            for i, one in enumerate(alone):
+                assert part[..., i].ravel().tobytes() == one[j].ravel().tobytes()
+
+
+@pytest.mark.parametrize("name", _SERIES_SYMBOLS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ks=_K_SIDES)
+def test_series_branch_leaves_each_k_its_bits(name, ks):
+    # the series are formed only when some k is below the cutoff, yet each k gives the
+    # bits it gives alone, whichever side the others lie on: at every order and through
+    # the kinematics, for 0-d, 1-D and 2-D k (a row against the lattice's column of T)
+    s = _JET_SYMBOLS[name]
+    p = ow.ModelParams(beta=-1.0, gamma=0.3)
+    arr = np.array(ks)
+    with np.errstate(divide="ignore", over="ignore"):
+        for order in (0, 1, 2):
+            _each_k_alone(lambda k: s.jet(k, order), arr)
+            for k in ks:  # a float is the same 0-d k
+                assert [_bits(v) for v in s.jet(k, order)] == [_bits(v) for v in s.jet(np.array(k), order)]
+        for fn in _SERIES_KINEMATICS:
+            _each_k_alone(lambda k: fn(s, p, k), arr[arr > 0])
+
+
+@pytest.mark.parametrize("name", _SERIES_SYMBOLS)
+def test_public_accessors_refuse_negative_k(name):
+    # the accessors check k once per call, with the messages they always gave
+    s = _JET_SYMBOLS[name]
+    for k in (-1.0, np.array([0.5, -1e-300]), np.array([[2.0, -3.0]])):
+        for ev in (s.m, s.m1, s.m2, lambda k: s.jet(k, 0), lambda k: s.jet(k, 2)):
+            with pytest.raises(ValueError, match="^symbol evaluation requires k >= 0; use m_even for signed k$"):
+                ev(k)
+        for fn in _SERIES_KINEMATICS:
+            with pytest.raises(ValueError, match="^wavenumber k must be positive and finite$"):
+                fn(s, P11, k)
+
+
 @pytest.mark.parametrize("name,params", ALL_BUILTINS)
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(ks=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=24))
