@@ -18,13 +18,15 @@ where two zero loci meet: T_s where the f1 and f2 loci cross, T_c where
 a pair of critical wavenumbers merges (three become one), the fold where
 the owner's numerator F and dF/dk vanish.  ``_lattice_crossing`` finds
 both by a 2x2 Newton solve in (k, T) seeded where both residuals change
-sign on a lattice: ``diagram``'s for T_s, the two rows that bracket T_c
-for ``tc_of_alpha``.  ``spot_check`` re-validates random cells
-against the independent spectral oracle: it screens cells in batches,
-each eligibility test one array evaluation over a batch (the expansion
-``stokes._stokes``, the pencil growth, the detuning ratio and the
-unperturbed eigenvalues), and solves only its picks, all of them as one
-batch wave in one ``floquet_hill.spectrum`` call.
+sign on a lattice: ``diagram``'s for T_s, and for ``tc_of_alpha`` the two
+rows that bracket T_c against ``kc_numeric``'s probe grid in k, so T_c's
+bracket is read off the grid that counts the critical wavenumbers.
+``spot_check`` re-validates random cells against the independent
+spectral oracle: it screens cells in batches, each eligibility test one
+array evaluation over a batch (the expansion ``stokes._stokes``, the
+pencil growth, the detuning ratio and the unperturbed eigenvalues), and
+solves only its picks, all of them as one batch wave in one
+``floquet_hill.spectrum`` call.
 """
 
 from __future__ import annotations
@@ -151,11 +153,6 @@ def _numerators(s: DispersionSymbol, p: ModelParams) -> tuple:
     )
 
 
-# Roots are found through this module's ``brentq`` name, which benchmark/tracer.py
-# wraps to count them.  The tracer binds ``minimize_scalar`` here too, which no
-# code in this module calls, so that import stays until the tracer drops it.
-
-
 def _finite_ends(vals) -> np.ndarray:
     """Grid values, checked finite at both ends of the last axis."""
     vals = np.asarray(vals, dtype=float)
@@ -164,15 +161,16 @@ def _finite_ends(vals) -> np.ndarray:
     return vals
 
 
-def _scan_roots(f, grid):
-    """The roots of f on the grid, ascending and refined as they are consumed."""
-    return roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq)
+# Roots are found through this module's ``brentq`` name, which benchmark/tracer.py
+# wraps to count them.  The tracer binds ``minimize_scalar`` here too, which no
+# code in this module calls, so that import stays until the tracer drops it.
 
 
 def _critical_roots(s: DispersionSymbol, p: ModelParams, grid) -> list:
     """Ascending (root, mechanism) pairs of both factor numerators on a probe grid."""
-    mechanisms = ("phase_velocity_coincidence", "group_velocity_extremum")
-    pairs = [(root, mech) for mech, f in zip(mechanisms, _numerators(s, p)) for root in _scan_roots(f, grid)]
+    pairs = []
+    for mech, f in zip(("phase_velocity_coincidence", "group_velocity_extremum"), _numerators(s, p)):
+        pairs.extend((root, mech) for root in roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq))
     return sorted(pairs, key=lambda pair: pair[0])
 
 
@@ -302,10 +300,9 @@ def _lattice_crossing(jet, ks, Ts, a, b):
     return None
 
 
-# the fold's seed lattice: T rows geometric over the bracket, so that thresholds
-# near T = 0.01 get rows of their own, against the 600-point k grid
+# the fold's seed rows: geometric over the bracket, so that thresholds near
+# T = 0.01 get rows of their own, against kc_numeric's probe grid in k
 _TC_ROWS = np.geomspace(0.01, 0.9, 20)
-_TC_K = np.geomspace(1e-2, 1e2, 600)
 
 
 def tc_of_alpha(variant: str, alpha: float) -> float:
@@ -316,7 +313,8 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
     pair exists while the owner's numerator F(k, T) dips below zero on k
     in [1e-2, 1e2]; T_c is the fold where the pair merges, where the
     loci F = 0 and dF/dk = 0 meet.  One lattice evaluation of F, on 20
-    geometric T rows in [0.01, 0.9] against a 600-point log k grid,
+    geometric T rows in [0.01, 0.9] against the 400-point log k probe
+    grid that ``kc_numeric`` counts roots on (``stokes._SCAN_GRID``),
     brackets it between the first two rows whose minima over k change
     sign, and ``_lattice_crossing`` seeds the fold solve from F and its
     slope along k on those two rows.  Each Newton step takes F's
@@ -345,7 +343,7 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
         raise ValueError(f"unsupported variant {variant!r}")
 
     owner = 1 if alpha > 0 else 0  # position in _numerators: f2 for alpha > 0, else f1
-    vals = _numerators(make_symbol("whitham_st", {"T": _TC_ROWS[:, None]}), p)[owner](_TC_K)
+    vals = _numerators(make_symbol("whitham_st", {"T": _TC_ROWS[:, None]}), p)[owner](_SCAN_GRID)
     low = vals.min(axis=1)
     if not low[0] < 0 < low[-1]:
         raise BracketError(
@@ -366,7 +364,7 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
         return F[1][1], Fk, Fk, FT, Fkk, FkT
 
     # the slope per grid step is k dF/dk times a constant on the log grid: dF/dk's zero locus, at half the cost
-    tc = _lattice_crossing(jet, _TC_K, _TC_ROWS[j : j + 2], vals[j : j + 2], np.gradient(vals[j : j + 2], axis=1))
+    tc = _lattice_crossing(jet, _SCAN_GRID, _TC_ROWS[j : j + 2], vals[j : j + 2], np.gradient(vals[j : j + 2], axis=1))
     if tc is None:
         raise InconclusiveError(f"the fold solve for T_c did not converge between its seed rows for alpha={alpha}")
     return tc

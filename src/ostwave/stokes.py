@@ -75,8 +75,9 @@ def check_resonance(s: DispersionSymbol, p: ModelParams, k: float) -> list:
     return [n for n in (2, 3) if np.any(np.abs(harmonic_denominator(s, p, k, n)) < floor)]
 
 
-# the probe grid of the scans over k in (1e-2, 1e2), find_resonances' and
-# critical.kc_numeric's: built once, read-only
+# the probe grid of the scans over k in (1e-2, 1e2), find_resonances',
+# critical.kc_numeric's and the k axis of critical.tc_of_alpha's seed
+# lattice: built once, read-only
 _SCAN_GRID = np.geomspace(1e-2, 1e2, 400)
 _SCAN_GRID.setflags(write=False)
 

@@ -95,8 +95,8 @@ class ModelParams:
 
 def _as_nonnegative(k):
     arr = np.asarray(k, dtype=float)
-    # a 0-d array is tested as a float: np.any costs more than evaluating m
-    if float(arr) < 0 if arr.ndim == 0 else (arr < 0).any():
+    # a 0-d array is tested as a float: np.all costs more than evaluating m; NaN fails k >= 0
+    if not (float(arr) >= 0 if arr.ndim == 0 else (arr >= 0).all()):
         raise ValueError("symbol evaluation requires k >= 0; use m_even for signed k")
     return arr
 
@@ -326,10 +326,9 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         unknown = ", ".join(sorted(params.keys() - keys))
         raise ValueError(f"{name} takes {', '.join(keys) or 'no parameters'}, not {unknown}")
     if name == "custom":
-        try:
-            fns = (params["m"], params["m1"], params["m2"])
-        except KeyError as exc:
-            raise ValueError("custom symbol requires callables m, m1, m2") from exc
+        fns = (params.get("m"), params.get("m1"), params.get("m2"))
+        if not all(map(callable, fns)):
+            raise ValueError("custom symbol requires callables m, m1, m2")
         alpha = float(params.get("growth_exponent", 0.0))
 
         def jet(k, order):  # the callables see a float array whether or not the caller checked k

@@ -172,6 +172,15 @@ def test_symbol_parameter_the_family_does_not_take_exits_2(capsys, spec, message
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [["kc"], ["symbols"], ["index", "--k", "1"]])
+def test_custom_symbol_of_numbers_exits_2(capsys, argv):
+    # a custom symbol's m, m1, m2 must be callables, which no --symbol spec can give
+    code, out, err = run_cli(capsys, [*argv, "--symbol", "custom:m=1,m1=2,m2=3", "--beta", "1", "--gamma", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["usage error: custom symbol requires callables m, m1, m2"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_nan_index_at_finite_k_exits_2(capsys):
     # k^2 overflows, so c_p(k) - c_p(2k) is inf - inf

@@ -226,6 +226,16 @@ def test_scan_grid_is_one_read_only_array():
             fixed[0] = 1.0
 
 
+def test_non_finite_scan_end_raises():
+    # a symbol that is non-finite at the scan's last point k = 100 has no bracket to trust there
+    def m(k):
+        return np.where(k < 99.0, 1.0 - k * k, np.inf)
+
+    s = ow.make_symbol("custom", {"m": m, "m1": lambda k: -2.0 * k, "m2": lambda k: -2.0})
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="bracket endpoints evaluate non-finite"):
+        cr.kc_numeric(s, P11)
+
+
 def test_closed_form_sign_change():
     for model, p, extra in [
         ("kdv", P11, None),
@@ -413,6 +423,20 @@ def test_tc_refuses_an_unverified_fold(monkeypatch):
             cr.tc_of_alpha("whitham_st", 0.1)
 
 
+@pytest.mark.parametrize(
+    "jet, steps",
+    [
+        ((lambda k, T: (k + 5.0, T - 1.0, 1.0, 0.0, 0.0, 1.0)), 1),  # the first step lands at k = -5
+        ((lambda k, T: (k - 1.0, T - 1.0, 0.0, 0.0, 0.0, 0.0)), 1),  # a singular Jacobian
+        ((lambda k, T: (k - 1.0, T, 1.0, 0.0, 0.0, 2.0)), 20),  # T halves each step: 20 steps, no convergence
+    ],
+)
+def test_newton_gives_up(jet, steps):
+    calls = []
+    assert cr._newton_kT(lambda k, T: calls.append(1) or jet(k, T), 1.0, 0.5) is None
+    assert len(calls) == steps
+
+
 def test_tc_brackets_the_owner_minimum_sign_change():
     # either no threshold in the T bracket, or T_c sits where the owner's minimum over k changes
     # sign; the minimum is zoomed in on, since the bare grid's is 2.5e-6 high at alpha = 0.005
@@ -428,6 +452,19 @@ def test_tc_brackets_the_owner_minimum_sign_change():
         for T, sign in ((tc - 1e-6, -1), (tc + 1e-6, 1)):
             low = roots.minimize_scalar(cr._numerators(ow.make_symbol("whitham_st", {"T": T}), p)[owner], k_grid)
             assert sign * low > 0, (alpha, T, low)
+
+
+def test_kc_numeric_loses_the_owner_pair_at_tc():
+    # T_c is where the count of critical wavenumbers drops from three to one: just below it
+    # kc_numeric finds the owner mechanism's pair, just above it none of the owner's roots
+    alphas = (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.5, -0.5)
+    for alpha in alphas:
+        tc, p = cr.tc_of_alpha("whitham_st", alpha), cr.params_from_alpha(alpha)
+        owner = "group_velocity_extremum" if alpha > 0 else "phase_velocity_coincidence"
+        for T, n_owner, n_all in ((tc - 1e-3, 2, 3), (tc + 1e-3, 0, 1)):
+            found = cr.kc_numeric(ow.make_symbol("whitham_st", {"T": T}), p)
+            assert [r.mechanism for r in found].count(owner) == n_owner, (alpha, T, found)
+            assert len(found) == n_all, (alpha, T, found)
 
 
 def test_tc_without_threshold_raises_bracket_error():

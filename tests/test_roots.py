@@ -221,6 +221,12 @@ def test_minimize_scalar_finds_interior_minimum():
     assert roots.minimize_scalar(lambda x: x, np.linspace(1.0, 2.0, 5)) == 1.0
 
 
+def test_minimize_scalar_on_one_point_has_nothing_to_zoom():
+    calls = []
+    assert roots.minimize_scalar(lambda x: calls.append(x) or 3.0 * x, [2.0]) == 6.0
+    assert len(calls) == 1
+
+
 def _random_masks(rng):
     for shape in ((1, 40), (40, 1), (1, 1), (17, 23), (50, 50), (100, 100)):
         for density in (0.0, 0.3, 0.5, 0.6, 1.0):

@@ -268,7 +268,7 @@ def test_series_branch_leaves_each_k_its_bits(name, ks):
 def test_public_accessors_refuse_negative_k(name):
     # the accessors check k once per call, with the messages they always gave
     s = _JET_SYMBOLS[name]
-    for k in (-1.0, np.array([0.5, -1e-300]), np.array([[2.0, -3.0]])):
+    for k in (-1.0, np.array([0.5, -1e-300]), np.array([[2.0, -3.0]]), math.nan, np.array([0.5, np.nan])):
         for ev in (s.m, s.m1, s.m2, lambda k: s.jet(k, 0), lambda k: s.jet(k, 2)):
             with pytest.raises(ValueError, match="^symbol evaluation requires k >= 0; use m_even for signed k$"):
                 ev(k)
@@ -385,6 +385,14 @@ def test_monotonicity_hypothesis_fails_where_expected():
     rep = symbols.check_hypotheses(ow.make_symbol("kdv_st", {"T": 1.0 / 3.0}))
     assert rep.alpha == 0.0
     assert not rep.h3_ok
+
+
+def test_tail_fit_needs_eight_nonzero_values():
+    # exp(-k) is below 1e-12 on the whole fitted tail k in [50, 100]: no fit, so no growth verdict
+    s = ow.make_symbol("custom", {"m": lambda k: np.exp(-k), "m1": lambda k: -np.exp(-k), "m2": lambda k: np.exp(-k)})
+    rep = symbols.check_hypotheses(s)
+    assert not rep.h2_ok
+    assert math.isnan(rep.alpha_fit) and math.isnan(rep.c1) and math.isnan(rep.c2)
 
 
 def test_hypothesis_report_records_fit_constants():
@@ -504,6 +512,11 @@ def test_power_law_declarations():
 def test_custom_symbol_requires_all_derivatives():
     with pytest.raises(ValueError):
         ow.make_symbol("custom", {"m": lambda k: 1.0})
+    # numbers where callables belong are refused when the symbol is built, not at its first evaluation
+    with pytest.raises(ValueError, match="^custom symbol requires callables m, m1, m2$"):
+        ow.make_symbol("custom", {"m": 1.0, "m1": 2.0, "m2": 3.0})
+    with pytest.raises(ValueError, match="^custom symbol requires callables m, m1, m2$"):
+        ow.make_symbol("custom", {"m": lambda k: 1.0, "m1": lambda k: 0.0, "m2": 0.0})
     s = ow.make_symbol(
         "custom",
         {
