@@ -17,9 +17,10 @@ the zero-locus points of each factor in one lockstep solve
 where two zero loci meet: T_s where the f1 and f2 loci cross, T_c where
 a pair of critical wavenumbers merges (three become one), the fold where
 the owner's numerator F and dF/dk vanish.  ``_lattice_crossing`` finds
-both by a 2x2 Newton solve in (k, T) seeded where both residuals change
-sign on a lattice: ``diagram``'s for T_s, and for ``tc_of_alpha`` the two
-rows that bracket T_c against ``kc_numeric``'s probe grid in k, so T_c's
+both by a 2x2 Newton solve in (k, T) on the caller's residual pair, which
+it differentiates forward at sqrt(eps), seeded where both change sign on
+a lattice: ``diagram``'s for T_s, and for ``tc_of_alpha`` the two rows
+that bracket T_c against ``kc_numeric``'s probe grid in k, so T_c's
 bracket is read off the grid that counts the critical wavenumbers.
 ``spot_check`` re-validates random cells against the independent
 spectral oracle: it screens cells in batches, each eligibility test one
@@ -217,15 +218,12 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
     if not (0.0 < lo < hi < math.inf):
         raise ValueError("k_range must satisfy 0 < lo < hi < inf")
     zeros = [root for root, _ in _critical_roots(s, p, np.geomspace(lo, hi, 400))]
-    # collapse numerically coincident boundaries (curve intersections)
+    # collapse numerically coincident boundaries (curve intersections); a root at either end is no boundary
     bounds = [lo]
     for r in zeros:
-        if r - bounds[-1] > 1e-10 * (1.0 + r):
+        if r - bounds[-1] > 1e-10 * (1.0 + r) and hi - r > 1e-10 * (1.0 + hi):
             bounds.append(r)
-    if hi - bounds[-1] > 1e-10 * (1.0 + hi):
-        bounds.append(hi)
-    else:
-        bounds[-1] = hi
+    bounds.append(hi)
 
     codes = mi_index.index(s, p, np.sqrt(np.multiply(bounds[:-1], bounds[1:]))).classification
     intervals = []
@@ -243,21 +241,26 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
 
 
 _NEWTON_RTOL = 16.0 * float(np.finfo(float).eps)  # a T step this small has converged
+_NEWTON_H = math.sqrt(np.finfo(float).eps)  # the forward-difference step, relative to k and T
 
 
-def _newton_kT(jet, k: float, T: float):
+def _newton_kT(residuals, k: float, T: float):
     """Newton's method in (k, T) on a pair of residuals: their common root, or None.
 
-    ``jet(k, T)`` gives the residuals (f, g) and their Jacobian
-    (f_k, f_T, g_k, g_T).  It stops at a step of at most 16 ulps of T and
-    1e-9 of k (difference noise can hold k's steps near 1e-12; at a fold,
-    f_k = 0, T feels them squared).  None if an iterate leaves k, T > 0,
-    the Jacobian is singular, or 20 steps do not converge.
+    ``residuals(ks, Ts)`` gives the two residuals at the points (ks[i],
+    Ts[i]) as two arrays.  Each step calls it once, on (k, T), (k + hk, T)
+    and (k, T + hT), and differentiates forward: hk and hT are sqrt(eps)
+    of k and T.  It stops at a step of at most 16 ulps of T and 1e-9 of k
+    (difference noise can hold k's steps near 1e-12; at a fold, f_k = 0,
+    T feels them squared).  None if an iterate leaves k, T > 0, the
+    Jacobian is singular, or 20 steps do not converge.
     """
     for _ in range(20):
         if not (0 < k < math.inf and 0 < T < math.inf):
             return None
-        f, g, a, b, c, d = jet(k, T)
+        hk, hT = (k + _NEWTON_H * k) - k, (T + _NEWTON_H * T) - T
+        (f, fk, fT), (g, gk, gT) = (v.tolist() for v in residuals(np.array([k, k + hk, k]), np.array([T, T, T + hT])))
+        a, b, c, d = (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
         det = a * d - b * c
         if det == 0:
             return None
@@ -268,11 +271,11 @@ def _newton_kT(jet, k: float, T: float):
     return None
 
 
-def _lattice_crossing(jet, ks, Ts, a, b):
+def _lattice_crossing(residuals, ks, Ts, a, b):
     """T where the zero loci of residuals a and b meet, from their values on a lattice (rows Ts, columns ks).
 
     Each square of four neighbouring lattice points at whose corners both
-    change sign or vanish seeds ``_newton_kT`` on ``jet`` where the
+    change sign or vanish seeds ``_newton_kT`` on ``residuals`` where the
     least-squares planes through their corner values meet, clipped to the
     square, nearest that meeting point first (ties in lattice order).  The
     first converged root decides: its T if it lies inside the lattice,
@@ -294,7 +297,7 @@ def _lattice_crossing(jet, ks, Ts, a, b):
         seeds.append((math.hypot(x - x0, y - y0), n, x0, y0))
     for _, n, x, y in sorted(seeds):  # nearest first, ties in lattice order
         k, T = ks[i[n]] + x * (ks[i[n] + 1] - ks[i[n]]), Ts[j[n]] + y * (Ts[j[n] + 1] - Ts[j[n]])
-        hit = _newton_kT(jet, float(k), float(T))
+        hit = _newton_kT(residuals, float(k), float(T))
         if hit is not None:
             return hit[1] if ks[0] <= hit[0] <= ks[-1] and Ts[0] <= hit[1] <= Ts[-1] else None
     return None
@@ -317,10 +320,10 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
     grid that ``kc_numeric`` counts roots on (``stokes._SCAN_GRID``),
     brackets it between the first two rows whose minima over k change
     sign, and ``_lattice_crossing`` seeds the fold solve from F and its
-    slope along k on those two rows.  Each Newton step takes F's
-    derivatives from central differences on a 3x3 (k, T) stencil, in one
-    call, and the solve stops at a T step of 16 ulps: T_c is the fold to
-    rounding.
+    slope along k on those two rows.  The solve's residuals are F and its
+    central difference along k at a step of eps^(1/4) k, one 3x3 (k, T)
+    evaluation per Newton step, and it stops at a T step of 16 ulps: T_c
+    is the fold to rounding.
 
     ``kdv_st`` is handled in closed form: both formula branches blow up
     at T = 1/3 from either side, so the threshold is exactly 1/3 for any
@@ -350,21 +353,17 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
             f"pair-existence predicate does not straddle on T in (0.01, 0.9) for alpha={alpha}"
         ) from ValueError(f"owner minima {low[0]:.3g} at T=0.01 and {low[-1]:.3g} at T=0.9")
     j = int(np.argmax(low >= 0)) - 1  # the last row of the first sign change
-    stencil = np.array([-1.0, 0.0, 1.0])
     h = float(np.finfo(float).eps) ** 0.25
 
-    def jet(k, T):
-        hk, hT = (k + h * k) - k, (T + h * T) - T
-        s = make_symbol("whitham_st", {"T": T + hT * stencil[:, None]})
-        F = _numerators(s, p)[owner](k + hk * stencil).tolist()  # rows T, columns k
-        Fk = (F[1][2] - F[1][0]) / (2 * hk)
-        Fkk = (F[1][2] - 2 * F[1][1] + F[1][0]) / (hk * hk)
-        FT = (F[2][1] - F[0][1]) / (2 * hT)
-        FkT = (F[2][2] - F[2][0] - F[0][2] + F[0][0]) / (4 * hk * hT)
-        return F[1][1], Fk, Fk, FT, Fkk, FkT
+    def residuals(ks, Ts):  # F and its central k-difference, one step for all points: rows points, columns k
+        hk = (ks[0] + h * ks[0]) - ks[0]
+        F = _numerators(make_symbol("whitham_st", {"T": Ts[:, None]}), p)[owner](ks[:, None] + [-hk, 0.0, hk])
+        return F[:, 1], (F[:, 2] - F[:, 0]) / (2 * hk)
 
     # the slope per grid step is k dF/dk times a constant on the log grid: dF/dk's zero locus, at half the cost
-    tc = _lattice_crossing(jet, _SCAN_GRID, _TC_ROWS[j : j + 2], vals[j : j + 2], np.gradient(vals[j : j + 2], axis=1))
+    tc = _lattice_crossing(
+        residuals, _SCAN_GRID, _TC_ROWS[j : j + 2], vals[j : j + 2], np.gradient(vals[j : j + 2], axis=1)
+    )
     if tc is None:
         raise InconclusiveError(f"the fold solve for T_c did not converge between its seed rows for alpha={alpha}")
     return tc
@@ -457,8 +456,8 @@ def diagram(
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
-    if not (k_max > 0 and t_max > 0 and nk >= 2 and nt >= 2):
-        raise ValueError("extents must be positive and resolutions >= 2")
+    if not (0 < k_max < math.inf and 0 < t_max < math.inf and nk >= 2 and nt >= 2):
+        raise ValueError("extents must be positive and finite and resolutions >= 2")
     p = params_from_alpha(alpha)
     ks = (np.arange(nk) + 0.5) * (k_max / nk)
     Ts = (np.arange(nt) + 0.5) * (t_max / nt)
@@ -485,15 +484,10 @@ def diagram(
 
     t_s = None
     if s_family == "whitham_st" and alpha < 0:
-        h = math.sqrt(np.finfo(float).eps)
+        def residuals(k, T):  # both factor numerators at the points (k[i], T[i])
+            return [num(k) for num in _numerators(make_symbol(s_family, {"T": T}), p)]
 
-        def jet(k, T):  # each numerator at (k, T), (k + hk, T) and (k, T + hT) in one call: forward differences
-            hk, hT = (k + h * k) - k, (T + h * T) - T
-            nums = _numerators(make_symbol(s_family, {"T": np.array([T, T, T + hT])}), p)
-            (f, fk, fT), (g, gk, gT) = (num(np.array([k, k + hk, k])).tolist() for num in nums)
-            return f, g, (fk - f) / hk, (fT - f) / hT, (gk - g) / hk, (gT - g) / hT
-
-        t_s = _lattice_crossing(jet, ks, Ts, r.f1, r.f2)
+        t_s = _lattice_crossing(residuals, ks, Ts, r.f1, r.f2)
 
     return StabilityDiagram(
         family=s_family,

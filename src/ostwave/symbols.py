@@ -351,7 +351,7 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name} requires {key} a number or an array of numbers, got {value!r}") from exc
         if not allowed(lo, hi):
-            raise ValueError(f"{name} requires finite {key} {bound}, got {value}")
+            raise ValueError(f"{name} requires finite {key} {bound}, got {hi if allowed(lo, lo) else lo}")
         values[key] = value
     return DispersionSymbol(name, values, *build(**values))
 

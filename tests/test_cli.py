@@ -224,6 +224,20 @@ def test_overflow_refusal_is_one_stderr_line(argv):
     assert proc.stderr.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("nt", ["4", "1000"])
+def test_infinite_diagram_extent_is_one_stderr_line(tmp_path, nt):
+    # an infinite T extent is refused before a T row is built, so no row appears in the message
+    argv = ["diagram", "--symbol", "whitham_st", "--alpha", "0.1", "--t-max", "inf", "--nk", "4", "--nt", nt,
+            "--out", str(tmp_path / "refused.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ostwave.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["usage error: extents must be positive and finite and resolutions >= 2"]
+    assert not (tmp_path / "refused.csv").exists()
+
+
 def test_alpha_exclusive_with_beta(capsys):
     code, _, _ = run_cli(
         capsys,

@@ -303,6 +303,17 @@ def test_classify_intervals_merges_equal_labels_across_a_loci_crossing():
     assert ivs[0][0][1] == pytest.approx(0.88965, abs=1e-5)
 
 
+def test_classify_intervals_keeps_a_range_narrower_than_its_merge_tolerance():
+    # boundaries within 1e-10 (1 + hi) merge, but never the range's own two ends
+    s = ow.make_symbol("kdv")
+    kc = cr.kc_closed_form(s, P11).kc
+    for k_range in ((0.5, 0.5 + 1e-11), (kc - 1e-11, kc + 1e-11)):
+        ivs = cr.classify_intervals(s, P11, k_range)
+        want = ow.index(s, P11, math.sqrt(k_range[0] * k_range[1])).classification
+        assert ivs == [(k_range, {"stable": "S", "unstable": "U", "degenerate": "degenerate"}[want])]
+    assert cr.classify_intervals(s, P11, (0.5, 0.5 + 1e-9)) == [((0.5, 0.500000001), "S")]
+
+
 def test_classify_intervals_refuses_an_empty_range():
     for k_range in ((2.0, 2.0), (3.0, 1.0), (0.0, 1.0), (1.0, math.inf)):
         with pytest.raises(ValueError, match="0 < lo < hi"):
@@ -424,17 +435,34 @@ def test_tc_refuses_an_unverified_fold(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "jet, steps",
+    "residuals, steps",
     [
-        ((lambda k, T: (k + 5.0, T - 1.0, 1.0, 0.0, 0.0, 1.0)), 1),  # the first step lands at k = -5
-        ((lambda k, T: (k - 1.0, T - 1.0, 0.0, 0.0, 0.0, 0.0)), 1),  # a singular Jacobian
-        ((lambda k, T: (k - 1.0, T, 1.0, 0.0, 0.0, 2.0)), 20),  # T halves each step: 20 steps, no convergence
+        ((lambda ks, Ts: (ks + 5.0, Ts - 1.0)), 1),  # the first step lands at k = -5
+        ((lambda ks, Ts: (np.ones_like(ks), np.ones_like(Ts))), 1),  # constant residuals: a singular Jacobian
+        ((lambda ks, Ts: (ks - 1.0, Ts * Ts)), 20),  # T halves each step: 20 steps, no convergence
     ],
 )
-def test_newton_gives_up(jet, steps):
+def test_newton_gives_up(residuals, steps):
     calls = []
-    assert cr._newton_kT(lambda k, T: calls.append(1) or jet(k, T), 1.0, 0.5) is None
+    assert cr._newton_kT(lambda ks, Ts: calls.append(1) or residuals(ks, Ts), 1.0, 0.5) is None
     assert len(calls) == steps
+
+
+def test_newton_lands_on_a_known_root():
+    # k^2 = 2 and k T = 1: one residual call per step, on (k, T), (k + hk, T) and (k, T + hT)
+    calls = []
+
+    def residuals(ks, Ts):
+        calls.append((ks.tolist(), Ts.tolist()))
+        return ks * ks - 2.0, ks * Ts - 1.0
+
+    k, T = cr._newton_kT(residuals, 1.3, 0.8)
+    assert abs(k - math.sqrt(2.0)) <= 16 * math.ulp(math.sqrt(2.0))
+    assert abs(T - math.sqrt(0.5)) <= 16 * math.ulp(math.sqrt(0.5))
+    assert len(calls) == 5
+    for (k0, k1, k2), (T0, T1, T2) in calls:
+        assert k2 == k0 and 0 < k1 - k0 <= 2e-8 * k0
+        assert T1 == T0 and 0 < T2 - T0 <= 2e-8 * T0
 
 
 def test_tc_brackets_the_owner_minimum_sign_change():
@@ -520,6 +548,9 @@ def test_diagram_refusals():
         cr.diagram("kdv", 1.0, nk=4, nt=4)
     with pytest.raises(ValueError, match="resolutions >= 2"):
         cr.diagram("kdv_st", 1.0, nk=1, nt=4)
+    for k_max, t_max in ((math.inf, 0.8), (2.0, math.inf), (math.nan, 0.8), (2.0, math.nan), (-1.0, 0.8)):
+        with pytest.raises(ValueError, match="^extents must be positive and finite and resolutions >= 2$"):
+            cr.diagram("whitham_st", 0.1, k_max=k_max, t_max=t_max, nk=4, nt=4)
 
 
 def test_diagram_labels_match_index_at_cell_centers():

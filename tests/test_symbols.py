@@ -448,14 +448,16 @@ def test_make_symbol_refuses_non_finite_parameters(name, key, value):
     with pytest.raises(ValueError, match="finite"):
         ow.make_symbol(name, {key: value})
     if key == "T":
-        # one bad entry anywhere in a lattice column refuses the whole lattice
-        with pytest.raises(ValueError, match="finite"):
+        # one bad entry anywhere in a lattice column refuses the whole lattice, and the message names it
+        with pytest.raises(ValueError, match=f"^{name} requires finite T >= 0, got {value}$"):
             ow.make_symbol(name, {"T": np.array([[0.0], [0.2], [value], [0.5]])})
 
 
 def test_make_symbol_refuses_a_lattice_entry_out_of_range():
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ValueError, match="^kdv_st requires finite T >= 0, got -1e-300$"):
         ow.make_symbol("kdv_st", {"T": np.array([0.1, -1e-300, 0.3])})
+    with pytest.raises(ValueError, match="^fkdv requires finite delta > 1/2, got 0.25$"):
+        ow.make_symbol("fkdv", {"delta": [2.0, 0.25, 0.5]})
 
 
 @pytest.mark.parametrize("name", ["kdv_st", "whitham_st"])
