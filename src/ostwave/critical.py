@@ -33,7 +33,6 @@ solves only its picks, all of them as one batch wave in one
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +153,6 @@ def _numerators(s: DispersionSymbol, p: ModelParams) -> tuple:
     )
 
 
-def _finite_ends(vals) -> np.ndarray:
-    """Grid values, checked finite at both ends of the last axis."""
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals[..., [0, -1]])):
-        raise ValueError("bracket endpoints evaluate non-finite")
-    return vals
-
-
 # Roots are found through this module's ``brentq`` name, which benchmark/tracer.py
 # wraps to count them.  The tracer binds ``minimize_scalar`` here too, which no
 # code in this module calls, so that import stays until the tracer drops it.
@@ -171,7 +162,10 @@ def _critical_roots(s: DispersionSymbol, p: ModelParams, grid) -> list:
     """Ascending (root, mechanism) pairs of both factor numerators on a probe grid."""
     pairs = []
     for mech, f in zip(("phase_velocity_coincidence", "group_velocity_extremum"), _numerators(s, p)):
-        pairs.extend((root, mech) for root in roots.scan(f, grid, _finite_ends(f(grid)), solve=brentq))
+        vals = f(grid)
+        if not np.isfinite(vals[[0, -1]]).all():
+            raise ValueError("bracket endpoints evaluate non-finite")
+        pairs.extend((root, mech) for root in roots.scan(f, grid, vals, solve=brentq))
     return sorted(pairs, key=lambda pair: pair[0])
 
 
@@ -181,8 +175,7 @@ def kc_numeric(s: DispersionSymbol, p: ModelParams) -> list:
     Sign changes of each factor's numerator are located on a 400-point
     log-spaced probe grid over that range and refined with Brent's method
     to a tolerance of 1e-12 + 4 eps |k| in k (``roots.brentq``, xtol
-    1e-12).  Models whose critical wavenumber is claimed unique get a
-    diagnostic warning (not an error) if the scan disagrees.
+    1e-12).
 
     Raises
     ------
@@ -195,13 +188,8 @@ def kc_numeric(s: DispersionSymbol, p: ModelParams) -> list:
     pairs = _critical_roots(s, p, _SCAN_GRID)
     results = [CriticalResult(s.name, params, mech, root, "bisection") for root, mech in pairs]
     if not results:
-        raise NoRootError(f"no critical wavenumber of either mechanism in (0.01, 100) for {s.name}")
-    if s.name in ("ilw", "whitham") and len(results) > 1:
-        warnings.warn(
-            f"{s.name}: expected a unique critical wavenumber, found "
-            f"{[round(r.kc, 8) for r in results]}",
-            stacklevel=2,
-        )
+        lo, hi = _SCAN_GRID[0], _SCAN_GRID[-1]
+        raise NoRootError(f"no critical wavenumber of either mechanism in ({lo:g}, {hi:g}) for {s.name}")
     return results
 
 
@@ -349,9 +337,10 @@ def tc_of_alpha(variant: str, alpha: float) -> float:
     vals = _numerators(make_symbol("whitham_st", {"T": _TC_ROWS[:, None]}), p)[owner](_SCAN_GRID)
     low = vals.min(axis=1)
     if not low[0] < 0 < low[-1]:
+        lo, hi = _TC_ROWS[0], _TC_ROWS[-1]
         raise BracketError(
-            f"pair-existence predicate does not straddle on T in (0.01, 0.9) for alpha={alpha}"
-        ) from ValueError(f"owner minima {low[0]:.3g} at T=0.01 and {low[-1]:.3g} at T=0.9")
+            f"pair-existence predicate does not straddle on T in ({lo:g}, {hi:g}) for alpha={alpha}"
+        ) from ValueError(f"owner minima {low[0]:.3g} at T={lo:g} and {low[-1]:.3g} at T={hi:g}")
     j = int(np.argmax(low >= 0)) - 1  # the last row of the first sign change
     h = float(np.finfo(float).eps) ** 0.25
 
@@ -468,9 +457,10 @@ def diagram(
         labels[r.classification == code] = label
 
     curves = []  # (k, T) points of each zero locus
-    # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells
+    # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells;
+    # all are finite, since index refuses a lattice with any non-finite delta = f1 * f2
     for which, vals in enumerate((r.f1, r.f2)):
-        zero, start = roots.cells(_finite_ends(vals))
+        zero, start = roots.cells(vals)
         rows, cols = np.nonzero(start)  # row by row, ascending k within a row
         # a zero point is its own root; every other start is a cell the lane solve refines
         k, cell = ks[cols], ~zero[rows, cols]

@@ -323,12 +323,11 @@ def max_growth(
     window: float | None = None,
 ) -> float:
     """Largest |Re lambda| inside the sideband window (0 if none), for one wave."""
+    if np.ndim(wave.c0) > 0:  # a batch: k a column or a lattice T gives c0 and the bands leading axes
+        raise ValueError("max_growth takes one wave; spectrum solves a batch")
     if window is None:
         window = default_window(wave.params)
-    spec = spectrum(FloquetProblem(wave, a, xi, N), window)
-    if isinstance(spec, list):  # the wave's bands have leading axes
-        raise ValueError("max_growth takes one wave; spectrum solves a batch")
-    return spec.max_real_in_window
+    return spectrum(FloquetProblem(wave, a, xi, N), window).max_real_in_window
 
 
 def unperturbed_eigenvalue(wave: StokesWave, n, xi: float):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -188,10 +187,17 @@ def test_kc_closed_form_matches_numeric(model, sign, log_beta, log_gamma, delta,
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["ilw", "whitham"])
 def test_unique_critical_wavenumber_claim_holds_on_a_parameter_grid(name):
-    # the claim behind kc_numeric's warning: one root for every (beta, gamma) of the grid
-    for beta in (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0):
-        for gamma in (0.1, 1.0, 10.0):
-            assert len(cr.kc_numeric(ow.make_symbol(name), ow.ModelParams(beta, gamma))) == 1, (beta, gamma)
+    # the zero sets depend on (beta, gamma) only through alpha = gamma/beta, so 161
+    # alphas a tenth of a decade apart of each sign cover the claim: one root wherever the scan finds any
+    answered = 0
+    for alpha in np.concatenate([np.geomspace(1e-8, 1e8, 161), -np.geomspace(1e-8, 1e8, 161)]).tolist():
+        try:
+            found = cr.kc_numeric(ow.make_symbol(name), cr.params_from_alpha(alpha))
+        except ow.NoRootError:
+            continue
+        assert len(found) == 1, (alpha, [r.kc for r in found])
+        answered += 1
+    assert answered > 200
 
 
 def test_numeric_no_root_raises():
@@ -200,6 +206,18 @@ def test_numeric_no_root_raises():
         cr.kc_numeric(ow.make_symbol("kdv"), ow.ModelParams(beta=1.0, gamma=1e10))
 
 
+def test_probe_window_messages_read_their_grids(monkeypatch):
+    monkeypatch.setattr(cr, "_SCAN_GRID", np.geomspace(0.1, 10, 400))
+    monkeypatch.setattr(cr, "_TC_ROWS", np.geomspace(0.02, 0.5, 20))
+    # kc = (gamma/3)^(1/4), about 31.6, lies outside the patched (0.1, 10)
+    with pytest.raises(ow.NoRootError, match=r"in \(0\.1, 10\) for kdv"):
+        cr.kc_numeric(ow.make_symbol("kdv"), ow.ModelParams(beta=1.0, gamma=3e6))
+    with pytest.raises(ow.BracketError, match=r"on T in \(0\.02, 0\.5\) for alpha=1") as err:
+        cr.tc_of_alpha("whitham_st", 1.0)
+    assert "at T=0.02 and" in str(err.value.__cause__) and str(err.value.__cause__).endswith("at T=0.5")
+
+
+@pytest.mark.filterwarnings("error")
 def test_second_harmonic_resonances_are_the_phase_velocity_coincidences():
     # f1's numerator is D_2, so the n = 2 resonances and the phase-velocity
     # coincidences are one scan of one function: the same grid and xtol, the same floats
@@ -208,9 +226,7 @@ def test_second_harmonic_resonances_are_the_phase_velocity_coincidences():
         s, p, _ = draw_model(rng)
         resonant = [k for k, n in stokes.find_resonances(s, p) if n == 2]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # ilw/whitham models with several roots
-                found = cr.kc_numeric(s, p)
+            found = cr.kc_numeric(s, p)
         except ow.NoRootError:
             found = []
         assert [r.kc for r in found if r.mechanism == "phase_velocity_coincidence"] == resonant

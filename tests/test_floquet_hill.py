@@ -449,10 +449,15 @@ def test_dense_spectra_of_empty_batch_is_empty():
     assert fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25) == []
 
 
-def test_spectrum_solves_a_batch_and_max_growth_refuses_one():
+def _unsolved(problem, window):
+    raise AssertionError("max_growth solved a batch before refusing it")
+
+
+def test_spectrum_solves_a_batch_and_max_growth_refuses_one(monkeypatch):
     wave = stokes._stokes(ow.make_symbol("kdv"), P11, np.array([[0.9], [1.1]]))[0]
     specs = fh.spectrum(fh.FloquetProblem(wave, DESK_A, DESK_XI, DESK_N), 0.25)
     assert len(specs) == 2 and all(isinstance(spec, fh.FloquetSpectrum) for spec in specs)
+    monkeypatch.setattr(fh, "spectrum", _unsolved)  # the refusal comes before any solve
     with pytest.raises(ValueError, match="batch"):
         fh.max_growth(wave, DESK_A, DESK_XI)
 
@@ -596,7 +601,7 @@ def test_windowed_batch_solve_falls_back_to_the_dense_answer(monkeypatch):
     assert calls == []
 
 
-def test_lattice_wave_at_one_k_is_a_batch():
+def test_lattice_wave_at_one_k_is_a_batch(monkeypatch):
     # a lattice symbol over three T at one k: the bands have a leading axis of 3,
     # so spectrum solves three waves, each its batch of one, and max_growth refuses them
     p, k = ow.ModelParams(1.0, 0.3), 1.3
@@ -609,6 +614,7 @@ def test_lattice_wave_at_one_k_is_a_batch():
         (want,) = fh.spectrum(fh.FloquetProblem(one, DESK_A, DESK_XI, 8), 0.25)
         assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert spec.max_real_in_window == want.max_real_in_window
+    monkeypatch.setattr(fh, "spectrum", _unsolved)
     with pytest.raises(ValueError, match="batch"):
         fh.max_growth(wave, DESK_A, DESK_XI, N=8)
 
