@@ -9,14 +9,16 @@ point is owned by exactly one mechanism:
 
 For the power-law symbols m = 1 - c k^d (kdv, kdv_st, fkdv) the zeros
 have closed forms; for the nonlocal models they are bracketed on a log
-grid and refined with Brent's method (``roots.brentq``).  ``diagram``
-sweeps a (k, T) lattice into stable/unstable cells plus the two
-zero-locus curves: it evaluates the whole lattice at once and refines
-the zero-locus points of each factor in one lockstep solve
-(``roots.brentq_lanes``).  Both surface-tension thresholds are points
-where two zero loci meet: T_s where the f1 and f2 loci cross, T_c where
-a pair of critical wavenumbers merges (three become one), the fold where
-the owner's numerator F and dF/dk vanish.  ``_lattice_crossing`` finds
+grid and refined with Brent's method (``roots.brentq``), each root from
+its cell's two grid values.  ``diagram`` sweeps a (k, T) lattice into
+stable/unstable cells plus the two zero-locus curves: it evaluates the
+whole lattice at once and refines the zero-locus points of each factor
+in one lockstep solve (``roots.brentq_lanes``), started from the
+numerator values ``index`` formed at the cell ends.  Both
+surface-tension thresholds are points where two zero loci meet: T_s
+where the f1 and f2 loci cross, T_c where a pair of critical wavenumbers
+merges (three become one), the fold where the owner's numerator F and
+dF/dk vanish.  ``_lattice_crossing`` finds
 both by a 2x2 Newton solve in (k, T) on the caller's residual pair, which
 it differentiates forward at sqrt(eps), seeded where both change sign on
 a lattice: ``diagram``'s for T_s, and for ``tc_of_alpha`` the two rows
@@ -198,9 +200,12 @@ def classify_intervals(s: DispersionSymbol, p: ModelParams, k_range: tuple) -> l
 
     Returns an ordered list of ((lo, hi), label) with label "S", "U" or
     "degenerate", labels taken from one ``index`` call at the interval
-    midpoints and endpoints the critical wavenumbers ``kc_numeric`` finds
-    in the range: Brent refinements (xtol 1e-12) of the sign changes of
-    either factor's numerator on a 400-point log-spaced probe grid.
+    midpoints.  The endpoints come from ``kc_numeric``'s search run on
+    this function's own probe grid, 400 log-spaced points over k_range:
+    Brent refinements (xtol 1e-12) of the sign changes of either factor's
+    numerator there.  Other brackets take other Brent steps, each ending
+    somewhere within the tolerance, so an endpoint can differ from
+    ``kc_numeric``'s root in its last digits.
     """
     lo, hi = float(k_range[0]), float(k_range[1])
     if not (0.0 < lo < hi < math.inf):
@@ -439,9 +444,11 @@ def diagram(
     classifier by construction.  The curves are read from the same
     values: the exact zeros and sign-change cells of f1 and f2 along each
     T row, each cell refined by Brent's method on the factor's numerator,
-    all of one numerator solved together in lanes.  ``t_s`` is where they
-    cross inside the lattice, sought from the same f1 and f2 values
-    (``_lattice_crossing``), else None.  ``params_from_alpha`` checks alpha.
+    all of one numerator solved together in lanes, each lane started from
+    the numerator values ``index`` gave at its cell's ends (``num1``,
+    ``num2``).  ``t_s`` is where the curves cross inside the lattice,
+    sought from the same f1 and f2 values (``_lattice_crossing``), else
+    None.  ``params_from_alpha`` checks alpha.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -459,17 +466,20 @@ def diagram(
     curves = []  # (k, T) points of each zero locus
     # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells;
     # all are finite, since index refuses a lattice with any non-finite delta = f1 * f2
-    for which, vals in enumerate((r.f1, r.f2)):
+    for which, (vals, num) in enumerate(((r.f1, r.num1), (r.f2, r.num2))):
         zero, start = roots.cells(vals)
         rows, cols = np.nonzero(start)  # row by row, ascending k within a row
         # a zero point is its own root; every other start is a cell the lane solve refines
         k, cell = ks[cols], ~zero[rows, cols]
-        lane_t, lo = Ts[rows[cell]], cols[cell]
+        lane_rows, lo = rows[cell], cols[cell]
+        lane_t = Ts[lane_rows]
 
         def f(x, lanes, which=which, lane_t=lane_t):
             return _numerators(make_symbol(s_family, {"T": lane_t[lanes]}), p)[which](x)
 
-        k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12)
+        # index's numerators at the bracket ends are the floats f gives there
+        fa, fb = num[lane_rows, lo], num[lane_rows, lo + 1]
+        k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12, fa=fa, fb=fb)
         curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
 
     t_s = None

@@ -59,7 +59,11 @@ XI_BOUND = 0.05
 class IndexResult:
     """Classification of wavenumber k: both factor values and both forms.
 
-    Floats and a str for a 0-d result; otherwise arrays (k as given).
+    ``num1`` and ``num2`` are the factors' numerators, D2 = 4 k^2 f1 and
+    P = k^3 f2 (``stokes.harmonic_denominator`` at n = 2 and
+    ``group_velocity_derivative(...).numerator``), the floats those give
+    at k: the functions whose zeros are the factors' zero loci.  Floats
+    and a str for a 0-d result; otherwise arrays (k as given).
     """
 
     k: float
@@ -68,6 +72,8 @@ class IndexResult:
     delta: float
     ratio: float
     classification: str  # stable | unstable | degenerate
+    num1: float
+    num2: float
 
 
 def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
@@ -96,8 +102,8 @@ def index(s: DispersionSymbol, p: ModelParams, k) -> IndexResult:
     floor = 1e-10 * (1.0 + np.abs(f1)) * (1.0 + np.abs(f2))
     label = np.where(delta < -floor, "unstable", np.where(delta > floor, "stable", "degenerate"))
     if delta.ndim == 0:
-        return IndexResult(float(k), float(f1), f2, float(delta), float(ratio), str(label))
-    return IndexResult(k, f1, f2, delta, ratio, label)
+        return IndexResult(float(k), float(f1), f2, float(delta), float(ratio), str(label), num1, num2)
+    return IndexResult(k, f1, f2, delta, ratio, label, num1, num2)
 
 
 def _check_small(a: float, xi: float):

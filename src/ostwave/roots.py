@@ -2,14 +2,17 @@
 
 ``_brent`` is a line-for-line transcription of scipy's C ``brentq``
 (same relative tolerance, iteration cap, step rules and stopping test)
-written as a generator that yields each x and is sent f(x).  Two
-functions step it: ``brentq`` runs one, so it returns the same float as
-``scipy.optimize.brentq`` without importing scipy, and ``brentq_lanes``
-runs one per bracket in lockstep, calling f once per step on the
-brackets still open.  ``cells`` is the sign-change rule that ``scan``
-and the stability-diagram lattice share; ``scan`` finds every root of a
-function on a probe grid; ``minimize_scalar`` finds a bounded minimum
-by zooming a grid.
+written as a generator: it is handed f(a) and f(b), yields each interior
+x and is sent f(x).  Two functions step it: ``brentq`` runs one, so it
+returns the same float as ``scipy.optimize.brentq`` without importing
+scipy, and ``brentq_lanes`` runs one per bracket in lockstep, calling f
+once per step on the brackets still open.  Both evaluate a bracket end
+only when the caller does not hand them its value, so a caller that has
+evaluated f on a grid pays nothing twice.  ``cells`` is the sign-change
+rule that ``scan`` and the stability-diagram lattice share; ``scan``
+finds every root of a function on a probe grid, refining each cell from
+its grid values; ``minimize_scalar`` finds a bounded minimum by zooming
+a grid.
 """
 
 from __future__ import annotations
@@ -32,17 +35,17 @@ def _checked(x, y) -> float:
     return y
 
 
-def _brent(a, b, xtol):
-    """Brent's recurrence on [a, b] as a generator: it yields each x and is sent f(x).
+def _brent(a, b, fa, fb, xtol):
+    """Brent's recurrence on [a, b] from fa = f(a) and fb = f(b), as a generator.
 
+    Started by ``send(None)``, it yields each interior x and is sent f(x).
     It returns (through StopIteration) the root, and raises ValueError if
-    f(a) and f(b) do not differ in sign or a value is NaN, and
-    RuntimeError if 100 iterations do not converge.
+    fa and fb do not differ in sign or a value is NaN, and RuntimeError
+    if 100 iterations do not converge.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = _checked(xpre, (yield xpre))
-    fcur = _checked(xcur, (yield xcur))
+    fpre, fcur = _checked(xpre, fa), _checked(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -79,36 +82,49 @@ def _brent(a, b, xtol):
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {xcur}")
 
 
-def brentq(f, a, b, xtol=2e-12) -> float:
+def brentq(f, a, b, xtol=2e-12, fa=None, fb=None) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
-    Raises ValueError if they do not differ in sign or f returns NaN,
-    and RuntimeError if 100 iterations do not converge.
+    ``fa`` and ``fb`` are f(a) and f(b) when the caller has them; f is
+    called at an end only when its value is not given.  Raises ValueError
+    if they do not differ in sign or f returns NaN, and RuntimeError if
+    100 iterations do not converge.
     """
-    solver = _brent(a, b, xtol)
-    x = next(solver)
+    a, b = float(a), float(b)
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
+    solver = _brent(a, b, fa, fb, xtol)
     try:
+        x = solver.send(None)
         while True:
             x = solver.send(f(x))
     except StopIteration as stop:
         return stop.value
 
 
-def brentq_lanes(f, a, b, xtol=2e-12) -> np.ndarray:
+def brentq_lanes(f, a, b, xtol=2e-12, fa=None, fb=None) -> np.ndarray:
     """A root of f in each bracket [a[i], b[i]], every one the float ``brentq`` returns.
 
     One Brent recurrence runs per bracket (a lane), and the lanes step
     together: each step makes one call ``f(x, lanes)``, where ``lanes``
     are the indices of the lanes still running and ``x`` their current
-    points, and f returns its values there as an array.  A lane raises
-    what ``brentq`` would raise on its bracket.
+    points, and f returns its values there as an array.  ``fa`` and
+    ``fb`` are the values at every a and every b when the caller has
+    them; an end whose values are not given takes one call on all lanes,
+    the a ends first.  A lane raises what ``brentq`` would raise on its
+    bracket; a, b, fa and fb of different lengths raise ValueError.
     """
-    solvers = [_brent(lo, hi, xtol) for lo, hi in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+    a, b = (np.ravel(np.asarray(x, dtype=float)) for x in (a, b))
+    if any(v is not None and np.size(v) != a.size for v in (b, fa, fb)):
+        raise ValueError("brentq_lanes takes a, b, fa and fb of one length")
+    if not a.size:
+        return np.empty(0)
+    every = np.arange(a.size)
+    fa, fb = (np.ravel(np.asarray(f(x, every) if v is None else v, dtype=float)) for x, v in ((a, fa), (b, fb)))
+    solvers = [_brent(*bracket, xtol) for bracket in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())]
     out = np.empty(len(solvers))
-    lanes = list(range(len(solvers)))
-    xs = [next(solver) for solver in solvers]
-    while lanes:
-        vals = np.asarray(f(np.array(xs), np.array(lanes)), dtype=float).tolist()
+    lanes, vals = range(len(solvers)), [None] * len(solvers)  # send(None) starts a solver
+    while True:
         live, xs = [], []
         for lane, y in zip(lanes, vals):
             try:
@@ -116,8 +132,10 @@ def brentq_lanes(f, a, b, xtol=2e-12) -> np.ndarray:
                 live.append(lane)
             except StopIteration as stop:
                 out[lane] = stop.value
+        if not live:
+            return out
         lanes = live
-    return out
+        vals = np.asarray(f(np.array(xs), np.array(lanes)), dtype=float).tolist()
 
 
 def cells(vals):
@@ -140,12 +158,14 @@ def scan(f, grid, vals=None, xtol=1e-12, solve=brentq):
     A root is a grid point where f is exactly 0, or the ``solve`` root of
     a grid cell whose ends differ in sign.  ``vals`` are the values of f
     on the grid (f is called on the whole grid when they are not given);
-    a NaN value starts no cell.  Roots are refined only as they are
-    consumed, so ``next(scan(...), None)`` refines only the first.
+    a NaN value starts no cell.  Each cell is refined from its two grid
+    values, so f is called only inside it.  Roots are refined only as they
+    are consumed, so ``next(scan(...), None)`` refines only the first.
     """
-    zero, start = cells(f(grid) if vals is None else vals)
+    vals = f(grid) if vals is None else vals
+    zero, start = cells(vals)
     for i in np.flatnonzero(start):
-        yield float(grid[i]) if zero[i] else solve(f, grid[i], grid[i + 1], xtol=xtol)
+        yield float(grid[i]) if zero[i] else solve(f, grid[i], grid[i + 1], xtol=xtol, fa=vals[i], fb=vals[i + 1])
 
 
 def minimize_scalar(f, grid) -> float:

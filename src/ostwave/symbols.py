@@ -471,11 +471,17 @@ def check_hypotheses(s: DispersionSymbol) -> HypothesisReport:
 
 
 def _check_k(k):
-    """k as a float array (0-d for a scalar), checked positive and finite."""
+    """k checked positive and finite: a float array, or a numpy float for a scalar k.
+
+    A numpy float runs numpy's scalar arithmetic, which costs less per
+    operator than a 0-d array's ufunc calls.  Every operator the jets and
+    kinematics apply to it rounds as it does on an array; ``**`` would
+    not (it rounds as libm pow), so they use ``np.power``.
+    """
     arr = np.asarray(k, dtype=float)
     if not (0 < float(arr) < math.inf if arr.ndim == 0 else ((arr > 0) & (arr < math.inf)).all()):
         raise ValueError("wavenumber k must be positive and finite")
-    return arr
+    return arr[()] if arr.ndim == 0 else arr
 
 
 def phase_velocity(s: DispersionSymbol, p: ModelParams, k):
@@ -509,7 +515,7 @@ def group_velocity_derivative(s: DispersionSymbol, p: ModelParams, k) -> GroupVe
     """Slope of the group velocity, dc_g/dk, for k > 0."""
     arr = _check_k(k)
     _, m1, m2 = s.jet_fn(arr, 2)
-    k3 = arr ** 3
+    k3 = np.power(arr, 3)  # not `**`, which on a numpy float rounds as libm pow, unlike an array's power
     numerator = 2.0 * p.gamma + p.beta * k3 * (arr * m2 + 2.0 * m1)
     value = numerator / k3
     if value.ndim == 0:

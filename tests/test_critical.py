@@ -206,6 +206,34 @@ def test_numeric_no_root_raises():
         cr.kc_numeric(ow.make_symbol("kdv"), ow.ModelParams(beta=1.0, gamma=1e10))
 
 
+def test_kc_numeric_refines_each_root_from_its_probe_values(monkeypatch):
+    # each Brent refinement starts from the two probe values the scan holds: withholding
+    # them costs exactly two evaluations per refined root and changes no root
+    def counted(counts, keep_ends):
+        def solve(f, a, b, xtol, fa=None, fb=None):
+            counts["roots"] += 1
+
+            def g(x):
+                counts["evals"] += 1
+                return f(x)
+
+            return roots.brentq(g, a, b, xtol, *((fa, fb) if keep_ends else ()))
+
+        return solve
+
+    for name, params in [("ilw", None), ("whitham", None), ("whitham_st", {"T": 0.2}), ("fkdv", {"delta": 0.8})]:
+        for p in (P11, PN1, ow.ModelParams(beta=0.3, gamma=2.0)):
+            runs = []
+            for keep_ends in (True, False):
+                counts = {"roots": 0, "evals": 0}
+                monkeypatch.setattr(cr, "brentq", counted(counts, keep_ends))
+                runs.append((repr(cr.kc_numeric(ow.make_symbol(name, params), p)), counts))
+            (given, with_ends), (withheld, without_ends) = runs
+            assert given == withheld
+            assert with_ends["roots"] == without_ends["roots"] >= 1
+            assert without_ends["evals"] - with_ends["evals"] == 2 * with_ends["roots"]
+
+
 def test_probe_window_messages_read_their_grids(monkeypatch):
     monkeypatch.setattr(cr, "_SCAN_GRID", np.geomspace(0.1, 10, 400))
     monkeypatch.setattr(cr, "_TC_ROWS", np.geomspace(0.02, 0.5, 20))

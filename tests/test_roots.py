@@ -182,6 +182,60 @@ def test_brentq_lanes_errors():
     step = lambda x, lanes: np.where(x > 0.1, 1.0, -1.0)  # noqa: E731
     with pytest.raises(RuntimeError, match="converge"):
         roots.brentq_lanes(step, [0.0, -1e300], [1.0, 1e300], xtol=1e-300)
+    # brackets and end values of different lengths are refused, not cut to the shortest
+    for a, b, ends in (
+        ([0, 0, 0], [1, 1], {}),
+        ([0, 0], [1, 1, 1], {}),
+        ([0, 0], [1, 1], {"fa": [-0.5, -0.5, -0.5]}),
+        ([0, 0], [1, 1], {"fb": [0.5]}),
+    ):
+        with pytest.raises(ValueError, match="one length"):
+            roots.brentq_lanes(lambda x, lanes: x - 0.5, a, b, **ends)
+
+
+def _recorded(f, calls):
+    def g(*args):
+        calls.append(args)
+        return f(*args)
+
+    return g
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_brentq_given_end_values_returns_the_same_float_and_never_calls_f_there(seed):
+    for name, f, a, b in _seeded_brackets(seed):
+        want = optimize.brentq(f, a, b, xtol=1e-12)
+        assert roots.brentq(f, a, b, xtol=1e-12) == want
+        for ends in ({"fa": f(a), "fb": f(b)}, {"fa": f(a)}, {"fb": f(b)}):
+            calls = []
+            assert roots.brentq(_recorded(f, calls), a, b, xtol=1e-12, **ends) == want, (name, a, b)
+            # an end whose value is not given is evaluated first, a before b; then only interior points
+            missing = [x for x, key in ((a, "fa"), (b, "fb")) if key not in ends]
+            xs = [x for x, in calls]
+            assert xs[: len(missing)] == missing
+            assert a not in xs[len(missing) :] and b not in xs[len(missing) :], (name, a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_brentq_lanes_given_end_values_return_the_same_floats_and_never_call_f_there(seed):
+    for name, cells in _seeded_models(seed):
+        if not cells:
+            continue
+        fns, a, b = zip(*cells)
+        f = _lane_function(fns)
+        every = np.arange(len(cells))
+        fa, fb = f(np.array(a), every), f(np.array(b), every)
+        plain, given = [], []
+        want = roots.brentq_lanes(_recorded(f, plain), a, b, xtol=1e-12)
+        got = roots.brentq_lanes(_recorded(f, given), a, b, xtol=1e-12, fa=fa, fb=fb)
+        assert got.tolist() == want.tolist(), name
+        for (fn, lo, hi), root in zip(cells, got.tolist()):
+            assert root == optimize.brentq(fn, lo, hi, xtol=1e-12), (name, lo, hi)
+        # without the values the first two calls are the ends of every lane; with them, those two go
+        assert [x.tolist() for x, _ in plain[:2]] == [list(a), list(b)]
+        assert len(given) == len(plain) - 2
+        for x, lanes in given:
+            assert not np.any((x == np.array(a)[lanes]) | (x == np.array(b)[lanes])), name
 
 
 def test_cells_rule_along_the_last_axis():

@@ -82,13 +82,28 @@ def test_evenness(name, params):
         assert s.m2_even(-k) == s.m2_even(k)
 
 
+_KINEMATICS = {
+    "phase_velocity": ow.phase_velocity,
+    "group_velocity": ow.group_velocity,
+    "group_velocity_derivative": ow.group_velocity_derivative,
+    "harmonic_denominator": lambda s, p, k: (ow.harmonic_denominator(s, p, k, 2), ow.harmonic_denominator(s, p, k, 3)),
+    "index": lambda s, p, k: dataclasses.astuple(ow.index(s, p, k))[1:],  # every field but k itself
+}
+
+
 @pytest.mark.parametrize("name,params", ALL_BUILTINS)
 def test_array_evaluation_matches_scalar_evaluation(name, params):
-    # one k evaluated alone or inside an array gives the same bits
+    # one k evaluated alone or inside an array gives the same bits, on both sides of the
+    # ilw/whitham series cutoff: the root searches refine from array values by scalar calls
     s = ow.make_symbol(name, params)
     ks = np.geomspace(1e-5, 50.0, 1000)
     for ev in (s.m, s.m1, s.m2):
         assert np.array_equal(ev(ks), [ev(float(k)) for k in ks])
+    for p in (ow.ModelParams(beta=-0.7, gamma=1.3), ow.ModelParams(beta=2.0, gamma=0.1)):
+        for fn in _KINEMATICS.values():
+            whole, alone = _parts(fn(s, p, ks)), [_parts(fn(s, p, float(k))) for k in ks]
+            for part, got in zip(whole, zip(*alone)):
+                assert part.shape == ks.shape and part.tobytes() == np.array(got, dtype=part.dtype).tobytes()
 
 
 @pytest.mark.parametrize("name", ["kdv_st", "whitham_st"])
@@ -103,15 +118,6 @@ def test_tension_lattice_matches_symbol_per_tension(name):
         for row, T in zip(got, Ts):
             assert row.tobytes() == getattr(ow.make_symbol(name, {"T": float(T)}), ev)(ks).tobytes()
     assert lattice.growth_exponent.ravel().tolist() == [ow.make_symbol(name, {"T": float(T)}).growth_exponent for T in Ts]
-
-
-_KINEMATICS = {
-    "phase_velocity": ow.phase_velocity,
-    "group_velocity": ow.group_velocity,
-    "group_velocity_derivative": ow.group_velocity_derivative,
-    "harmonic_denominator": lambda s, p, k: ow.harmonic_denominator(s, p, k, 2),
-    "index": lambda s, p, k: dataclasses.astuple(ow.index(s, p, k))[1:],  # every field but k itself
-}
 
 
 @pytest.mark.parametrize("fn", list(_KINEMATICS))
