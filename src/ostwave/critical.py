@@ -12,9 +12,9 @@ have closed forms; for the nonlocal models they are bracketed on a log
 grid and refined with Brent's method (``roots.brentq``), each root from
 its cell's two grid values.  ``diagram`` sweeps a (k, T) lattice into
 stable/unstable cells plus the two zero-locus curves: it evaluates the
-whole lattice at once and refines the zero-locus points of each factor
-in one lockstep solve (``roots.brentq_lanes``), started from the
-numerator values ``index`` formed at the cell ends.  Both
+whole lattice at once and refines the zero-locus points of both factors
+in one vectorised false-position solve (``roots.falsi_lanes``), started
+from the numerator values ``index`` formed at the cell ends.  Both
 surface-tension thresholds are points where two zero loci meet: T_s
 where the f1 and f2 loci cross, T_c where a pair of critical wavenumbers
 merges (three become one), the fold where the owner's numerator F and
@@ -443,12 +443,13 @@ def diagram(
     per cell gives, so the lattice is consistent with the pointwise
     classifier by construction.  The curves are read from the same
     values: the exact zeros and sign-change cells of f1 and f2 along each
-    T row, each cell refined by Brent's method on the factor's numerator,
-    all of one numerator solved together in lanes, each lane started from
-    the numerator values ``index`` gave at its cell's ends (``num1``,
-    ``num2``).  ``t_s`` is where the curves cross inside the lattice,
-    sought from the same f1 and f2 values (``_lattice_crossing``), else
-    None.  ``params_from_alpha`` checks alpha.
+    T row, each cell a lane of one ``roots.falsi_lanes`` solve on its
+    factor's numerator, started from the numerator values ``index`` gave
+    at its cell's ends (``num1``, ``num2``), so a curve point lies within
+    1e-12 + 4 eps k of a sign change.  ``t_s`` is where the curves cross
+    inside the lattice, sought from the same f1 and f2 values
+    (``_lattice_crossing``), else None.  ``params_from_alpha`` checks
+    alpha.
     """
     if s_family not in ("kdv_st", "whitham_st"):
         raise ValueError(f"unsupported diagram family {s_family!r}")
@@ -463,23 +464,29 @@ def diagram(
     for code, label in _LABELS.items():
         labels[r.classification == code] = label
 
-    curves = []  # (k, T) points of each zero locus
     # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells;
     # all are finite, since index refuses a lattice with any non-finite delta = f1 * f2
-    for which, (vals, num) in enumerate(((r.f1, r.num1), (r.f2, r.num2))):
+    starts = []  # per locus: the rows and columns where roots start, and which of them start a cell
+    for vals in (r.f1, r.f2):
         zero, start = roots.cells(vals)
         rows, cols = np.nonzero(start)  # row by row, ascending k within a row
-        # a zero point is its own root; every other start is a cell the lane solve refines
-        k, cell = ks[cols], ~zero[rows, cols]
-        lane_rows, lo = rows[cell], cols[cell]
-        lane_t = Ts[lane_rows]
+        starts.append((rows, cols, ~zero[rows, cols]))  # a zero point is its own root
+    (j1, i1), (j2, i2) = ((rows[cell], cols[cell]) for rows, cols, cell in starts)
+    # the cells of both loci are the lanes of one solve, each locus evaluated by one symbol whose T are its
+    # lanes' rows, and started from index's numerators at the cell ends, the floats f gives there
+    num1 = _numerators(make_symbol(s_family, {"T": Ts[j1]}), p)[0]
+    num2 = _numerators(make_symbol(s_family, {"T": Ts[j2]}), p)[1]
+    lo = np.concatenate([i1, i2])
+    fa, fb = (np.concatenate([r.num1[j1, i1 + e], r.num2[j2, i2 + e]]) for e in (0, 1))
 
-        def f(x, lanes, which=which, lane_t=lane_t):
-            return _numerators(make_symbol(s_family, {"T": lane_t[lanes]}), p)[which](x)
+    def f(x):
+        return np.concatenate([num1(x[: i1.size]), num2(x[i1.size :])])
 
-        # index's numerators at the bracket ends are the floats f gives there
-        fa, fb = num[lane_rows, lo], num[lane_rows, lo + 1]
-        k[cell] = roots.brentq_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12, fa=fa, fb=fb)
+    refined = np.split(roots.falsi_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12, fa=fa, fb=fb), [i1.size])
+    curves = []  # (k, T) points of each zero locus
+    for (rows, cols, cell), root in zip(starts, refined):
+        k = ks[cols]
+        k[cell] = root
         curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
 
     t_s = None

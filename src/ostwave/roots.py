@@ -1,30 +1,31 @@
 """Root finding and minimisation on numpy alone.
 
-``_brent`` is a line-for-line transcription of scipy's C ``brentq``
-(same relative tolerance, iteration cap, step rules and stopping test)
-written as a generator: it is handed f(a) and f(b), yields each interior
-x and is sent f(x).  Two functions step it: ``brentq`` runs one, so it
-returns the same float as ``scipy.optimize.brentq`` without importing
-scipy, and ``brentq_lanes`` runs one per bracket in lockstep, calling f
-once per step on the brackets still open.  Both evaluate a bracket end
-only when the caller does not hand them its value, so a caller that has
-evaluated f on a grid pays nothing twice.  ``cells`` is the sign-change
-rule that ``scan`` and the stability-diagram lattice share; ``scan``
-finds every root of a function on a probe grid, refining each cell from
-its grid values; ``minimize_scalar`` finds a bounded minimum by zooming
-a grid.
+``brentq`` is a line-for-line transcription of scipy's C ``brentq``
+(same relative tolerance, iteration cap, step rules and stopping test),
+so it returns the same float as ``scipy.optimize.brentq`` without
+importing scipy.  ``falsi_lanes`` refines many brackets at once by
+Anderson–Björck false position on numpy arrays, one call of f per step
+for every bracket, and hands any bracket it has not closed in 16 steps
+to ``brentq``.  Both evaluate a bracket end only when the caller does
+not hand them its value, so a caller that has evaluated f on a grid pays
+nothing twice.  ``cells`` is the sign-change rule that ``scan`` and the
+stability-diagram lattice share; ``scan`` finds every root of a function
+on a probe grid, refining each cell from its grid values; ``minimize_scalar``
+finds a bounded minimum by zooming a grid.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
-__all__ = ["brentq", "brentq_lanes", "cells", "scan", "minimize_scalar"]
+__all__ = ["brentq", "falsi_lanes", "cells", "scan", "minimize_scalar"]
 
 _RTOL = 4.0 * float(np.finfo(float).eps)  # a float, so a Brent step keeps x a float
 _MAXITER = 100
+_FALSI_STEPS = 16
 _ZOOMS, _ZOOM_POINTS = 6, 33
 
 
@@ -35,17 +36,18 @@ def _checked(x, y) -> float:
     return y
 
 
-def _brent(a, b, fa, fb, xtol):
-    """Brent's recurrence on [a, b] from fa = f(a) and fb = f(b), as a generator.
+def brentq(f, a, b, xtol=2e-12, fa=None, fb=None) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
-    Started by ``send(None)``, it yields each interior x and is sent f(x).
-    It returns (through StopIteration) the root, and raises ValueError if
-    fa and fb do not differ in sign or a value is NaN, and RuntimeError
-    if 100 iterations do not converge.
+    ``fa`` and ``fb`` are f(a) and f(b) when the caller has them; f is
+    called at an end only when its value is not given.  Raises ValueError
+    if they do not differ in sign or f returns NaN, and RuntimeError if
+    100 iterations do not converge.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _checked(xpre, fa), _checked(xcur, fb)
+    fpre = _checked(xpre, f(xpre) if fa is None else fa)
+    fcur = _checked(xcur, f(xcur) if fb is None else fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -78,64 +80,60 @@ def _brent(a, b, fa, fb, xtol):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _checked(xcur, (yield xcur))
+        fcur = _checked(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {xcur}")
 
 
-def brentq(f, a, b, xtol=2e-12, fa=None, fb=None) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+def falsi_lanes(f, a, b, xtol=2e-12, fa=None, fb=None) -> np.ndarray:
+    """A root of f in each bracket [a[i], b[i]] (a lane), every lane stepped at once.
 
-    ``fa`` and ``fb`` are f(a) and f(b) when the caller has them; f is
-    called at an end only when its value is not given.  Raises ValueError
-    if they do not differ in sign or f returns NaN, and RuntimeError if
-    100 iterations do not converge.
-    """
-    a, b = float(a), float(b)
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
-    solver = _brent(a, b, fa, fb, xtol)
-    try:
-        x = solver.send(None)
-        while True:
-            x = solver.send(f(x))
-    except StopIteration as stop:
-        return stop.value
+    Anderson–Björck false position (Anderson & Björck, BIT 13 (1973)) on
+    numpy arrays: each step makes one call ``f(x)`` with a point for every
+    lane, a finished lane holding its root, and f returns its values there
+    as an array.  A point is at least half the tolerance inside its
+    bracket.  A lane finishes at an exact zero, or once its bracket is at
+    most xtol + 4 eps |x| wide, x its latest point and its root: the
+    tolerance at which ``brentq`` stops.  ``brentq`` finishes, from its
+    bracket, a lane still open after 16 steps, so no lane fails where
+    ``brentq`` would not.  Where a lane's value depends on its point alone,
+    its root is the float a one-lane call on its bracket returns.
 
-
-def brentq_lanes(f, a, b, xtol=2e-12, fa=None, fb=None) -> np.ndarray:
-    """A root of f in each bracket [a[i], b[i]], every one the float ``brentq`` returns.
-
-    One Brent recurrence runs per bracket (a lane), and the lanes step
-    together: each step makes one call ``f(x, lanes)``, where ``lanes``
-    are the indices of the lanes still running and ``x`` their current
-    points, and f returns its values there as an array.  ``fa`` and
-    ``fb`` are the values at every a and every b when the caller has
-    them; an end whose values are not given takes one call on all lanes,
-    the a ends first.  A lane raises what ``brentq`` would raise on its
-    bracket; a, b, fa and fb of different lengths raise ValueError.
+    ``fa`` and ``fb`` are the values at every a and every b when the
+    caller has them; an end whose values are not given takes one call on
+    all lanes, the a ends first.  A NaN value or ends of one sign raise
+    ``brentq``'s ValueError; a, b, fa and fb of different lengths raise
+    ValueError.
     """
     a, b = (np.ravel(np.asarray(x, dtype=float)) for x in (a, b))
     if any(v is not None and np.size(v) != a.size for v in (b, fa, fb)):
-        raise ValueError("brentq_lanes takes a, b, fa and fb of one length")
-    if not a.size:
-        return np.empty(0)
-    every = np.arange(a.size)
-    fa, fb = (np.ravel(np.asarray(f(x, every) if v is None else v, dtype=float)) for x, v in ((a, fa), (b, fb)))
-    solvers = [_brent(*bracket, xtol) for bracket in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())]
-    out = np.empty(len(solvers))
-    lanes, vals = range(len(solvers)), [None] * len(solvers)  # send(None) starts a solver
-    while True:
-        live, xs = [], []
-        for lane, y in zip(lanes, vals):
-            try:
-                xs.append(solvers[lane].send(y))
-                live.append(lane)
-            except StopIteration as stop:
-                out[lane] = stop.value
-        if not live:
-            return out
-        lanes = live
-        vals = np.asarray(f(np.array(xs), np.array(lanes)), dtype=float).tolist()
+        raise ValueError("falsi_lanes takes a, b, fa and fb of one length")
+    fa, fb = (np.ravel(np.asarray(f(x) if v is None else v, dtype=float)) for x, v in ((a, fa), (b, fb)))
+    for i in np.flatnonzero(~(np.sign(fa) * np.sign(fb) <= 0))[:1]:  # NaN, or no sign change
+        brentq(f, a[i], b[i], xtol, fa[i], fb[i])  # raises before it calls f
+    # x1 is each lane's latest point, x0 the end across the sign change, and f0 is scaled as the method asks
+    x0, f0, x1, f1 = a, fa, np.where(fa == 0, a, b), np.where(fa == 0, fa, fb)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a finished lane may divide 0 by 0
+        for step in range(_FALSI_STEPS + 1):
+            tol = xtol + _RTOL * np.abs(x1)
+            d = x0 - x1
+            width = np.abs(d)
+            live = (width > tol) & (f1 != 0)
+            if step == _FALSI_STEPS or not live.any():
+                break
+            r = 0.5 * tol / width  # half the tolerance, as a fraction of the bracket
+            c = np.where(live, x1 + d * np.minimum(np.maximum(f1 / (f1 - f0), r), 1.0 - r), x1)
+            fc = np.asarray(f(c), dtype=float)
+            for i in np.flatnonzero(np.isnan(fc))[:1]:
+                _checked(c[i], fc[i])
+            flip = (fc < 0) != (f1 < 0)
+            m = 1.0 - fc / f1
+            x0, f0 = np.where(flip, x1, x0), np.where(flip, f1, f0 * np.where(m > 0, m, 0.5))
+            x1, f1 = c, fc
+    out = x1.copy()
+    for i in np.flatnonzero(live):
+        one = np.arange(x1.size) == i
+        out[i] = brentq(lambda x: f(np.where(one, x, x1))[i], a[i], b[i], xtol, fa[i], fb[i])
+    return out
 
 
 def cells(vals):
@@ -157,13 +155,20 @@ def scan(f, grid, vals=None, xtol=1e-12, solve=brentq):
 
     A root is a grid point where f is exactly 0, or the ``solve`` root of
     a grid cell whose ends differ in sign.  ``vals`` are the values of f
-    on the grid (f is called on the whole grid when they are not given);
-    a NaN value starts no cell.  Each cell is refined from its two grid
-    values, so f is called only inside it.  Roots are refined only as they
-    are consumed, so ``next(scan(...), None)`` refines only the first.
+    on the grid (f is called on the whole grid when they are not given).
+    A NaN value starts no cell: where the finite values on either side of
+    non-finite ones differ in sign, a RuntimeWarning names the interval.
+    Each cell is refined from its two grid values, so f is called only
+    inside it.  Roots are refined only as they are consumed, so
+    ``next(scan(...), None)`` refines only the first.
     """
-    vals = f(grid) if vals is None else vals
+    vals = np.asarray(f(grid) if vals is None else vals, dtype=float)
     zero, start = cells(vals)
+    ends = () if math.isfinite(vals.sum()) else np.flatnonzero(np.isfinite(vals))  # a finite sum: all finite
+    for i, j in zip(ends[:-1], ends[1:]):
+        if j > i + 1 and vals[i] * vals[j] < 0:
+            where = f"({grid[i]:.6g}, {grid[j]:.6g})"
+            warnings.warn(f"f changes sign across non-finite values in {where}; no root sought there", RuntimeWarning)
     for i in np.flatnonzero(start):
         yield float(grid[i]) if zero[i] else solve(f, grid[i], grid[i + 1], xtol=xtol, fa=vals[i], fb=vals[i + 1])
 

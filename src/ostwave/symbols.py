@@ -98,7 +98,7 @@ def _as_nonnegative(k):
     # a 0-d array is tested as a float: np.all costs more than evaluating m; NaN fails k >= 0
     if not (float(arr) >= 0 if arr.ndim == 0 else (arr >= 0).all()):
         raise ValueError("symbol evaluation requires k >= 0; use m_even for signed k")
-    return arr
+    return arr[()] if arr.ndim == 0 else arr  # a numpy float for a scalar k, as in _check_k
 
 
 @dataclass(frozen=True)

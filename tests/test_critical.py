@@ -846,8 +846,13 @@ def _reference_crossing(family, p, t_grid, k_window, n_probe=200):
     return None
 
 
+def _one_lane_falsi(f, a, b, xtol, fa, fb):
+    return float(roots.falsi_lanes(f, a, b, xtol=xtol, fa=fa, fb=fb)[0])
+
+
 def _reference_diagram(family, alpha, k_max, t_max, n):
-    """The diagram built row by row: a symbol per T row, index and roots.scan along it."""
+    """The diagram built row by row: a symbol per T row, index and roots.scan along it,
+    each cell refined by a one-lane false-position solve."""
     p = cr.params_from_alpha(alpha)
     ks = (np.arange(n) + 0.5) * (k_max / n)
     Ts = (np.arange(n) + 0.5) * (t_max / n)
@@ -861,7 +866,7 @@ def _reference_diagram(family, alpha, k_max, t_max, n):
         f2.append(r.f2)
         delta.append(r.delta)
         for curve, f in zip(curves, _numerators(s, p)):
-            curve.extend((root, float(T)) for root in roots.scan(f, ks))
+            curve.extend((root, float(T)) for root in roots.scan(f, ks, solve=_one_lane_falsi))
     t_s = None
     if family == "whitham_st" and alpha < 0:
         t_s = _reference_crossing(family, p, Ts, (ks[0], ks[-1]))

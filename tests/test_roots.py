@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -118,15 +119,15 @@ def test_brentq_endpoint_root_and_errors():
 
 
 def _lane_function(fns):
-    """f(x, lanes) evaluating lane i's function fns[i], one array call per distinct function."""
+    """f(x) evaluating lane i's function fns[i] at x[i], one array call per distinct function."""
     ids = {}
     which = np.array([ids.setdefault(fn, len(ids)) for fn in fns])
     distinct = list(ids)
 
-    def f(x, lanes):
+    def f(x):
         out = np.empty(len(x))
         for j, fn in enumerate(distinct):
-            sel = which[lanes] == j
+            sel = which == j
             if sel.any():
                 out[sel] = fn(x[sel])
         return out
@@ -134,54 +135,70 @@ def _lane_function(fns):
     return f
 
 
+def _one_lane(f, a, b, **kw):
+    """falsi_lanes on one bracket, for a scalar-valued f and scan's solve."""
+    return float(roots.falsi_lanes(lambda x: np.asarray([f(float(x[0]))]), a, b, **kw)[0])
+
+
+def _tol(xtol, x):
+    return xtol + 4.0 * np.finfo(float).eps * abs(x)
+
+
+def _beside_a_sign_change(f, x, xtol, a, b):
+    """f is 0 at x or changes sign on [x - tol, x + tol] within [a, b], tol = xtol + 4 eps |x|."""
+    lo, hi = f(max(x - _tol(xtol, x), a)), f(min(x + _tol(xtol, x), b))
+    return f(x) == 0 or (lo <= 0 <= hi) or (hi <= 0 <= lo)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("xtol", [1e-12, 1e-8])
-def test_brentq_lanes_match_brentq_and_scipy_in_every_lane(seed, xtol):
+def test_falsi_lanes_match_one_lane_calls_and_brentq_within_tolerance(seed, xtol):
     # all cells of a model are the lanes of one call
     for name, cells in _seeded_models(seed):
         if not cells:
             continue
         fns, a, b = zip(*cells)
-        got = roots.brentq_lanes(_lane_function(fns), a, b, xtol=xtol)
+        got = roots.falsi_lanes(_lane_function(fns), a, b, xtol=xtol)
         assert got.shape == (len(cells),)
         for (fn, lo, hi), root in zip(cells, got.tolist()):
-            assert root == roots.brentq(fn, lo, hi, xtol=xtol), (name, lo, hi)
-            assert root == optimize.brentq(fn, lo, hi, xtol=xtol), (name, lo, hi)
+            assert root == _one_lane(fn, lo, hi, xtol=xtol), (name, lo, hi)
+            assert lo <= root <= hi and _beside_a_sign_change(fn, root, xtol, lo, hi), (name, lo, hi)
+            assert abs(root - optimize.brentq(fn, lo, hi, xtol=xtol)) <= 2 * _tol(xtol, root), (name, lo, hi)
 
 
-def test_brentq_lanes_finish_at_their_own_steps():
+def test_falsi_lanes_call_f_once_a_step_with_every_lane():
     # lane 0 has an exact endpoint zero, lane 1 is linear, lanes 2-4 are cubics
     c = np.array([1.0, 0.3, 2.0, 5.0, 7.0])
     a = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     b = np.array([3.0, 1.0, 3.0, 3.0, 3.0])
-    shapes = [lambda x, c: x - c, lambda x, c: x - c] + [lambda x, c: x ** 3 - c] * 3
-    live = []
+    cubic = np.array([False, False, True, True, True])
+    calls = []
 
-    def f(x, lanes):
-        live.append(lanes.tolist())
-        return np.array([shapes[i](xi, c[i]) for xi, i in zip(x, lanes)])
+    def f(x):
+        calls.append(x.copy())
+        return np.where(cubic, x ** 3, x) - c
 
-    got = roots.brentq_lanes(f, a, b, xtol=1e-12)
+    got = roots.falsi_lanes(f, a, b, xtol=1e-12)
     for i in range(5):
-        assert got[i] == roots.brentq(lambda x: shapes[i](x, c[i]), a[i], b[i], xtol=1e-12)
-    assert got[0] == 1.0
-    # both endpoints of every lane are evaluated before any lane can leave
-    assert live[0] == live[1] == [0, 1, 2, 3, 4]
-    assert 0 not in live[2]
-    sizes = [len(lanes) for lanes in live]
-    assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) >= 3
-    assert roots.brentq_lanes(f, [], []).shape == (0,)
+        assert got[i] == _one_lane(lambda x: (x ** 3 if cubic[i] else x) - c[i], a[i], b[i], xtol=1e-12)
+    assert got[0] == 1.0 and abs(got[1] - 0.3) <= _tol(1e-12, 0.3)
+    # the a ends, the b ends, then one call a step, each with every lane; a finished lane holds its root
+    assert [x.tolist() for x in calls[:2]] == [a.tolist(), b.tolist()]
+    assert all(x.shape == (5,) and x[0] == 1.0 for x in calls[2:])
+    assert 4 <= len(calls) - 2 <= 16
+    assert [x[1] for x in calls[-2:]] == [got[1], got[1]]
+    assert roots.falsi_lanes(lambda x: x, [], []).shape == (0,)
 
 
-def test_brentq_lanes_errors():
-    lines = lambda x, lanes: x - np.array([0.5, 5.0])[lanes]  # noqa: E731
+def test_falsi_lanes_errors():
+    lines = lambda x: x - np.array([0.5, 5.0])  # noqa: E731
     with pytest.raises(ValueError, match="different signs"):
-        roots.brentq_lanes(lines, [0.0, 0.0], [1.0, 1.0])
+        roots.falsi_lanes(lines, [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="NaN"):
-        roots.brentq_lanes(lambda x, lanes: np.where(lanes == 1, math.nan, x - 0.5), [0.0, 0.0], [1.0, 1.0])
-    step = lambda x, lanes: np.where(x > 0.1, 1.0, -1.0)  # noqa: E731
-    with pytest.raises(RuntimeError, match="converge"):
-        roots.brentq_lanes(step, [0.0, -1e300], [1.0, 1e300], xtol=1e-300)
+        roots.falsi_lanes(lambda x: np.where([False, True], math.nan, x - 0.5), [0.0, 0.0], [1.0, 1.0])
+    # a NaN inside a bracket, met at a step
+    with pytest.raises(ValueError, match="NaN"):
+        roots.falsi_lanes(lambda x: np.where((x > 0.0) & (x < 1.0), math.nan, x - 0.5), [0.0], [1.0])
     # brackets and end values of different lengths are refused, not cut to the shortest
     for a, b, ends in (
         ([0, 0, 0], [1, 1], {}),
@@ -190,7 +207,28 @@ def test_brentq_lanes_errors():
         ([0, 0], [1, 1], {"fb": [0.5]}),
     ):
         with pytest.raises(ValueError, match="one length"):
-            roots.brentq_lanes(lambda x, lanes: x - 0.5, a, b, **ends)
+            roots.falsi_lanes(lambda x: x - 0.5, a, b, **ends)
+
+
+def test_falsi_lanes_finish_a_step_function_through_brentq():
+    # false position on a step only halves the weight of the far end, so 16 steps leave [0, 1000] open
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return np.where(x > 0.1, 1.0, -1.0)
+
+    got = roots.falsi_lanes(lambda x: np.where([True, False], step(x), x - 0.3), [0.0, 0.0], [1e3, 1.0], xtol=1e-12)
+    assert len(calls) > 2 + 16
+    want = roots.brentq(lambda x: float(step(x)), 0.0, 1e3, xtol=1e-12)
+    assert got.tolist() == [want, _one_lane(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-12)]
+    assert abs(want - 0.1) <= _tol(1e-12, 0.1)
+    # where brentq does not converge, the lane raises its RuntimeError
+    for solve in (roots.brentq, optimize.brentq):
+        with pytest.raises(RuntimeError, match="converge"):
+            solve(lambda x: float(step(x)), -1e300, 1e300, xtol=1e-300)
+    with pytest.raises(RuntimeError, match="converge"):
+        roots.falsi_lanes(step, [0.0, -1e300], [1.0, 1e300], xtol=1e-300)
 
 
 def _recorded(f, calls):
@@ -217,25 +255,21 @@ def test_brentq_given_end_values_returns_the_same_float_and_never_calls_f_there(
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_brentq_lanes_given_end_values_return_the_same_floats_and_never_call_f_there(seed):
+def test_falsi_lanes_given_end_values_never_call_f_there(seed):
     for name, cells in _seeded_models(seed):
         if not cells:
             continue
         fns, a, b = zip(*cells)
-        f = _lane_function(fns)
-        every = np.arange(len(cells))
-        fa, fb = f(np.array(a), every), f(np.array(b), every)
+        a, b, f = np.array(a), np.array(b), _lane_function(fns)
         plain, given = [], []
-        want = roots.brentq_lanes(_recorded(f, plain), a, b, xtol=1e-12)
-        got = roots.brentq_lanes(_recorded(f, given), a, b, xtol=1e-12, fa=fa, fb=fb)
+        want = roots.falsi_lanes(_recorded(f, plain), a, b, xtol=1e-12)
+        got = roots.falsi_lanes(_recorded(f, given), a, b, xtol=1e-12, fa=f(a), fb=f(b))
         assert got.tolist() == want.tolist(), name
-        for (fn, lo, hi), root in zip(cells, got.tolist()):
-            assert root == optimize.brentq(fn, lo, hi, xtol=1e-12), (name, lo, hi)
         # without the values the first two calls are the ends of every lane; with them, those two go
-        assert [x.tolist() for x, _ in plain[:2]] == [list(a), list(b)]
+        assert [x.tolist() for x, in plain[:2]] == [a.tolist(), b.tolist()]
         assert len(given) == len(plain) - 2
-        for x, lanes in given:
-            assert not np.any((x == np.array(a)[lanes]) | (x == np.array(b)[lanes])), name
+        for x, in given:
+            assert x.shape == a.shape and not np.any((x == a) | (x == b)), name
 
 
 def test_cells_rule_along_the_last_axis():
@@ -267,6 +301,23 @@ def test_scan_yields_zeros_and_cells_in_order():
     grid = np.linspace(0.5, 10.0, 50)
     assert next(roots.scan(counted, grid, np.sin(grid))) == pytest.approx(math.pi, abs=1e-12)
     assert all(abs(x - math.pi) < 0.5 for x in calls)
+
+
+def test_scan_warns_of_a_sign_change_across_a_nan_probe():
+    grid = np.linspace(0.0, 1.0, 11)
+
+    def f(x):  # NaN at the probe 0.5, beside the root 0.55
+        return np.where(x == grid[5], math.nan, x - 0.55)
+
+    with pytest.warns(RuntimeWarning, match=r"in \(0\.4, 0\.6\)") as caught:
+        assert list(roots.scan(f, grid)) == []
+    assert len(caught) == 1
+    # a NaN beside no sign change, or at an end, says nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nan_at in (2, 0, 10):
+            vals = np.where(grid == grid[nan_at], math.nan, grid - 0.55)
+            assert list(roots.scan(lambda x: x - 0.55, grid, vals)) == [pytest.approx(0.55, abs=1e-12)]
 
 
 def test_minimize_scalar_finds_interior_minimum():
@@ -308,14 +359,14 @@ _END = st.floats(-5.0, 5.0, allow_nan=False)
     draws=st.lists(st.tuples(_COEF, _COEF, _COEF, _COEF, _END, _END), min_size=1, max_size=8),
     xtol=st.sampled_from([1e-12, 1e-8, 1e-3]),
 )
-def test_brentq_lanes_match_brentq_on_random_cubics(draws, xtol):
+def test_falsi_lanes_match_one_lane_calls_on_random_cubics(draws, xtol):
     def cubic(c, x):
         return c[0] + x * (c[1] + x * (c[2] + x * c[3]))
 
     def solve_lanes(lanes):
-        coef = np.array([c for c, _, _, _ in lanes]).T
+        coef = np.array([c for c, _, _ in lanes]).T
         a, b = [lane[1] for lane in lanes], [lane[2] for lane in lanes]
-        return roots.brentq_lanes(lambda x, live: cubic(coef[:, live], x), a, b, xtol=xtol)
+        return roots.falsi_lanes(lambda x: cubic(coef, x), a, b, xtol=xtol)
 
     lanes = []
     for *c, a, b in draws:
@@ -327,8 +378,11 @@ def test_brentq_lanes_match_brentq_on_random_cubics(draws, xtol):
             want = roots.brentq(lambda x: cubic(c, x), a, b, xtol=xtol)
         except RuntimeError:  # e.g. a triple root: the lane fails the same way
             with pytest.raises(RuntimeError, match="converge"):
-                solve_lanes([(c, a, b, None)])
+                solve_lanes([(c, a, b)])
             continue
-        lanes.append((c, a, b, want))
+        (got,) = solve_lanes([(c, a, b)]).tolist()
+        assert a <= got <= b and _beside_a_sign_change(lambda x: cubic(c, x), got, xtol, a, b)
+        assert abs(got - want) <= 2 * _tol(xtol, got)
+        lanes.append((c, a, b, got))
     assume(lanes)
-    assert solve_lanes(lanes).tolist() == [want for *_, want in lanes]
+    assert solve_lanes([lane[:3] for lane in lanes]).tolist() == [got for *_, got in lanes]

@@ -97,8 +97,16 @@ def test_array_evaluation_matches_scalar_evaluation(name, params):
     # ilw/whitham series cutoff: the root searches refine from array values by scalar calls
     s = ow.make_symbol(name, params)
     ks = np.geomspace(1e-5, 50.0, 1000)
-    for ev in (s.m, s.m1, s.m2):
-        assert np.array_equal(ev(ks), [ev(float(k)) for k in ks])
+    # a scalar k is checked into a numpy float, which costs less to evaluate on than a 0-d array
+    assert type(symbols._as_nonnegative(2.0)) is np.float64
+    # the seven accessors, the even and odd extensions on both sides of 0
+    accessors = [(s.m, ks), (s.m1, ks), (s.m2, ks), (lambda k: s.jet(k, 2), ks)]
+    accessors += [(ev, x) for ev in (s.m_even, s.m1_odd, s.m2_even) for x in (ks, -ks)]
+    for ev, xs in accessors:
+        alone = [ev(float(x)) for x in xs]
+        assert all(type(v) is float for a in alone for v in (a if isinstance(a, tuple) else (a,)))
+        for part, got in zip(_parts(ev(xs)), zip(*map(_parts, alone))):
+            assert part.tobytes() == np.array(got).tobytes()
     for p in (ow.ModelParams(beta=-0.7, gamma=1.3), ow.ModelParams(beta=2.0, gamma=0.1)):
         for fn in _KINEMATICS.values():
             whole, alone = _parts(fn(s, p, ks)), [_parts(fn(s, p, float(k))) for k in ks]
