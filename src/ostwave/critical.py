@@ -12,9 +12,10 @@ have closed forms; for the nonlocal models they are bracketed on a log
 grid and refined with Brent's method (``roots.brentq``), each root from
 its cell's two grid values.  ``diagram`` sweeps a (k, T) lattice into
 stable/unstable cells plus the two zero-locus curves: it evaluates the
-whole lattice at once and refines the zero-locus points of both factors
-in one vectorised false-position solve (``roots.falsi_lanes``), started
-from the numerator values ``index`` formed at the cell ends.  Both
+whole lattice at once and refines every root start of both factors, an
+exact zero as its zero-width bracket, in one vectorised false-position
+solve (``roots.falsi_lanes``), started from the numerator values
+``index`` formed at the bracket ends.  Both
 surface-tension thresholds are points where two zero loci meet: T_s
 where the f1 and f2 loci cross, T_c where a pair of critical wavenumbers
 merges (three become one), the fold where the owner's numerator F and
@@ -442,12 +443,12 @@ def diagram(
     ``index`` call at the cell centers; every value is the float a call
     per cell gives, so the lattice is consistent with the pointwise
     classifier by construction.  The curves are read from the same
-    values: the exact zeros and sign-change cells of f1 and f2 along each
-    T row, each cell a lane of one ``roots.falsi_lanes`` solve on its
-    factor's numerator, started from the numerator values ``index`` gave
-    at its cell's ends (``num1``, ``num2``), so a curve point lies within
-    1e-12 + 4 eps k of a sign change.  ``t_s`` is where the curves cross
-    inside the lattice, sought from the same f1 and f2 values
+    values: each root start of the numerators ``num1`` and ``num2`` along
+    a T row (``roots.cells``), a sign-change cell or an exact zero as its
+    zero-width bracket, is a lane of one ``roots.falsi_lanes`` solve from
+    the values ``index`` gave at its ends, so a curve point is a zero or
+    within 1e-12 + 4 eps k of a sign change.  ``t_s`` is where the curves
+    cross inside the lattice, sought from the same f1 and f2 values
     (``_lattice_crossing``), else None.  ``params_from_alpha`` checks
     alpha.
     """
@@ -464,30 +465,21 @@ def diagram(
     for code, label in _LABELS.items():
         labels[r.classification == code] = label
 
-    # f1 and f2 are the numerators over 4 k^2 and k^3, so they change sign in the same cells;
-    # all are finite, since index refuses a lattice with any non-finite delta = f1 * f2
-    starts = []  # per locus: the rows and columns where roots start, and which of them start a cell
-    for vals in (r.f1, r.f2):
-        zero, start = roots.cells(vals)
-        rows, cols = np.nonzero(start)  # row by row, ascending k within a row
-        starts.append((rows, cols, ~zero[rows, cols]))  # a zero point is its own root
-    (j1, i1), (j2, i2) = ((rows[cell], cols[cell]) for rows, cols, cell in starts)
-    # the cells of both loci are the lanes of one solve, each locus evaluated by one symbol whose T are its
-    # lanes' rows, and started from index's numerators at the cell ends, the floats f gives there
-    num1 = _numerators(make_symbol(s_family, {"T": Ts[j1]}), p)[0]
-    num2 = _numerators(make_symbol(s_family, {"T": Ts[j2]}), p)[1]
-    lo = np.concatenate([i1, i2])
-    fa, fb = (np.concatenate([r.num1[j1, i1 + e], r.num2[j2, i2 + e]]) for e in (0, 1))
+    # f1 and f2 are the numerators over 4 k^2 and k^3 (all finite: index refuses a non-finite delta), so
+    # they start where the numerators do; the starts of both loci are the lanes of one solve, each locus
+    # evaluated by one symbol whose T are its lanes' rows, from index's numerators at the bracket ends
+    nums = np.stack([r.num1, r.num2])
+    locus, rows, lo = np.nonzero(roots.cells(nums))  # f1's first, row by row, ascending k within a row
+    hi = lo + (nums[locus, rows, lo] != 0)  # an exact zero is the zero-width bracket at its point
+    n1 = np.count_nonzero(locus == 0)
+    num1 = _numerators(make_symbol(s_family, {"T": Ts[rows[:n1]]}), p)[0]
+    num2 = _numerators(make_symbol(s_family, {"T": Ts[rows[n1:]]}), p)[1]
 
     def f(x):
-        return np.concatenate([num1(x[: i1.size]), num2(x[i1.size :])])
+        return np.concatenate([num1(x[:n1]), num2(x[n1:])])
 
-    refined = np.split(roots.falsi_lanes(f, ks[lo], ks[lo + 1], xtol=1e-12, fa=fa, fb=fb), [i1.size])
-    curves = []  # (k, T) points of each zero locus
-    for (rows, cols, cell), root in zip(starts, refined):
-        k = ks[cols]
-        k[cell] = root
-        curves.append(list(zip(k.tolist(), Ts[rows].tolist())))
+    k = roots.falsi_lanes(f, ks[lo], ks[hi], xtol=1e-12, fa=nums[locus, rows, lo], fb=nums[locus, rows, hi])
+    curves = list(zip(k.tolist(), Ts[rows].tolist()))  # (k, T) points of both zero loci, f1's first
 
     t_s = None
     if s_family == "whitham_st" and alpha < 0:
@@ -509,8 +501,8 @@ def diagram(
         f1=r.f1,
         f2=r.f2,
         delta=r.delta,
-        f1_curve=curves[0],
-        f2_curve=curves[1],
+        f1_curve=curves[:n1],
+        f2_curve=curves[n1:],
         t_s=t_s,
         region_counts=_region_counts(labels),
     )

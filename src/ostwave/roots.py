@@ -5,13 +5,13 @@
 so it returns the same float as ``scipy.optimize.brentq`` without
 importing scipy.  ``falsi_lanes`` refines many brackets at once by
 Anderson–Björck false position on numpy arrays, one call of f per step
-for every bracket, and hands any bracket it has not closed in 16 steps
-to ``brentq``.  Both evaluate a bracket end only when the caller does
-not hand them its value, so a caller that has evaluated f on a grid pays
-nothing twice.  ``cells`` is the sign-change rule that ``scan`` and the
-stability-diagram lattice share; ``scan`` finds every root of a function
-on a probe grid, refining each cell from its grid values; ``minimize_scalar``
-finds a bounded minimum by zooming a grid.
+for every bracket, and bisects any still open after 16 steps.  Both
+evaluate a bracket end only when the caller does not hand them its value,
+so a caller that has evaluated f on a grid pays nothing twice.  ``cells``
+marks where roots start, the rule that ``scan`` and the stability-diagram
+lattice share; ``scan`` finds every root of a function on a probe grid,
+refining each from its grid values; ``minimize_scalar`` finds a bounded
+minimum by zooming a grid.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ def falsi_lanes(f, a, b, xtol=2e-12, fa=None, fb=None) -> np.ndarray:
     numpy arrays: each step makes one call ``f(x)`` with a point for every
     lane, a finished lane holding its root, and f returns its values there
     as an array.  A point is at least half the tolerance inside its
-    bracket.  A lane finishes at an exact zero, or once its bracket is at
-    most xtol + 4 eps |x| wide, x its latest point and its root: the
-    tolerance at which ``brentq`` stops.  ``brentq`` finishes, from its
-    bracket, a lane still open after 16 steps, so no lane fails where
-    ``brentq`` would not.  Where a lane's value depends on its point alone,
-    its root is the float a one-lane call on its bracket returns.
+    bracket.  A lane finishes at an exact zero (a lane with fa = 0 returns
+    a at once) or once its bracket is at most xtol + 4 eps |x| wide, x its
+    latest point and its root, as ``brentq`` stops; a lane open after 16
+    steps bisects, and one open after 100 raises RuntimeError.  Where a
+    lane's value depends on its point alone, its root is the float a
+    one-lane call on its bracket returns.
 
     ``fa`` and ``fb`` are the values at every a and every b when the
     caller has them; an end whose values are not given takes one call on
@@ -109,19 +109,24 @@ def falsi_lanes(f, a, b, xtol=2e-12, fa=None, fb=None) -> np.ndarray:
         raise ValueError("falsi_lanes takes a, b, fa and fb of one length")
     fa, fb = (np.ravel(np.asarray(f(x) if v is None else v, dtype=float)) for x, v in ((a, fa), (b, fb)))
     for i in np.flatnonzero(~(np.sign(fa) * np.sign(fb) <= 0))[:1]:  # NaN, or no sign change
-        brentq(f, a[i], b[i], xtol, fa[i], fb[i])  # raises before it calls f
+        _checked(a[i], fa[i])
+        _checked(b[i], fb[i])
+        raise ValueError("f(a) and f(b) must have different signs")
     # x1 is each lane's latest point, x0 the end across the sign change, and f0 is scaled as the method asks
     x0, f0, x1, f1 = a, fa, np.where(fa == 0, a, b), np.where(fa == 0, fa, fb)
     with np.errstate(divide="ignore", invalid="ignore"):  # a finished lane may divide 0 by 0
-        for step in range(_FALSI_STEPS + 1):
+        for step in range(_MAXITER + 1):
             tol = xtol + _RTOL * np.abs(x1)
             d = x0 - x1
             width = np.abs(d)
             live = (width > tol) & (f1 != 0)
-            if step == _FALSI_STEPS or not live.any():
-                break
+            if not live.any():
+                return x1
+            if step == _MAXITER:
+                raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {x1[live][0]}")
             r = 0.5 * tol / width  # half the tolerance, as a fraction of the bracket
-            c = np.where(live, x1 + d * np.minimum(np.maximum(f1 / (f1 - f0), r), 1.0 - r), x1)
+            t = np.minimum(np.maximum(f1 / (f1 - f0), r), 1.0 - r) if step < _FALSI_STEPS else 0.5
+            c = np.where(live, x1 + d * t, x1)
             fc = np.asarray(f(c), dtype=float)
             for i in np.flatnonzero(np.isnan(fc))[:1]:
                 _checked(c[i], fc[i])
@@ -129,48 +134,43 @@ def falsi_lanes(f, a, b, xtol=2e-12, fa=None, fb=None) -> np.ndarray:
             m = 1.0 - fc / f1
             x0, f0 = np.where(flip, x1, x0), np.where(flip, f1, f0 * np.where(m > 0, m, 0.5))
             x1, f1 = c, fc
-    out = x1.copy()
-    for i in np.flatnonzero(live):
-        one = np.arange(x1.size) == i
-        out[i] = brentq(lambda x: f(np.where(one, x, x1))[i], a[i], b[i], xtol, fa[i], fb[i])
-    return out
 
 
 def cells(vals):
     """Where roots start along the last axis of a grid of values.
 
-    Returns (zero, start): zero marks grid points where the value is
-    exactly 0; start marks those and every point whose cell to the next
-    point has ends of opposite sign.  A NaN value starts no cell.
+    Marks every point where the value is exactly 0, a root's zero-width
+    bracket, and every point whose cell to the next point has ends of
+    opposite sign.  A NaN value starts no cell.
     """
     vals = np.asarray(vals, dtype=float)
-    zero = vals == 0.0
-    change = np.zeros_like(zero)
-    change[..., :-1] = vals[..., :-1] * vals[..., 1:] < 0
-    return zero, zero | change
+    start = vals == 0.0
+    start[..., :-1] |= vals[..., :-1] * vals[..., 1:] < 0
+    return start
 
 
 def scan(f, grid, vals=None, xtol=1e-12, solve=brentq):
     """Yield the roots of f on an ascending grid, in ascending order.
 
-    A root is a grid point where f is exactly 0, or the ``solve`` root of
-    a grid cell whose ends differ in sign.  ``vals`` are the values of f
-    on the grid (f is called on the whole grid when they are not given).
-    A NaN value starts no cell: where the finite values on either side of
-    non-finite ones differ in sign, a RuntimeWarning names the interval.
-    Each cell is refined from its two grid values, so f is called only
-    inside it.  Roots are refined only as they are consumed, so
-    ``next(scan(...), None)`` refines only the first.
+    A root is the ``solve`` root of a start ``cells`` marks: a grid cell
+    whose ends differ in sign, or a grid point where f is exactly 0, the
+    zero-width bracket the solvers return as the point's float.  ``vals``
+    are the values of f on the grid (f is called on the whole grid when
+    they are not given).  A NaN value starts no cell: where the finite
+    values on either side of non-finite ones differ in sign, a
+    RuntimeWarning names the interval.  Each root is refined from its
+    grid values, so f is called only inside its cell.  Roots are refined
+    only as they are consumed: ``next(scan(...), None)`` refines the first.
     """
     vals = np.asarray(f(grid) if vals is None else vals, dtype=float)
-    zero, start = cells(vals)
     ends = () if math.isfinite(vals.sum()) else np.flatnonzero(np.isfinite(vals))  # a finite sum: all finite
     for i, j in zip(ends[:-1], ends[1:]):
         if j > i + 1 and vals[i] * vals[j] < 0:
             where = f"({grid[i]:.6g}, {grid[j]:.6g})"
             warnings.warn(f"f changes sign across non-finite values in {where}; no root sought there", RuntimeWarning)
-    for i in np.flatnonzero(start):
-        yield float(grid[i]) if zero[i] else solve(f, grid[i], grid[i + 1], xtol=xtol, fa=vals[i], fb=vals[i + 1])
+    for i in np.flatnonzero(cells(vals)):
+        j = i + (vals[i] != 0)
+        yield solve(f, grid[i], grid[j], xtol=xtol, fa=vals[i], fb=vals[j])
 
 
 def minimize_scalar(f, grid) -> float:

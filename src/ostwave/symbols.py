@@ -35,7 +35,8 @@ scalars or numpy arrays of k >= 0 and are extended evenly through
 ``m_even`` for callers that need signed frequencies.
 
 k is checked once per public call: by the accessors (``m``, ``m1``,
-``m2``, ``jet``) for k >= 0, and by the kinematics (``phase_velocity``,
+``m2``, ``jet``) for k >= 0, by the even extensions (``m_even``,
+``m1_odd``, ``m2_even``) for k not NaN, and by the kinematics (``phase_velocity``,
 ``group_velocity``, ``group_velocity_derivative`` and
 ``stokes.harmonic_denominator``) for positive and finite k, which then
 evaluate the unchecked jet directly.  ilw and whitham form their Taylor
@@ -97,7 +98,7 @@ def _as_nonnegative(k):
     arr = np.asarray(k, dtype=float)
     # a 0-d array is tested as a float: np.all costs more than evaluating m; NaN fails k >= 0
     if not (float(arr) >= 0 if arr.ndim == 0 else (arr >= 0).all()):
-        raise ValueError("symbol evaluation requires k >= 0; use m_even for signed k")
+        raise ValueError("symbol evaluation requires k >= 0, not NaN (m_even, m1_odd and m2_even take k < 0)")
     return arr[()] if arr.ndim == 0 else arr  # a numpy float for a scalar k, as in _check_k
 
 
@@ -143,15 +144,15 @@ class DispersionSymbol:
         return self._value(_as_nonnegative(k), 2)
 
     def m_even(self, k):
-        return self._value(np.abs(np.asarray(k, dtype=float)), 0)
+        return self._value(_as_nonnegative(np.abs(k)), 0)
 
     def m1_odd(self, k):
         arr = np.asarray(k, dtype=float)
-        out = np.sign(arr) * self.jet_fn(np.abs(arr), 1)[1]
+        out = np.sign(arr) * self.jet_fn(_as_nonnegative(np.abs(arr)), 1)[1]
         return float(out) if out.ndim == 0 else out
 
     def m2_even(self, k):
-        return self._value(np.abs(np.asarray(k, dtype=float)), 2)
+        return self._value(_as_nonnegative(np.abs(k)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         default 0), a float or an array (a list or tuple is taken as one)
         broadcasting against k: the symbol at every (T, k) pair at once,
         each the float a symbol built at that T alone gives.  ``custom``
-        needs callables ``m``, ``m1``, ``m2`` and takes a
+        needs callables ``m``, ``m1``, ``m2`` and takes a finite
         ``growth_exponent`` (default 0).
 
     Returns
@@ -329,7 +330,12 @@ def make_symbol(name: str, params: dict | None = None) -> DispersionSymbol:
         fns = (params.get("m"), params.get("m1"), params.get("m2"))
         if not all(map(callable, fns)):
             raise ValueError("custom symbol requires callables m, m1, m2")
-        alpha = float(params.get("growth_exponent", 0.0))
+        try:
+            alpha = float(params.get("growth_exponent", 0.0))
+        except (TypeError, ValueError):
+            alpha = math.nan
+        if not math.isfinite(alpha):  # a default of 0 is finite, so the parameter was given
+            raise ValueError(f"custom requires growth_exponent a finite number, got {params['growth_exponent']!r}")
 
         def jet(k, order):  # the callables see a float array whether or not the caller checked k
             return [f(np.asarray(k, dtype=float)) for f in fns[: order + 1]]

@@ -280,15 +280,26 @@ def test_series_branch_leaves_each_k_its_bits(name, ks):
 
 @pytest.mark.parametrize("name", _SERIES_SYMBOLS)
 def test_public_accessors_refuse_negative_k(name):
-    # the accessors check k once per call, with the messages they always gave
+    # the accessors check k once per call, each family with the same message
     s = _JET_SYMBOLS[name]
     for k in (-1.0, np.array([0.5, -1e-300]), np.array([[2.0, -3.0]]), math.nan, np.array([0.5, np.nan])):
         for ev in (s.m, s.m1, s.m2, lambda k: s.jet(k, 0), lambda k: s.jet(k, 2)):
-            with pytest.raises(ValueError, match="^symbol evaluation requires k >= 0; use m_even for signed k$"):
+            with pytest.raises(ValueError, match=r"^symbol evaluation requires k >= 0, not NaN \(m_even, .* take k < 0\)$"):
                 ev(k)
         for fn in _SERIES_KINEMATICS:
             with pytest.raises(ValueError, match="^wavenumber k must be positive and finite$"):
                 fn(s, P11, k)
+
+
+@pytest.mark.parametrize("name,params", ALL_BUILTINS)
+def test_even_extensions_refuse_nan_k(name, params):
+    s = ow.make_symbol(name, params)
+    for k in (math.nan, np.array([-0.5, math.nan, 2.0])):
+        for ev in (s.m_even, s.m1_odd, s.m2_even):
+            with pytest.raises(ValueError, match="not NaN"):
+                ev(k)
+    # signed k still passes
+    assert s.m_even(-0.5) == s.m(0.5) and s.m1_odd(np.array([-0.5])).tolist() == [-s.m1(0.5)]
 
 
 @pytest.mark.parametrize("name,params", ALL_BUILTINS)
@@ -547,6 +558,11 @@ def test_custom_symbol_requires_all_derivatives():
     # a misspelt key is refused, not read as a growth exponent of 0
     with pytest.raises(ValueError, match="not alpha"):
         ow.make_symbol("custom", {"m": s.m, "m1": s.m1, "m2": s.m2, "alpha": 2.0})
+    # the growth exponent is a finite number, as every built-in parameter is
+    for bad in (math.nan, math.inf, -math.inf, "abc", None, [1.0]):
+        with pytest.raises(ValueError, match="^custom requires growth_exponent a finite number, got "):
+            ow.make_symbol("custom", {"m": s.m, "m1": s.m1, "m2": s.m2, "growth_exponent": bad})
+    assert ow.make_symbol("custom", {"m": s.m, "m1": s.m1, "m2": s.m2, "growth_exponent": "1.5"}).growth_exponent == 1.5
 
 
 def test_model_params_validation():
